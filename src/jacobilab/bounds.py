@@ -31,6 +31,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import RegimeMismatchError
+from .fields import is_constant
 from .geometry import Regime
 from .submersion import GradientMode
 from .surface import (HopfTorus, HorizontalSlice, SurfaceModel, surface_regime)
@@ -87,59 +88,58 @@ def _require_regime(s: SurfaceModel, wanted: Regime, tol: float | None = None) -
 
 # --- theorem bounds -------------------------------------------------------------
 
-def bound_thm_plus_i(s: SurfaceModel,
-                     gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
-    """Positive-regime bound (i); see module docstring."""
-    _require_regime(s, Regime.POSITIVE)
-    kappa, tau, grad = _surface_samples(s, gradient_mode)
-    mean = _surface_mean(s, 2.0 * tau**2 - grad)
-    return -2.0 * s.mean_curvature**2 - mean
+# part -> (regime, H^2 coefficient c_H, genus term, kappa coefficient c_k,
+# tau^2 coefficient c_t) of
+#   bound = -c_H H^2 [- 8 pi (g - 1)/Area] - E[c_k kappa + c_t tau^2 - |grad tau|]
+_BOUND_TABLE = {
+    TheoremPart.PLUS_I: (Regime.POSITIVE, 2.0, False, 0.0, 2.0),
+    TheoremPart.PLUS_II: (Regime.POSITIVE, 4.0, True, 1.0, 0.0),
+    TheoremPart.MINUS_I: (Regime.NEGATIVE, 2.0, False, 1.0, -2.0),
+    TheoremPart.MINUS_II: (Regime.NEGATIVE, 4.0, True, 2.0, -4.0),
+}
 
-
-def bound_thm_plus_ii(s: SurfaceModel,
-                      gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
-    """Positive-regime bound (ii); see module docstring."""
-    _require_regime(s, Regime.POSITIVE)
-    kappa, tau, grad = _surface_samples(s, gradient_mode)
-    mean = _surface_mean(s, kappa - grad)
-    genus_term = 8.0 * math.pi * (s_genus(s) - 1) / s.area
-    return -4.0 * s.mean_curvature**2 - genus_term - mean
-
-
-def bound_thm_minus_i(s: SurfaceModel,
-                      gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
-    """Negative-regime bound (i); see module docstring."""
-    _require_regime(s, Regime.NEGATIVE)
-    kappa, tau, grad = _surface_samples(s, gradient_mode)
-    mean = _surface_mean(s, kappa - 2.0 * tau**2 - grad)
-    return -2.0 * s.mean_curvature**2 - mean
-
-
-def bound_thm_minus_ii(s: SurfaceModel,
-                       gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
-    """Negative-regime bound (ii); see module docstring."""
-    _require_regime(s, Regime.NEGATIVE)
-    kappa, tau, grad = _surface_samples(s, gradient_mode)
-    mean = _surface_mean(s, 2.0 * kappa - 4.0 * tau**2 - grad)
-    genus_term = 8.0 * math.pi * (s_genus(s) - 1) / s.area
-    return -4.0 * s.mean_curvature**2 - genus_term - mean
-
-
-_BOUND_FNS = {
-    TheoremPart.PLUS_I: bound_thm_plus_i,
-    TheoremPart.PLUS_II: bound_thm_plus_ii,
-    TheoremPart.MINUS_I: bound_thm_minus_i,
-    TheoremPart.MINUS_II: bound_thm_minus_ii,
+# regime -> (bound (i), bound (ii)) of that regime's theorem
+REGIME_PARTS = {
+    Regime.POSITIVE: (TheoremPart.PLUS_I, TheoremPart.PLUS_II),
+    Regime.NEGATIVE: (TheoremPart.MINUS_I, TheoremPart.MINUS_II),
 }
 
 
 def theorem_bound(s: SurfaceModel, part: TheoremPart,
                   gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
-    return _BOUND_FNS[part](s, gradient_mode)
+    """Upper bound ``part`` on lambda1; see module docstring."""
+    regime, h2_coef, genus_term, kappa_coef, tau2_coef = _BOUND_TABLE[part]
+    _require_regime(s, regime)
+    kappa, tau, grad = _surface_samples(s, gradient_mode)
+    mean = _surface_mean(s, kappa_coef * kappa + tau2_coef * tau**2 - grad)
+    bound = -h2_coef * s.mean_curvature**2
+    if genus_term:
+        bound -= 8.0 * math.pi * (s.genus - 1) / s.area
+    return bound - mean
 
 
-def s_genus(s: SurfaceModel) -> int:
-    return s.genus if isinstance(s, HorizontalSlice) else 1
+def bound_thm_plus_i(s: SurfaceModel,
+                     gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
+    """Positive-regime bound (i); see module docstring."""
+    return theorem_bound(s, TheoremPart.PLUS_I, gradient_mode)
+
+
+def bound_thm_plus_ii(s: SurfaceModel,
+                      gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
+    """Positive-regime bound (ii); see module docstring."""
+    return theorem_bound(s, TheoremPart.PLUS_II, gradient_mode)
+
+
+def bound_thm_minus_i(s: SurfaceModel,
+                      gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
+    """Negative-regime bound (i); see module docstring."""
+    return theorem_bound(s, TheoremPart.MINUS_I, gradient_mode)
+
+
+def bound_thm_minus_ii(s: SurfaceModel,
+                       gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
+    """Negative-regime bound (ii); see module docstring."""
+    return theorem_bound(s, TheoremPart.MINUS_II, gradient_mode)
 
 
 # --- verdicts and equality ---------------------------------------------------------
@@ -181,11 +181,6 @@ class EqualityClassification:
         }
 
 
-def _is_constant(samples: np.ndarray, tol: float = PREDICATE_TOL) -> bool:
-    lo, hi = float(np.min(samples)), float(np.max(samples))
-    return hi - lo <= tol * max(1.0, abs(lo), abs(hi))
-
-
 def _is_zero(samples: np.ndarray, tol: float = PREDICATE_TOL) -> bool:
     return float(np.max(np.abs(samples))) <= tol
 
@@ -200,8 +195,8 @@ def equality_predicates(s: SurfaceModel, part: TheoremPart) -> dict:
             return {"hopf_torus": False, "kappa_constant": False, "tau_constant": False}
         return {
             "hopf_torus": True,
-            "kappa_constant": _is_constant(s.kappa_on_curve.samples),
-            "tau_constant": _is_constant(s.tau_on_curve.samples),
+            "kappa_constant": is_constant(s.kappa_on_curve.samples, PREDICATE_TOL),
+            "tau_constant": is_constant(s.tau_on_curve.samples, PREDICATE_TOL),
         }
     if part is TheoremPart.MINUS_I:
         if horizontal:
@@ -211,7 +206,7 @@ def equality_predicates(s: SurfaceModel, part: TheoremPart) -> dict:
             "hopf_torus": True,
             "geodesic_curve": abs(s.mean_curvature) <= PREDICATE_TOL,
             "tau_zero": _is_zero(s.tau_on_curve.samples),
-            "kappa_constant": _is_constant(s.kappa_on_curve.samples),
+            "kappa_constant": is_constant(s.kappa_on_curve.samples, PREDICATE_TOL),
         }
     if part is TheoremPart.MINUS_II:
         # our slices carry the base metric, so K = kappa holds by construction
@@ -274,11 +269,11 @@ def corollary_checks(s: SurfaceModel, lambda1: float,
     kappa, tau, grad = _surface_samples(s, gradient_mode)
     mean = lambda arr: _surface_mean(s, arr)
     area = s.area
-    genus = s_genus(s)
+    genus = s.genus
     h2 = s.mean_curvature**2
     stable = lambda1 >= -stability_tol
-    tau_const = _is_constant(tau)
-    kappa_const = _is_constant(kappa)
+    tau_const = is_constant(tau, PREDICATE_TOL)
+    kappa_const = is_constant(kappa, PREDICATE_TOL)
     tol = default_equality_tol(lambda1)
 
     if regime is Regime.POSITIVE:
@@ -403,14 +398,10 @@ def build_bound_report(s: SurfaceModel, lambda1: float,
     per-mode records (the two modes legitimately disagree on warped models).
     """
     regime = surface_regime(s)
-    if regime is Regime.POSITIVE:
-        parts = (TheoremPart.PLUS_I, TheoremPart.PLUS_II)
-        theorem = "positive_regime"
-    elif regime is Regime.NEGATIVE:
-        parts = (TheoremPart.MINUS_I, TheoremPart.MINUS_II)
-        theorem = "negative_regime"
-    else:
+    if regime not in REGIME_PARTS:
         raise RegimeMismatchError(f"no bounds apply in regime {regime.value}")
+    parts = REGIME_PARTS[regime]
+    theorem = f"{regime.value}_regime"
 
     per_mode = {}
     violations = []

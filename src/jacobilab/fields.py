@@ -156,8 +156,7 @@ class ScalarField1D:
                              period=self.period, interval=self.interval)
 
     def is_constant(self, tol: float = 1e-9) -> bool:
-        lo, hi = float(np.min(self.samples)), float(np.max(self.samples))
-        return hi - lo <= tol * max(1.0, abs(lo), abs(hi))
+        return is_constant(self.samples, tol)
 
     def resampled(self, n: int) -> "ScalarField1D":
         """Trigonometric resampling of a periodic field onto ``n`` points."""
@@ -172,6 +171,12 @@ class ScalarField1D:
         if self.n % 2 == 0 and keep == c.size and c.size - 1 < out.size:
             out[c.size - 1] *= 0.5  # split the Nyquist mode when upsampling
         return ScalarField1D(np.fft.irfft(out * n, n), period=self.period)
+
+
+def is_constant(samples: np.ndarray, tol: float = 1e-9) -> bool:
+    """Spread of the samples within ``tol`` relative to max(1, |extremes|)."""
+    lo, hi = float(np.min(samples)), float(np.max(samples))
+    return hi - lo <= tol * max(1.0, abs(lo), abs(hi))
 
 
 def _spectral_derivative(samples: np.ndarray, period: float) -> np.ndarray:

@@ -19,12 +19,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import build_bound_report
+from .bounds import REGIME_PARTS, build_bound_report, theorem_bound
 from .errors import JacobilabError, ScenarioError
 from .fields import ScalarField1D
 from .geometry import Regime
-from .spectral import (DEFAULT_CONV_TOL, DEFAULT_FD_TRUNCATION,
-                       DEFAULT_TRUNCATION, alpha_invariant,
+from .spectral import (DEFAULT_CONV_TOL, MIN_FD_GRID, alpha_invariant,
                        lambda1_identity_check, solve, solve_surface,
                        surface_spectral_problem)
 from .submersion import GradientMode, SubmersionModel, \
@@ -401,8 +400,10 @@ class ScenarioOutcome:
 
 def _convergence_series(surface: HopfTorus, backend: str, truncation: int,
                         richardson: bool) -> list[list]:
+    """lambda1 on the doubling ladder from the backend's smallest grid up to
+    the main solve's truncation, with the convergence check disabled."""
     rows = []
-    t = 8
+    t = MIN_FD_GRID if backend == "fd" else 8
     while t <= truncation:
         problem = surface_spectral_problem(surface, truncation=t, conv_tol=math.inf)
         r = solve(problem, m=1, backend=backend, richardson=richardson)
@@ -412,20 +413,14 @@ def _convergence_series(surface: HopfTorus, backend: str, truncation: int,
 
 
 def _sweep_series(model: SubmersionModel, sweep: dict, solver: dict) -> list[list]:
-    from .bounds import bound_thm_plus_i, bound_thm_plus_ii, bound_thm_minus_i, \
-        bound_thm_minus_ii
     rows = []
     u = float(sweep["start"])
     stop, step = float(sweep["stop"]), float(sweep["step"])
     while u <= stop + 1e-12:
         torus = parallel_hopf_torus(model, u)
         lam = _solve_with(torus, solver).lambda1
-        regime = surface_regime(torus)
-        if regime is Regime.POSITIVE:
-            fns = (bound_thm_plus_i, bound_thm_plus_ii)
-        elif regime is Regime.NEGATIVE:
-            fns = (bound_thm_minus_i, bound_thm_minus_ii)
-        else:
+        parts = REGIME_PARTS.get(surface_regime(torus))
+        if parts is None:
             u += step
             continue
         row = [float(u),
@@ -433,18 +428,16 @@ def _sweep_series(model: SubmersionModel, sweep: dict, solver: dict) -> list[lis
                float(torus.tau_on_curve.samples[0]),
                float(torus.mean_curvature), float(lam)]
         for mode in (GradientMode.AMBIENT, GradientMode.INTRINSIC_ON_SURFACE):
-            row.extend([float(fns[0](torus, mode)), float(fns[1](torus, mode))])
+            row.extend([float(theorem_bound(torus, part, mode)) for part in parts])
         rows.append(row)
         u += step
     return rows
 
 
 def _solve_with(surface, solver: dict):
-    backend = solver.get("backend", "fourier")
-    truncation = solver.get("truncation",
-                            DEFAULT_FD_TRUNCATION if backend == "fd" else DEFAULT_TRUNCATION)
     return solve_surface(surface, m=int(solver.get("eigenvalue_count", 6)),
-                         backend=backend, truncation=int(truncation),
+                         backend=solver.get("backend", "fourier"),
+                         truncation=solver.get("truncation"),
                          richardson=bool(solver.get("richardson", False)),
                          conv_tol=float(solver.get("convergence_tol", DEFAULT_CONV_TOL)))
 
@@ -549,7 +542,7 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
                 ["s", "rho"], [[float(s), float(v)] for s, v in zip(rho.grid, rho.samples)])
         elif kind == "convergence" and is_torus:
             rows = _convergence_series(surface, solver.get("backend", "fourier"),
-                                       int(solver.get("truncation", DEFAULT_TRUNCATION)),
+                                       result.truncation,
                                        bool(solver.get("richardson", False)))
             series["convergence"] = format_csv(["truncation", "lambda1"], rows)
     sweep = outputs.get("sweep")

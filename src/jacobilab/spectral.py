@@ -10,17 +10,19 @@ of the reduced problem are provided:
 
 * ``fourier`` (primary): Galerkin in the orthonormal trigonometric basis
   [1, cos_k, sin_k] / norms, k = 1..K.  The kinetic part is diagonal with
-  entries (2 pi k / L)^2 and the potential couples modes through the real
-  Fourier coefficients of q; the assembled matrix is real symmetric of size
-  2K + 1.  Spectrally accurate for smooth potentials.
+  entries (2 pi k / L)^2 and the potential couples modes through the
+  Fourier coefficients c_n of q, read from one Toeplitz (c_{|j-k|}) and one
+  Hankel (c_{j+k}) index table; the assembled matrix is real symmetric of
+  size 2K + 1.  Spectrally accurate for smooth potentials.
 
 * ``fd`` (oracle): second-order central differences on a periodic grid of N
   points, optionally Richardson-extrapolated from the N/2 and N solves.
 
 Both backends diagonalize with dense symmetric LAPACK routines; matrix sizes
-stay in the few-thousands, so no sparse machinery is involved.  A full 2D
-tensor solve over both mode directions (:func:`solve_torus_2d`) is available
-to check the reduction.
+stay in the few-thousands, so no sparse machinery is involved.  The torus
+spectrum with fiber modes (:func:`solve_torus_2d`) is the exact merge of the
+circle spectrum with the fiber kinetic terms, so it needs no eigensolve of
+its own.
 """
 
 from __future__ import annotations
@@ -77,7 +79,9 @@ class SpectralResult:
 
     ``ground_state`` is sign-fixed to positive mean and normalized so that
     its squared surface integral equals the torus area.  ``eigenvalues`` are
-    the lowest m values in ascending order (with multiplicity).
+    the lowest m values in ascending order (with multiplicity); :func:`solve`
+    returns the circle spectrum (fiber mode 0), :func:`solve_torus_2d` the
+    torus spectrum.
     """
 
     lambda1: float
@@ -94,78 +98,53 @@ class SpectralResult:
 
 # --- Fourier-Galerkin backend ------------------------------------------------
 
-def real_fourier_coefficients(samples: np.ndarray, nmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients a[0..nmax], b[0..nmax] of q = a0 + sum a_n cos + b_n sin.
-
-    Computed from the DFT of the samples; harmonics beyond the grid Nyquist
-    are taken as zero (exact for band-limited potentials, spectrally accurate
-    otherwise).
-    """
-    n = samples.size
-    c = np.fft.rfft(samples) / n
-    a = np.zeros(nmax + 1)
-    b = np.zeros(nmax + 1)
-    # stop below the Nyquist mode of even grids, where cos amplitudes alias
-    avail = min(nmax, (n - 1) // 2)
-    a[0] = c[0].real
-    a[1:avail + 1] = 2.0 * c[1:avail + 1].real
-    b[1:avail + 1] = -2.0 * c[1:avail + 1].imag
-    return a, b
-
-
 def assemble_fourier(length: float, q_samples: np.ndarray, K: int) -> np.ndarray:
     """Real symmetric Galerkin matrix of -d^2/ds^2 - q, size 2K + 1.
 
-    Basis order [const, cos_1..cos_K, sin_1..sin_K]; potential entries come
-    from product-to-sum identities for the trigonometric basis, e.g.
-    <cos_k| q |cos_j> = a_{k+j}/2 + a_{|k-j|}/2 (a_0 on the diagonal).
+    Basis order [const, cos_1..cos_K, sin_1..sin_K].  With c_n = rfft(q)/N
+    (c_{-n} = conj(c_n)) and cos_0 = const, the potential blocks are one
+    Toeplitz table c_{|j-k|} plus one Hankel table c_{j+k}:
+    <cos_j|q|cos_k> = w_j w_k (Re c_{|j-k|} + Re c_{j+k}),
+    <sin_j|q|sin_k> = Re c_{|j-k|} - Re c_{j+k},
+    <cos_j|q|sin_k> = w_j (Im c_{j-k} - Im c_{j+k}), where w_0^2 = 1/2 and
+    w_j = 1 otherwise.  Harmonics beyond the grid Nyquist are taken as zero
+    (exact for band-limited potentials, spectrally accurate otherwise).
     """
-    a, b = real_fourier_coefficients(q_samples, 2 * K)
-    n = 2 * K + 1
-    k = np.arange(1, K + 1)
-    om2 = (2.0 * np.pi / length) ** 2
+    n = q_samples.size
+    # stop below the Nyquist mode of even grids, where cos amplitudes alias
+    avail = min(2 * K, (n - 1) // 2)
+    c = np.zeros(2 * K + 1, dtype=complex)
+    c[:avail + 1] = (np.fft.rfft(q_samples) / n)[:avail + 1]
+    j = np.arange(K + 1)
+    toeplitz = np.abs(j[:, None] - j)
+    hankel = j[:, None] + j
+    sign = np.sign(j[:, None] - j)
+    # divide by sqrt(1/w^2) rather than multiply by w: sqrt(4) = 2 is exact,
+    # so the constant-mode entry stays exactly Re c_0
+    inv_w2 = np.ones(K + 1)
+    inv_w2[0] = 2.0
+    Vcc = (c.real[toeplitz] + c.real[hankel]) / np.sqrt(np.outer(inv_w2, inv_w2))
+    Vss = c.real[toeplitz[1:, 1:]] - c.real[hankel[1:, 1:]]
+    Vcs = (sign * c.imag[toeplitz] - c.imag[hankel])[:, 1:] / np.sqrt(inv_w2)[:, None]
 
-    H = np.zeros((n, n))
-    H[np.arange(1, K + 1), np.arange(1, K + 1)] = om2 * k.astype(float) ** 2
-    H[np.arange(K + 1, n), np.arange(K + 1, n)] = om2 * k.astype(float) ** 2
-
-    V = np.zeros((n, n))
-    V[0, 0] = a[0]
-    V[0, 1:K + 1] = a[1:K + 1] / np.sqrt(2.0)
-    V[0, K + 1:] = b[1:K + 1] / np.sqrt(2.0)
-    V[1:K + 1, 0] = V[0, 1:K + 1]
-    V[K + 1:, 0] = V[0, K + 1:]
-    kk, jj = np.meshgrid(k, k, indexing="ij")
-    plus = kk + jj
-    diff = np.abs(kk - jj)
-    sgn = np.sign(kk - jj)
-    Vcc = 0.5 * a[plus] + np.where(kk == jj, a[0], 0.5 * a[diff])
-    Vss = np.where(kk == jj, a[0], 0.5 * a[diff]) - 0.5 * a[plus]
-    Vcs = 0.5 * b[plus] - 0.5 * sgn * b[diff]
-    V[1:K + 1, 1:K + 1] = Vcc
-    V[K + 1:, K + 1:] = Vss
-    V[1:K + 1, K + 1:] = Vcs
-    V[K + 1:, 1:K + 1] = Vcs.T
-
-    H -= V
-    _require_symmetric(H)
+    kinetic = (2.0 * np.pi / length) ** 2 * j[1:].astype(float) ** 2
+    H = -np.block([[Vcc, Vcs], [Vcs.T, Vss]])
+    H[np.diag_indices(2 * K + 1)] += np.concatenate(([0.0], kinetic, kinetic))
     return H
 
 
-def _require_symmetric(H: np.ndarray) -> None:
-    skew = np.max(np.abs(H - H.T))
-    if skew > 1e-12 * max(1.0, np.max(np.abs(H))):
-        raise JacobilabError(f"assembled operator is not symmetric (skew {skew:g})")
+def _fourier_ground_state(length: float, vec: np.ndarray, n: int) -> np.ndarray:
+    """Values of the basis expansion ``vec`` at the n periodic grid points.
 
-
-def _trig_basis(length: float, K: int, grid: np.ndarray) -> np.ndarray:
-    n = 2 * K + 1
-    B = np.empty((grid.size, n))
-    B[:, 0] = 1.0 / math.sqrt(length)
-    arg = (2.0 * np.pi / length) * np.outer(grid, np.arange(1, K + 1))
-    B[:, 1:K + 1] = math.sqrt(2.0 / length) * np.cos(arg)
-    B[:, K + 1:] = math.sqrt(2.0 / length) * np.sin(arg)
-    return B
+    One inverse real FFT on P = r n > 2K points carries every mode without
+    aliasing; keeping every r-th value samples the expansion on the n-grid.
+    """
+    K = (vec.size - 1) // 2
+    r = 2 * K // n + 1
+    X = np.zeros(r * n // 2 + 1, dtype=complex)
+    X[0] = vec[0] / math.sqrt(length)
+    X[1:K + 1] = math.sqrt(2.0 / length) * (vec[1:K + 1] - 1j * vec[K + 1:]) / 2.0
+    return np.fft.irfft(X, r * n, norm="forward")[::r]
 
 
 def _fourier_lambda1(length: float, q_samples: np.ndarray, K: int) -> float:
@@ -198,9 +177,7 @@ def assemble_fd(length: float, q_samples: np.ndarray) -> np.ndarray:
 
 def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     q = problem.potential.resampled(n_grid).samples
-    A = assemble_fd(problem.circle_length, q)
-    _require_symmetric(A)
-    w, v = np.linalg.eigh(A)
+    w, v = np.linalg.eigh(assemble_fd(problem.circle_length, q))
     return w[:m], v[:, 0]
 
 
@@ -226,8 +203,7 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
         w, vecs = np.linalg.eigh(H)
         eigenvalues = w[:m]
         estimate = abs(w[0] - _fourier_lambda1(L, q_field.samples, max(4, K // 2)))
-        rho = _trig_basis(L, K, q_field.grid) @ vecs[:, 0]
-        grid_period = L
+        rho = _fourier_ground_state(L, vecs[:, 0], q_field.n)
     elif backend == "fd":
         n_grid = problem.truncation
         if n_grid < MIN_FD_GRID:
@@ -240,7 +216,6 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
         else:
             eigenvalues = w_full.copy()
         rho = v0
-        grid_period = L
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
@@ -253,7 +228,7 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
     return SpectralResult(
         lambda1=float(eigenvalues[0]),
         eigenvalues=eigenvalues,
-        ground_state=ScalarField1D(rho, period=grid_period),
+        ground_state=ScalarField1D(rho, period=L),
         backend=backend if not (backend == "fd" and richardson) else "fd_richardson",
         convergence_estimate=float(estimate),
         truncation=problem.truncation,
@@ -266,38 +241,24 @@ MIN_FD_GRID = 16
 
 def solve_torus_2d(problem: SpectralProblem, m: int = 6,
                    fiber_truncation: int = 8) -> SpectralResult:
-    """Full tensor-mode Galerkin solve on the L x ell torus.
+    """Lowest ``m`` eigenvalues on the L x ell torus, fiber modes included.
 
-    Couples circle modes through the potential and carries fiber modes
-    |k| <= fiber_truncation explicitly; for fiber-constant potentials the
-    bottom of the spectrum must coincide with the reduced 1D solve.
+    For fiber-constant potentials fiber mode k only adds (2 pi k / ell)^2 to
+    the circle spectrum mu_i, so the torus spectrum over |k| <=
+    fiber_truncation is the sorted merge of {mu_i + (2 pi k / ell)^2}, each
+    k != 0 counted twice (cos and sin along the fiber).  The circle solve,
+    its ground state and its convergence check are those of :func:`solve`.
     """
-    L, ell = problem.circle_length, problem.fiber_length
-    K1 = problem.truncation
-    H1 = assemble_fourier(L, problem.potential.samples, K1)
-    n1 = 2 * K1 + 1
-    k_fiber = np.concatenate(([0.0],
-                              np.arange(1, fiber_truncation + 1, dtype=float),
-                              np.arange(1, fiber_truncation + 1, dtype=float)))
-    fiber_kinetic = (2.0 * np.pi / ell) ** 2 * k_fiber**2
-    n2 = k_fiber.size
-    H = np.kron(np.eye(n2), H1) + np.kron(np.diag(fiber_kinetic), np.eye(n1))
-    _require_symmetric(H)
-    w, v = np.linalg.eigh(H)
-    # the ground state is fiber-constant: read it off the zero fiber-mode block
-    v0 = v[:n1, 0]
-    leak = float(np.linalg.norm(v[n1:, 0]))
-    if leak > 1e-8:
-        raise JacobilabError(f"2D ground state leaks into fiber modes (norm {leak:g})")
-    rho = _trig_basis(L, K1, problem.potential.grid) @ v0
-    rho = _normalize_ground_state(rho, L)
-    estimate = abs(w[0] - _fourier_lambda1(L, problem.potential.samples, max(4, K1 // 2)))
+    circle = solve(problem, m=m)
+    k = np.concatenate(([0], np.repeat(np.arange(1, fiber_truncation + 1), 2)))
+    fiber_kinetic = (2.0 * np.pi / problem.fiber_length) ** 2 * k.astype(float) ** 2
+    eigenvalues = np.sort((fiber_kinetic[:, None] + circle.eigenvalues).ravel())[:m]
     return SpectralResult(
-        lambda1=float(w[0]),
-        eigenvalues=w[:m],
-        ground_state=ScalarField1D(rho, period=L),
+        lambda1=float(eigenvalues[0]),
+        eigenvalues=eigenvalues,
+        ground_state=circle.ground_state,
         backend="fourier_2d",
-        convergence_estimate=float(estimate),
+        convergence_estimate=circle.convergence_estimate,
         truncation=problem.truncation,
         area=problem.area,
     )

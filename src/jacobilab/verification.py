@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import (TheoremPart, Verdict, equality_classify, stability_verdict,
-                     theorem_bound)
+from .bounds import (REGIME_PARTS, TheoremPart, Verdict, equality_classify,
+                     stability_verdict, theorem_bound)
 from .fields import ScalarField1D
 from .geometry import CurvatureData, Regime, combined_integrand, ricci_normal, \
     sectional_curvature
@@ -167,8 +167,7 @@ def _check_soundness(name: str, regime: Regime, seed: int) -> CheckResult:
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     surfaces = _soundness_catalog(rng, regime)
-    parts = (TheoremPart.PLUS_I, TheoremPart.PLUS_II) if regime is Regime.POSITIVE \
-        else (TheoremPart.MINUS_I, TheoremPart.MINUS_II)
+    parts = REGIME_PARTS[regime]
     violations = 0
     misclassified = 0
     for s in surfaces:

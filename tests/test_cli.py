@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -174,6 +176,48 @@ def test_series_files_and_determinism(tmp_path):
     pot_lines = (out1 / f"{name}.potential.csv").read_text().strip().split("\n")
     assert pot_lines[0] == "s,q"
     assert float(pot_lines[1].split(",")[1]) == pytest.approx(4.0)
+
+
+def test_fd_convergence_series_starts_at_fd_minimum(tmp_path):
+    doc = berger_doc(solver={"backend": "fd", "truncation": 256},
+                     outputs={"series": ["convergence"]})
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "berger_minimal_hopf.convergence.csv").read_text().split()
+    assert [int(line.split(",")[0]) for line in lines[1:]] == [16, 32, 64, 128, 256]
+
+
+# SHA-256 of every output of the shipped scenarios; report bytes change only
+# on purpose, together with this table
+SHIPPED_OUTPUT_SHA256 = {
+    "berger_minimal_hopf.convergence.csv":
+        "a7a720d83e69be24c22375ef9a68c880926986fd12d6c25a6839dee69d348759",
+    "berger_minimal_hopf.ground_state.csv":
+        "5b7fa697f1fbf5fceb504eed31ff366149507ec7f581702d276bfbc2ae9abbd3",
+    "berger_minimal_hopf.potential.csv":
+        "a5eaef83eef3064307b2544f389c6ada88abc2ae1e95ab07937af04c746607c5",
+    "berger_minimal_hopf.report.json":
+        "fd0944a1740beed7d641ea7032a1541c1848124d3dd4af7736ff9effabf8217f",
+    "sphere_slice.report.json":
+        "99b4db40b1d4ef21943f5df273e72936fe28169f66a5c24c7269862142aabb13",
+    "warped_parallel_sweep.ground_state.csv":
+        "5ef01ff2e089b54977247563d1acf62587eee7f8b89a770d297421b2362cdfcb",
+    "warped_parallel_sweep.report.json":
+        "ae550a4ce208b6c1828128cded8400fd6eaa653203bd455948be8dde146bc797",
+    "warped_parallel_sweep.sweep.csv":
+        "4fc130083d67611c9f5b6a12664902571bace8e60fde445dab0093a51c15fbb6",
+}
+
+
+def test_shipped_scenario_outputs_are_pinned(tmp_path):
+    scenarios = sorted((Path(__file__).parent.parent / "scenarios").glob("*.json"))
+    assert len(scenarios) == 3
+    for path in scenarios:
+        assert main(["run", str(path), "--out", str(tmp_path)]) == 0
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in tmp_path.iterdir()}
+    assert digests == SHIPPED_OUTPUT_SHA256
 
 
 def test_bound_violation_maps_to_exit_2(tmp_path, monkeypatch):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from jacobilab import FieldError, ScalarField1D
+from jacobilab.fields import is_constant
 
 
 def test_periodic_grid_excludes_endpoint():
@@ -74,6 +75,9 @@ def test_resample_band_limited_is_exact():
 def test_is_constant():
     assert ScalarField1D.constant(3.0, 1.0).is_constant()
     assert not ScalarField1D.from_function(np.cos, 2 * np.pi).is_constant()
+    # the array form also takes the 1-element samples of constant slices
+    assert is_constant(np.array([-2.5]))
+    assert not is_constant(np.array([1.0, 1.0 + 1e-6]))
 
 
 def test_same_grid():

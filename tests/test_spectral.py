@@ -10,7 +10,7 @@ from jacobilab import (ConvergenceError, FieldError, ScalarField1D,
                        hopf_torus, horizontal_slice, lambda1_identity_check,
                        product_model, rayleigh_quotient, solve, solve_surface,
                        solve_torus_2d, surface_spectral_problem)
-from jacobilab.spectral import assemble_fourier
+from jacobilab.spectral import assemble_fd, assemble_fourier
 from conftest import ulp_tol
 
 TWO_PI = 2 * math.pi
@@ -108,12 +108,62 @@ def test_reduction_matches_2d_for_fiber_constant_potentials():
     r1 = solve(p)
     r2 = solve_torus_2d(p, fiber_truncation=6)
     assert abs(r1.lambda1 - r2.lambda1) < 1e-8
+    assert r2.convergence_estimate == r1.convergence_estimate
+
+
+def test_torus_spectrum_matches_kron_reference():
+    # reference: the full tensor-mode matrix over circle modes x fiber modes
+    # |k| <= 4, block-diagonal for fiber-constant potentials
+    K, F, m = 16, 4, 12
+    p = problem(lambda s: 1.0 + 0.8 * np.cos(s) + 0.3 * np.sin(2 * s), ell=3.0, K=K)
+    H1 = assemble_fourier(TWO_PI, p.potential.samples, K)
+    k = np.concatenate(([0.0], np.arange(1.0, F + 1), np.arange(1.0, F + 1)))
+    fiber = (TWO_PI / 3.0) ** 2 * k**2
+    H = np.kron(np.eye(k.size), H1) + np.kron(np.diag(fiber), np.eye(H1.shape[0]))
+    ref = np.linalg.eigvalsh(H)[:m]
+    r = solve_torus_2d(p, m=m, fiber_truncation=F)
+    assert r.eigenvalues.shape == (m,)
+    # the merge mixes fiber modes into the lowest m: mode k = 1 enters twice
+    assert np.sum(np.isclose(r.eigenvalues, r.lambda1 + fiber[1], atol=1e-9)) == 2
+    assert np.max(np.abs(r.eigenvalues - ref)) <= ulp_tol(64, H)
+    assert r.lambda1 == solve(p).lambda1
+
+
+def test_assembled_matrices_exactly_symmetric(rng):
+    for n, K in ((512, 64), (513, 40), (8, 64), (33, 5)):
+        q = rng.standard_normal(n) * 3.0
+        H = assemble_fourier(rng.uniform(1.0, 10.0), q, K)
+        assert H.shape == (2 * K + 1, 2 * K + 1)
+        assert np.array_equal(H, H.T)
+        A = assemble_fd(rng.uniform(1.0, 10.0), q)
+        assert np.array_equal(A, A.T)
+
+
+@pytest.mark.parametrize("n,K", [(512, 64), (33, 20), (8, 64)])
+def test_ground_state_matches_direct_trig_evaluation(n, K):
+    # with 8 samples and K = 64 the expansion has modes far above the grid
+    # Nyquist: rho must be the expansion sampled at the grid points
+    q_fn = lambda s: 2.0 + 1.5 * np.cos(s) + 0.5 * np.sin(2 * s)
+    p = problem(q_fn, n=n, K=K)
+    r = solve(p)
+    vec = np.linalg.eigh(assemble_fourier(TWO_PI, p.potential.samples, K))[1][:, 0]
+    arg = np.outer(p.potential.grid, np.arange(1, K + 1))
+    direct = (vec[0] / math.sqrt(TWO_PI)
+              + math.sqrt(2.0 / TWO_PI) * (np.cos(arg) @ vec[1:K + 1]
+                                           + np.sin(arg) @ vec[K + 1:]))
+    direct *= np.sign(np.mean(direct))
+    direct *= math.sqrt(n / np.sum(direct**2))
+    assert np.max(np.abs(r.ground_state.samples - direct)) <= 1e-12
 
 
 def test_convergence_error_for_tiny_truncation():
     # strong high harmonic: K = 32 and K = 16 resolve it very differently
+    p = problem(lambda s: 50.0 * np.cos(20 * s), K=32)
     with pytest.raises(ConvergenceError):
-        solve(problem(lambda s: 50.0 * np.cos(20 * s), K=32))
+        solve(p)
+    # the torus spectrum is built on the circle solve and its check
+    with pytest.raises(ConvergenceError):
+        solve_torus_2d(p)
 
 
 def test_truncation_validation():

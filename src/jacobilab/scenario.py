@@ -97,223 +97,169 @@ def format_csv(header: list[str], rows: list[list]) -> str:
 
 
 # --- schema validation ----------------------------------------------------------------
+#
+# The schema is data.  A node is one of
+#   None                    any value;
+#   (predicate, message)    a value, reported with ``message`` when the predicate fails;
+#   dict                    an object: key -> node, a trailing "?" marks an optional key;
+#   _Variant                an object whose node is picked by one of its keys;
+#   _ByType                 a value whose node is picked by its JSON type.
+# ``_walk`` reports, object by object, unknown keys, then missing keys, then the
+# errors of each present value, all in declaration order.
 
 def _is_num(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
 
 
-def _check_keys(doc: dict, path: str, required: set, optional: set, errors: list):
-    for key in doc:
-        if key not in required and key not in optional:
-            errors.append(f"{path}.{key}: unknown key")
-    for key in required:
-        if key not in doc:
-            errors.append(f"{path}.{key}: missing")
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _validate_field_spec(spec, path: str, errors: list):
-    if not isinstance(spec, dict):
+def _is_nums(x) -> bool:
+    return isinstance(x, list) and all(_is_num(v) for v in x)
+
+
+@dataclass(frozen=True)
+class _Variant:
+    """Object cases picked by the value of ``key`` or, when ``by_presence``,
+    by whether ``key`` is present (cases True/False)."""
+    key: str
+    cases: dict
+    message: str = ""  # reported at ``<path>.<key>`` when no case matches
+    by_presence: bool = False
+
+
+@dataclass(frozen=True)
+class _ByType:
+    cases: dict  # JSON type -> node
+    message: str  # reported for any other type
+
+
+_FINITE = (_is_num, "expected a finite number")
+_POSITIVE = (lambda x: _is_num(x) and x > 0, "expected a positive number")
+_SAMPLES = (lambda x: _is_int(x) and x >= 8, "expected an integer >= 8")
+_NUMBERS = (_is_nums, "expected a list of finite numbers")
+_INTERVAL = (lambda x: _is_nums(x) and len(x) == 2 and x[0] < x[1],
+             "expected [a, b] with a < b")
+
+
+def _nullable(node) -> _ByType:
+    return _ByType({type(None): None, dict: node}, "expected an object")
+
+
+_FIELD = _Variant("constant", {
+    True: {"constant": _FINITE},
+    False: {"mean": _FINITE, "cos?": _NUMBERS, "sin?": _NUMBERS}}, by_presence=True)
+
+_PROFILE = _ByType({
+    type(None): None,
+    str: (lambda x: x == "half_arctan", "unknown profile name"),
+    dict: _Variant("kind", {
+        "half_arctan": {"kind": None, "offset?": _FINITE},
+        "constant": {"kind": None, "value": _FINITE},
+        "sampled": {"kind": None,
+                    "theta": (lambda x: _is_nums(x) and len(x) >= 8,
+                              "expected >= 8 finite numbers"),
+                    "interval": _INTERVAL}},
+        "expected 'half_arctan', 'constant' or 'sampled'")},
+    "expected a name or an object")
+
+_MODEL = _Variant("kind", {
+    "homogeneous": {"kind": None, "kappa": _FINITE, "tau": _FINITE, "fiber_length": _POSITIVE},
+    "product": {"kind": None, "kappa": _FIELD,
+                "fiber_length": (lambda x: x is None or _POSITIVE[0](x),
+                                 "expected a positive number or null"),
+                "period?": _POSITIVE, "samples?": _SAMPLES},
+    "warped": {"kind": None, "profile": _PROFILE, "window": _INTERVAL, "samples?": _SAMPLES}},
+    "expected 'homogeneous', 'product' or 'warped'")
+
+_SURFACE = _Variant("type", {
+    "hopf_torus": _Variant("parallel", {
+        True: {"type": None, "parallel": _FINITE, "samples?": _SAMPLES},
+        False: {"type": None, "curve_length": _POSITIVE, "geodesic_curvature": _FINITE,
+                "kappa?": _FIELD, "tau?": _FIELD, "samples?": _SAMPLES}}, by_presence=True),
+    "horizontal_slice": {
+        "type": None, "base_area": _POSITIVE,
+        "genus": (lambda x: _is_int(x) and x >= 0, "expected a nonnegative integer"),
+        "kappa?": _nullable(_Variant("constant", {
+            True: {"constant": _FINITE},
+            False: {"values": _NUMBERS, "weights": _NUMBERS}}, by_presence=True))}},
+    "expected 'hopf_torus' or 'horizontal_slice'")
+
+_SCENARIO = {
+    "version": (lambda x: x == SCHEMA_VERSION and not isinstance(x, bool),
+                f"expected {SCHEMA_VERSION}"),
+    "name?": (lambda x: isinstance(x, str) and x != "" and not any(c in x for c in "/\\ "),
+              "expected a nonempty string without spaces or slashes"),
+    "model": _MODEL,
+    "surface": _SURFACE,
+    "solver?": {
+        "backend?": (lambda x: x in ("fourier", "fd"), "expected 'fourier' or 'fd'"),
+        "truncation?": (lambda x: _is_int(x) and x >= 4, "expected an integer >= 4"),
+        "eigenvalue_count?": (lambda x: _is_int(x) and x >= 1, "expected a positive integer"),
+        "convergence_tol?": _POSITIVE,
+        "richardson?": (lambda x: isinstance(x, bool), "expected a boolean")},
+    "gradient_mode?": (lambda x: x in tuple(m.value for m in GradientMode),
+                       "expected 'intrinsic_on_surface' or 'ambient'"),
+    "outputs?": {
+        "series?": (lambda x: x is None or (isinstance(x, list)
+                                            and all(s in SERIES_NAMES for s in x)),
+                    f"expected a list drawn from {list(SERIES_NAMES)}"),
+        "sweep?": _nullable({"start": _FINITE, "stop": _FINITE, "step": _FINITE})},
+}
+
+
+def _walk(value, node, path: str, errors: list) -> None:
+    """Append every error of ``value`` against schema ``node`` at ``path``."""
+    if node is None:
+        return
+    if isinstance(node, tuple):
+        predicate, message = node
+        if not predicate(value):
+            errors.append(f"{path}: {message}")
+    elif isinstance(node, _ByType):
+        sub = [n for t, n in node.cases.items() if isinstance(value, t)]
+        if sub:
+            _walk(value, sub[0], path, errors)
+        else:
+            errors.append(f"{path}: {node.message}")
+    elif not isinstance(value, dict):
         errors.append(f"{path}: expected an object")
-        return
-    if "constant" in spec:
-        _check_keys(spec, path, {"constant"}, set(), errors)
-        if not _is_num(spec["constant"]):
-            errors.append(f"{path}.constant: expected a finite number")
-        return
-    _check_keys(spec, path, {"mean"}, {"cos", "sin"}, errors)
-    if "mean" in spec and not _is_num(spec["mean"]):
-        errors.append(f"{path}.mean: expected a finite number")
-    for key in ("cos", "sin"):
-        if key in spec:
-            if not (isinstance(spec[key], list) and all(_is_num(v) for v in spec[key])):
-                errors.append(f"{path}.{key}: expected a list of finite numbers")
-
-
-def _validate_model(doc, errors: list):
-    if not isinstance(doc, dict):
-        errors.append("model: expected an object")
-        return
-    kind = doc.get("kind")
-    if kind == "homogeneous":
-        _check_keys(doc, "model", {"kind", "kappa", "tau", "fiber_length"}, set(), errors)
-        for key in ("kappa", "tau"):
-            if key in doc and not _is_num(doc[key]):
-                errors.append(f"model.{key}: expected a finite number")
-        if "fiber_length" in doc and not (_is_num(doc["fiber_length"]) and doc["fiber_length"] > 0):
-            errors.append("model.fiber_length: expected a positive number")
-    elif kind == "product":
-        _check_keys(doc, "model", {"kind", "kappa", "fiber_length"},
-                    {"period", "samples"}, errors)
-        if "kappa" in doc:
-            _validate_field_spec(doc["kappa"], "model.kappa", errors)
-        fl = doc.get("fiber_length", 0)
-        if "fiber_length" in doc and fl is not None and not (_is_num(fl) and fl > 0):
-            errors.append("model.fiber_length: expected a positive number or null")
-        if "period" in doc and not (_is_num(doc["period"]) and doc["period"] > 0):
-            errors.append("model.period: expected a positive number")
-        if "samples" in doc and not (isinstance(doc["samples"], int) and doc["samples"] >= 8):
-            errors.append("model.samples: expected an integer >= 8")
-    elif kind == "warped":
-        _check_keys(doc, "model", {"kind", "profile", "window"}, {"samples"}, errors)
-        profile = doc.get("profile")
-        if isinstance(profile, str):
-            if profile not in ("half_arctan",):
-                errors.append("model.profile: unknown profile name")
-        elif isinstance(profile, dict):
-            pkind = profile.get("kind")
-            if pkind == "half_arctan":
-                _check_keys(profile, "model.profile", {"kind"}, {"offset"}, errors)
-                if "offset" in profile and not _is_num(profile["offset"]):
-                    errors.append("model.profile.offset: expected a finite number")
-            elif pkind == "constant":
-                _check_keys(profile, "model.profile", {"kind", "value"}, set(), errors)
-                if "value" in profile and not _is_num(profile["value"]):
-                    errors.append("model.profile.value: expected a finite number")
-            elif pkind == "sampled":
-                _check_keys(profile, "model.profile", {"kind", "theta", "interval"},
-                            set(), errors)
-                theta = profile.get("theta")
-                if not (isinstance(theta, list) and len(theta) >= 8
-                        and all(_is_num(v) for v in theta)):
-                    errors.append("model.profile.theta: expected >= 8 finite numbers")
-                interval = profile.get("interval")
-                if not (isinstance(interval, list) and len(interval) == 2
-                        and all(_is_num(v) for v in interval)
-                        and interval[0] < interval[1]):
-                    errors.append("model.profile.interval: expected [a, b] with a < b")
-            else:
-                errors.append("model.profile.kind: expected 'half_arctan', 'constant' "
-                              "or 'sampled'")
-        elif profile is not None:
-            errors.append("model.profile: expected a name or an object")
-        window = doc.get("window")
-        if window is not None:
-            if not (isinstance(window, list) and len(window) == 2
-                    and all(_is_num(v) for v in window) and window[0] < window[1]):
-                errors.append("model.window: expected [a, b] with a < b")
-        if "samples" in doc and not (isinstance(doc["samples"], int) and doc["samples"] >= 8):
-            errors.append("model.samples: expected an integer >= 8")
-    else:
-        errors.append("model.kind: expected 'homogeneous', 'product' or 'warped'")
-
-
-def _validate_surface(doc, errors: list):
-    if not isinstance(doc, dict):
-        errors.append("surface: expected an object")
-        return
-    stype = doc.get("type")
-    if stype == "hopf_torus":
-        if "parallel" in doc:
-            _check_keys(doc, "surface", {"type", "parallel"}, {"samples"}, errors)
-            if not _is_num(doc["parallel"]):
-                errors.append("surface.parallel: expected a finite number")
+    elif isinstance(node, _Variant):
+        pick = node.key in value if node.by_presence else value.get(node.key)
+        sub = [n for case, n in node.cases.items() if case == pick]
+        if sub:
+            _walk(value, sub[0], path, errors)
         else:
-            _check_keys(doc, "surface", {"type", "curve_length", "geodesic_curvature"},
-                        {"kappa", "tau", "samples"}, errors)
-            if "curve_length" in doc and not (_is_num(doc["curve_length"]) and doc["curve_length"] > 0):
-                errors.append("surface.curve_length: expected a positive number")
-            if "geodesic_curvature" in doc and not _is_num(doc["geodesic_curvature"]):
-                errors.append("surface.geodesic_curvature: expected a finite number")
-            for key in ("kappa", "tau"):
-                if key in doc:
-                    _validate_field_spec(doc[key], f"surface.{key}", errors)
-        if "samples" in doc and not (isinstance(doc["samples"], int) and doc["samples"] >= 8):
-            errors.append("surface.samples: expected an integer >= 8")
-    elif stype == "horizontal_slice":
-        _check_keys(doc, "surface", {"type", "base_area", "genus"}, {"kappa"}, errors)
-        if "base_area" in doc and not (_is_num(doc["base_area"]) and doc["base_area"] > 0):
-            errors.append("surface.base_area: expected a positive number")
-        if "genus" in doc and not (isinstance(doc["genus"], int) and doc["genus"] >= 0):
-            errors.append("surface.genus: expected a nonnegative integer")
-        kappa = doc.get("kappa")
-        if kappa is not None:
-            if not isinstance(kappa, dict):
-                errors.append("surface.kappa: expected an object")
-            elif "constant" in kappa:
-                _check_keys(kappa, "surface.kappa", {"constant"}, set(), errors)
-                if not _is_num(kappa["constant"]):
-                    errors.append("surface.kappa.constant: expected a finite number")
-            else:
-                _check_keys(kappa, "surface.kappa", {"values", "weights"}, set(), errors)
-                for key in ("values", "weights"):
-                    if key in kappa and not (isinstance(kappa[key], list)
-                                             and all(_is_num(v) for v in kappa[key])):
-                        errors.append(f"surface.kappa.{key}: expected a list of finite numbers")
+            errors.append(f"{path}.{node.key}: {node.message}")
     else:
-        errors.append("surface.type: expected 'hopf_torus' or 'horizontal_slice'")
-
-
-def _validate_solver(doc, errors: list):
-    if not isinstance(doc, dict):
-        errors.append("solver: expected an object")
-        return
-    _check_keys(doc, "solver", set(),
-                {"backend", "truncation", "eigenvalue_count", "convergence_tol",
-                 "richardson"}, errors)
-    if "backend" in doc and doc["backend"] not in ("fourier", "fd"):
-        errors.append("solver.backend: expected 'fourier' or 'fd'")
-    if "truncation" in doc and not (isinstance(doc["truncation"], int) and doc["truncation"] >= 4):
-        errors.append("solver.truncation: expected an integer >= 4")
-    if "eigenvalue_count" in doc and not (isinstance(doc["eigenvalue_count"], int)
-                                          and doc["eigenvalue_count"] >= 1):
-        errors.append("solver.eigenvalue_count: expected a positive integer")
-    if "convergence_tol" in doc and not (_is_num(doc["convergence_tol"])
-                                         and doc["convergence_tol"] > 0):
-        errors.append("solver.convergence_tol: expected a positive number")
-    if "richardson" in doc and not isinstance(doc["richardson"], bool):
-        errors.append("solver.richardson: expected a boolean")
-
-
-def _validate_outputs(doc, errors: list):
-    if not isinstance(doc, dict):
-        errors.append("outputs: expected an object")
-        return
-    _check_keys(doc, "outputs", set(), {"series", "sweep"}, errors)
-    series = doc.get("series")
-    if series is not None:
-        if not isinstance(series, list) or any(s not in SERIES_NAMES for s in series):
-            errors.append(f"outputs.series: expected a list drawn from {list(SERIES_NAMES)}")
-    sweep = doc.get("sweep")
-    if sweep is not None:
-        if not isinstance(sweep, dict):
-            errors.append("outputs.sweep: expected an object")
-        else:
-            _check_keys(sweep, "outputs.sweep", {"start", "stop", "step"}, set(), errors)
-            if all(_is_num(sweep.get(k)) for k in ("start", "stop", "step")):
-                if not (sweep["start"] < sweep["stop"] and sweep["step"] > 0):
-                    errors.append("outputs.sweep: needs start < stop and step > 0")
+        keys = {key.rstrip("?"): (key.endswith("?"), sub) for key, sub in node.items()}
+        label = path or "<root>"
+        errors.extend(f"{label}.{key}: unknown key" for key in value if key not in keys)
+        errors.extend(f"{label}.{key}: missing" for key, (optional, _) in keys.items()
+                      if not optional and key not in value)
+        for key, (_, sub) in keys.items():
+            if key in value:
+                _walk(value[key], sub, f"{path}.{key}" if path else key, errors)
 
 
 def validate_scenario(doc) -> list[str]:
     """Return every offending path of the document (empty when valid)."""
-    errors: list[str] = []
     if not isinstance(doc, dict):
         return ["<root>: expected a JSON object"]
-    _check_keys(doc, "<root>", {"version", "model", "surface"},
-                {"name", "solver", "gradient_mode", "outputs"}, errors)
-    if doc.get("version") != SCHEMA_VERSION:
-        errors.append(f"version: expected {SCHEMA_VERSION}")
-    if "name" in doc and (not isinstance(doc["name"], str) or not doc["name"]
-                          or any(c in doc["name"] for c in "/\\ ")):
-        errors.append("name: expected a nonempty string without spaces or slashes")
-    if "model" in doc:
-        _validate_model(doc["model"], errors)
-    if "surface" in doc:
-        _validate_surface(doc["surface"], errors)
-    if "solver" in doc:
-        _validate_solver(doc["solver"], errors)
-    if "gradient_mode" in doc and doc["gradient_mode"] not in \
-            tuple(m.value for m in GradientMode):
-        errors.append("gradient_mode: expected 'intrinsic_on_surface' or 'ambient'")
-    if "outputs" in doc:
-        _validate_outputs(doc["outputs"], errors)
-    if not errors and doc["surface"].get("type") == "hopf_torus":
-        warped = doc["model"].get("kind") == "warped"
-        if warped != ("parallel" in doc["surface"]):
+    errors: list[str] = []
+    _walk(doc, _SCENARIO, "", errors)
+    outputs = doc.get("outputs")
+    sweep = outputs.get("sweep") if isinstance(outputs, dict) else None
+    if (isinstance(sweep, dict) and all(_is_num(sweep.get(k)) for k in ("start", "stop", "step"))
+            and not (sweep["start"] < sweep["stop"] and sweep["step"] > 0)):
+        errors.append("outputs.sweep: needs start < stop and step > 0")
+    if not errors:
+        surface, warped = doc["surface"], doc["model"]["kind"] == "warped"
+        if surface["type"] == "hopf_torus" and warped != ("parallel" in surface):
             errors.append("surface: hopf_torus needs 'parallel' exactly when the "
                           "model is warped")
-    if not errors and doc.get("outputs", {}).get("sweep") is not None:
-        if doc["model"].get("kind") != "warped" or "parallel" not in doc["surface"]:
+        elif sweep is not None and not (warped and "parallel" in surface):
             errors.append("outputs.sweep: only available for warped parallel tori")
     return errors
 
@@ -412,16 +358,25 @@ def _convergence_series(surface: HopfTorus, backend: str, truncation: int,
     return rows
 
 
+def _sweep_grid(sweep: dict):
+    """u = start + i*step for i = 0 .. floor((stop - start)/step + 1e-9).
+
+    The product form keeps the points free of accumulated rounding; comparing
+    ``i`` with the quotient instead of flooring it cannot overflow."""
+    start, stop, step = (float(sweep[k]) for k in ("start", "stop", "step"))
+    i = 0
+    while i <= (stop - start) / step + 1e-9:
+        yield start + i * step
+        i += 1
+
+
 def _sweep_series(model: SubmersionModel, sweep: dict, solver: dict) -> list[list]:
     rows = []
-    u = float(sweep["start"])
-    stop, step = float(sweep["stop"]), float(sweep["step"])
-    while u <= stop + 1e-12:
+    for u in _sweep_grid(sweep):
         torus = parallel_hopf_torus(model, u)
         lam = _solve_with(torus, solver).lambda1
         parts = REGIME_PARTS.get(surface_regime(torus))
         if parts is None:
-            u += step
             continue
         row = [float(u),
                float(torus.kappa_on_curve.samples[0]),
@@ -430,7 +385,6 @@ def _sweep_series(model: SubmersionModel, sweep: dict, solver: dict) -> list[lis
         for mode in (GradientMode.AMBIENT, GradientMode.INTRINSIC_ON_SURFACE):
             row.extend([float(theorem_bound(torus, part, mode)) for part in parts])
         rows.append(row)
-        u += step
     return rows
 
 

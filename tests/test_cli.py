@@ -206,7 +206,7 @@ SHIPPED_OUTPUT_SHA256 = {
     "warped_parallel_sweep.report.json":
         "ae550a4ce208b6c1828128cded8400fd6eaa653203bd455948be8dde146bc797",
     "warped_parallel_sweep.sweep.csv":
-        "4fc130083d67611c9f5b6a12664902571bace8e60fde445dab0093a51c15fbb6",
+        "cd3e750880c0bbeec32e9a911c8b05994e67a01890a5668f53fb0e938d637611",
 }
 
 

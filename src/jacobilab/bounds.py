@@ -34,7 +34,7 @@ from .errors import RegimeMismatchError
 from .fields import is_constant
 from .geometry import Regime
 from .submersion import GradientMode
-from .surface import (HopfTorus, HorizontalSlice, SurfaceModel, surface_regime)
+from .surface import SurfaceModel, surface_regime
 
 STABILITY_TOL = 1e-8
 PREDICATE_TOL = 1e-9
@@ -57,33 +57,6 @@ class EqualityStatus(Enum):
     EQUALITY = "equality"
     NO_EQUALITY = "no_equality"
     ANOMALY = "anomaly"
-
-
-# --- surface data helpers -----------------------------------------------------
-
-def _surface_samples(s: SurfaceModel, mode: GradientMode):
-    """(kappa, tau, |grad tau|) sample arrays over the surface."""
-    if isinstance(s, HopfTorus):
-        return (s.kappa_on_curve.samples, s.tau_on_curve.samples, s.grad_tau(mode).samples)
-    kappa = s.kappa_values
-    zero = np.zeros_like(kappa)
-    return kappa, zero, zero
-
-
-def _surface_mean(s: SurfaceModel, samples: np.ndarray) -> float:
-    if isinstance(s, HopfTorus):
-        return s.surface_mean(samples)
-    if samples.size == 1:
-        return float(samples[0])
-    return float(samples @ s.kappa.weights) / s.area
-
-
-def _require_regime(s: SurfaceModel, wanted: Regime, tol: float | None = None) -> Regime:
-    actual = surface_regime(s, tol)
-    if actual is not wanted:
-        raise RegimeMismatchError(
-            f"bound requires regime {wanted.value}, surface has {actual.value}")
-    return actual
 
 
 # --- theorem bounds -------------------------------------------------------------
@@ -109,9 +82,12 @@ def theorem_bound(s: SurfaceModel, part: TheoremPart,
                   gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
     """Upper bound ``part`` on lambda1; see module docstring."""
     regime, h2_coef, genus_term, kappa_coef, tau2_coef = _BOUND_TABLE[part]
-    _require_regime(s, regime)
-    kappa, tau, grad = _surface_samples(s, gradient_mode)
-    mean = _surface_mean(s, kappa_coef * kappa + tau2_coef * tau**2 - grad)
+    actual = surface_regime(s)
+    if actual is not regime:
+        raise RegimeMismatchError(
+            f"bound requires regime {regime.value}, surface has {actual.value}")
+    kappa, tau, grad = s.samples(gradient_mode)
+    mean = s.mean(kappa_coef * kappa + tau2_coef * tau**2 - grad)
     bound = -h2_coef * s.mean_curvature**2
     if genus_term:
         bound -= 8.0 * math.pi * (s.genus - 1) / s.area
@@ -187,31 +163,27 @@ def _is_zero(samples: np.ndarray, tol: float = PREDICATE_TOL) -> bool:
 
 def equality_predicates(s: SurfaceModel, part: TheoremPart) -> dict:
     """Predicates of the equality characterization for one bound."""
-    horizontal = isinstance(s, HorizontalSlice)
+    torus = not s.horizontal
+    kappa, tau, _ = s.samples(GradientMode.INTRINSIC_ON_SURFACE)
     if part is TheoremPart.PLUS_I:
-        return {"horizontal": horizontal}
+        return {"horizontal": s.horizontal}
     if part is TheoremPart.PLUS_II:
-        if horizontal:
-            return {"hopf_torus": False, "kappa_constant": False, "tau_constant": False}
         return {
-            "hopf_torus": True,
-            "kappa_constant": is_constant(s.kappa_on_curve.samples, PREDICATE_TOL),
-            "tau_constant": is_constant(s.tau_on_curve.samples, PREDICATE_TOL),
+            "hopf_torus": torus,
+            "kappa_constant": torus and is_constant(kappa, PREDICATE_TOL),
+            "tau_constant": torus and is_constant(tau, PREDICATE_TOL),
         }
     if part is TheoremPart.MINUS_I:
-        if horizontal:
-            return {"hopf_torus": False, "geodesic_curve": False,
-                    "tau_zero": False, "kappa_constant": False}
         return {
-            "hopf_torus": True,
-            "geodesic_curve": abs(s.mean_curvature) <= PREDICATE_TOL,
-            "tau_zero": _is_zero(s.tau_on_curve.samples),
-            "kappa_constant": is_constant(s.kappa_on_curve.samples, PREDICATE_TOL),
+            "hopf_torus": torus,
+            "geodesic_curve": torus and abs(s.mean_curvature) <= PREDICATE_TOL,
+            "tau_zero": torus and _is_zero(tau),
+            "kappa_constant": torus and is_constant(kappa, PREDICATE_TOL),
         }
     if part is TheoremPart.MINUS_II:
         # our slices carry the base metric, so K = kappa holds by construction
-        return {"horizontal": horizontal,
-                "gaussian_curvature_is_kappa": horizontal}
+        return {"horizontal": s.horizontal,
+                "gaussian_curvature_is_kappa": s.horizontal}
     raise ValueError(f"unknown part {part}")
 
 
@@ -266,8 +238,7 @@ def corollary_checks(s: SurfaceModel, lambda1: float,
     """
     records: list[CorollaryRecord] = []
     regime = surface_regime(s)
-    kappa, tau, grad = _surface_samples(s, gradient_mode)
-    mean = lambda arr: _surface_mean(s, arr)
+    kappa, tau, grad = s.samples(gradient_mode)
     area = s.area
     genus = s.genus
     h2 = s.mean_curvature**2
@@ -277,14 +248,14 @@ def corollary_checks(s: SurfaceModel, lambda1: float,
     tol = default_equality_tol(lambda1)
 
     if regime is Regime.POSITIVE:
-        rhs = mean(grad / 2.0 - tau**2)
+        rhs = s.mean(grad / 2.0 - tau**2)
         records.append(CorollaryRecord(
             "thm_plus_cor_i", applicable=stable,
             satisfied=(h2 <= rhs + tol) if stable else None,
             lhs=h2, rhs=rhs,
             detail="strong stability forces H^2 <= E[|grad tau|/2 - tau^2]; "
                    "equality exactly for horizontal surfaces"))
-        rhs = 2.0 * math.pi * (1 - genus) / area + mean(grad - kappa) / 4.0
+        rhs = 2.0 * math.pi * (1 - genus) / area + s.mean(grad - kappa) / 4.0
         records.append(CorollaryRecord(
             "thm_plus_cor_ii", applicable=stable,
             satisfied=(h2 <= rhs + tol) if stable else None,
@@ -293,30 +264,30 @@ def corollary_checks(s: SurfaceModel, lambda1: float,
         if tau_const:
             records.append(CorollaryRecord(
                 "thm_plus_cor_const_tau", applicable=stable,
-                satisfied=isinstance(s, HorizontalSlice) if stable else None,
+                satisfied=s.horizontal if stable else None,
                 detail="with constant tau the only strongly stable surfaces "
                        "are the horizontal ones"))
     elif regime is Regime.NEGATIVE:
-        rhs = mean(tau**2 + grad / 2.0 - kappa / 2.0)
+        rhs = s.mean(tau**2 + grad / 2.0 - kappa / 2.0)
         records.append(CorollaryRecord(
             "thm_minus_cor_i", applicable=stable,
             satisfied=(h2 <= rhs + tol) if stable else None,
             lhs=h2, rhs=rhs,
             detail="strict inequality, verified within tolerance"))
-        rhs = 2.0 * math.pi * (1 - genus) / area + mean(tau**2 + grad / 4.0 - kappa / 2.0)
+        rhs = 2.0 * math.pi * (1 - genus) / area + s.mean(tau**2 + grad / 4.0 - kappa / 2.0)
         records.append(CorollaryRecord(
             "thm_minus_cor_ii", applicable=stable,
             satisfied=(h2 <= rhs + tol) if stable else None,
             lhs=h2, rhs=rhs,
             detail="equality exactly for horizontal surfaces with K = kappa"))
         if tau_const:
-            rhs = -2.0 * (h2 - float(tau[0]) ** 2) - mean(kappa)
+            rhs = -2.0 * (h2 - float(tau[0]) ** 2) - s.mean(kappa)
             records.append(CorollaryRecord(
                 "thm_minus_cor_const_tau_i", applicable=True,
                 satisfied=lambda1 <= rhs + tol, lhs=lambda1, rhs=rhs,
                 detail="constant-tau specialization of the negative-regime bound (i)"))
             rhs = (-4.0 * (h2 - float(tau[0]) ** 2)
-                   - 8.0 * math.pi * (genus - 1) / area - 2.0 * mean(kappa))
+                   - 8.0 * math.pi * (genus - 1) / area - 2.0 * s.mean(kappa))
             records.append(CorollaryRecord(
                 "thm_minus_cor_const_tau_ii", applicable=True,
                 satisfied=lambda1 <= rhs + tol, lhs=lambda1, rhs=rhs,

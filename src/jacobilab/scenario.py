@@ -44,6 +44,8 @@ EXIT_INPUT_ERROR = 1
 EXIT_ANOMALY = 2
 
 SERIES_NAMES = ("potential", "ground_state", "convergence")
+MAX_SAMPLES = 65_536
+MAX_SWEEP_POINTS = 10_000
 
 
 # --- deterministic serialization --------------------------------------------------
@@ -137,7 +139,8 @@ class _ByType:
 
 _FINITE = (_is_num, "expected a finite number")
 _POSITIVE = (lambda x: _is_num(x) and x > 0, "expected a positive number")
-_SAMPLES = (lambda x: _is_int(x) and x >= 8, "expected an integer >= 8")
+_SAMPLES = (lambda x: _is_int(x) and 8 <= x <= MAX_SAMPLES,
+            f"expected an integer in [8, {MAX_SAMPLES}]")
 _NUMBERS = (_is_nums, "expected a list of finite numbers")
 _INTERVAL = (lambda x: _is_nums(x) and len(x) == 2 and x[0] < x[1],
              "expected [a, b] with a < b")
@@ -251,9 +254,11 @@ def validate_scenario(doc) -> list[str]:
     _walk(doc, _SCENARIO, "", errors)
     outputs = doc.get("outputs")
     sweep = outputs.get("sweep") if isinstance(outputs, dict) else None
-    if (isinstance(sweep, dict) and all(_is_num(sweep.get(k)) for k in ("start", "stop", "step"))
-            and not (sweep["start"] < sweep["stop"] and sweep["step"] > 0)):
-        errors.append("outputs.sweep: needs start < stop and step > 0")
+    if isinstance(sweep, dict) and all(_is_num(sweep.get(k)) for k in ("start", "stop", "step")):
+        if not (sweep["start"] < sweep["stop"] and sweep["step"] > 0):
+            errors.append("outputs.sweep: needs start < stop and step > 0")
+        elif _sweep_count(sweep) > MAX_SWEEP_POINTS:
+            errors.append(f"outputs.sweep: expected at most {MAX_SWEEP_POINTS} points")
     if not errors:
         surface, warped = doc["surface"], doc["model"]["kind"] == "warped"
         if surface["type"] == "hopf_torus" and warped != ("parallel" in surface):
@@ -358,16 +363,20 @@ def _convergence_series(surface: HopfTorus, backend: str, truncation: int,
     return rows
 
 
-def _sweep_grid(sweep: dict):
-    """u = start + i*step for i = 0 .. floor((stop - start)/step + 1e-9).
-
-    The product form keeps the points free of accumulated rounding; comparing
-    ``i`` with the quotient instead of flooring it cannot overflow."""
+def _sweep_count(sweep: dict) -> float:
+    """floor((stop - start)/step + 1e-9) + 1 points; inf when the quotient
+    overflows, so a validator can compare it with a cap."""
     start, stop, step = (float(sweep[k]) for k in ("start", "stop", "step"))
-    i = 0
-    while i <= (stop - start) / step + 1e-9:
-        yield start + i * step
-        i += 1
+    quotient = (stop - start) / step + 1e-9
+    return math.floor(quotient) + 1 if math.isfinite(quotient) else math.inf
+
+
+def _sweep_grid(sweep: dict):
+    """u = start + i*step for i = 0 .. _sweep_count(sweep) - 1.
+
+    The product form keeps the points free of accumulated rounding."""
+    start, step = float(sweep["start"]), float(sweep["step"])
+    return (start + i * step for i in range(_sweep_count(sweep)))
 
 
 def _sweep_series(model: SubmersionModel, sweep: dict, solver: dict) -> list[list]:
@@ -418,13 +427,12 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
     result = _solve_with(surface, solver)
 
     regime = surface_regime(surface)
-    is_torus = isinstance(surface, HopfTorus)
+    torus = not surface.horizontal
     q = potential_field(surface)
     identities = {
         "lambda1_identity_residual": float(lambda1_identity_check(surface, result)),
         "gauss_bonnet_residual": float(gauss_bonnet_check(surface)),
-        "alpha": float(alpha_invariant(result.ground_state, surface.area))
-        if is_torus else 0.0,
+        "alpha": float(alpha_invariant(result.ground_state, surface.area)),
     }
 
     bounds_dict = None
@@ -434,7 +442,7 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
         bound_report = build_bound_report(surface, result.lambda1, gradient_mode=mode)
         bounds_dict = bound_report.to_dict()
         violations = list(bound_report.violations)
-        if is_torus and surface.base_point is not None and regime is Regime.POSITIVE:
+        if torus and surface.base_point is not None and regime is Regime.POSITIVE:
             try:
                 b_i, b_ii = bounds_in_theta_form(model, surface)
                 theta_form = {"bound_i": b_i, "bound_ii": b_ii}
@@ -442,14 +450,14 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
                 theta_form = None
 
     surface_info = {
-        "type": "hopf_torus" if is_torus else "horizontal_slice",
+        "type": "hopf_torus" if torus else "horizontal_slice",
         "name": surface.name,
         "area": float(surface.area),
         "genus": int(surface.genus),
         "mean_curvature": float(surface.mean_curvature),
         "regime": regime.value,
     }
-    if is_torus:
+    if torus:
         # the sign of the geodesic curvature depends on the curve orientation,
         # so |H| is reported alongside H
         surface_info["mean_curvature_abs"] = float(abs(surface.mean_curvature))
@@ -486,7 +494,7 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
     series = {}
     outputs = doc.get("outputs", {})
     for kind in outputs.get("series", []):
-        if kind == "potential" and is_torus:
+        if kind == "potential" and torus:
             qf = q
             series["potential"] = format_csv(
                 ["s", "q"], [[float(s), float(v)] for s, v in zip(qf.grid, qf.samples)])
@@ -494,7 +502,7 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
             rho = result.ground_state
             series["ground_state"] = format_csv(
                 ["s", "rho"], [[float(s), float(v)] for s, v in zip(rho.grid, rho.samples)])
-        elif kind == "convergence" and is_torus:
+        elif kind == "convergence" and torus:
             rows = _convergence_series(surface, solver.get("backend", "fourier"),
                                        result.truncation,
                                        bool(solver.get("richardson", False)))

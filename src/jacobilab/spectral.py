@@ -34,11 +34,12 @@ import numpy as np
 
 from .errors import ConvergenceError, FieldError, JacobilabError
 from .fields import ScalarField1D
-from .surface import HopfTorus, HorizontalSlice, SurfaceModel, potential_field
+from .surface import HopfTorus, SurfaceModel, potential_field
 
 DEFAULT_TRUNCATION = 64
 DEFAULT_FD_TRUNCATION = 2048
 DEFAULT_CONV_TOL = 1e-6
+MIN_FD_GRID = 16
 
 
 @dataclass(frozen=True)
@@ -236,9 +237,6 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
     )
 
 
-MIN_FD_GRID = 16
-
-
 def solve_torus_2d(problem: SpectralProblem, m: int = 6,
                    fiber_truncation: int = 8) -> SpectralResult:
     """Lowest ``m`` eigenvalues on the L x ell torus, fiber modes included.
@@ -282,7 +280,7 @@ def solve_surface(s: SurfaceModel, m: int = 6, backend: str = "fourier",
     (0, constant) is exact on any closed surface and is returned in closed
     form.  Hopf tori are solved numerically on their reduced circle.
     """
-    if isinstance(s, HorizontalSlice):
+    if s.horizontal:
         rho = ScalarField1D.constant(1.0, period=1.0, n=8)
         return SpectralResult(lambda1=0.0, eigenvalues=np.array([0.0]),
                               ground_state=rho, backend="closed_form",
@@ -336,9 +334,9 @@ def lambda1_identity_check(s: SurfaceModel, result: SpectralResult) -> float:
     ``result`` must come from the surface's own spectral problem; alpha is
     evaluated on the computed ground state.
     """
-    if isinstance(s, HorizontalSlice):
+    if s.horizontal:
         return abs(result.lambda1)
     q = potential_field(s)
     alpha = alpha_invariant(result.ground_state, s.area)
-    total_q = s.surface_integral(q.samples)
+    total_q = s.mean(q.samples) * s.area
     return abs(result.lambda1 + (alpha + total_q) / s.area)

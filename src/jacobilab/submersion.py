@@ -1,10 +1,9 @@
 """Catalog of Killing submersion models M(kappa, tau).
 
-A model stores kappa and tau as sampled fields over a 1D base parameter plus,
-for analytic families, closed-form evaluators used as oracles.  Three kinds
-are supported: homogeneous (both constant), product (tau identically zero
-over an arbitrary base), and the doubly warped family built in
-:mod:`jacobilab.warped`.
+A model stores kappa and tau as sampled fields over a 1D base parameter.
+Three kinds are supported: homogeneous (both constant), product (tau
+identically zero over an arbitrary base), and the doubly warped family built
+in :mod:`jacobilab.warped`.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable
+from typing import Any
 
 import numpy as np
 
@@ -48,9 +47,7 @@ class SubmersionModel:
     """Killing submersion described by sampled kappa/tau fields.
 
     ``fiber_length`` is None for noncompact fibers (product with a line).
-    ``kappa_fn``/``tau_fn``/``dtau_fn`` are optional closed-form evaluators
-    for analytic models; ``profile`` keeps the generating curvature profile
-    of warped models.
+    ``profile`` keeps the generating curvature profile of warped models.
     """
 
     kind: ModelKind
@@ -58,9 +55,6 @@ class SubmersionModel:
     tau_field: ScalarField1D
     fiber_length: float | None
     name: str = ""
-    kappa_fn: Callable | None = None
-    tau_fn: Callable | None = None
-    dtau_fn: Callable | None = None
     profile: Any = None
 
     def __post_init__(self):
@@ -92,9 +86,6 @@ def homogeneous_model(kappa: float, tau: float, fiber_length: float,
         tau_field=ScalarField1D.constant(tau, period, n),
         fiber_length=float(fiber_length),
         name=name or f"homogeneous(kappa={kappa}, tau={tau})",
-        kappa_fn=lambda x, k=float(kappa): np.full_like(np.asarray(x, dtype=float), k),
-        tau_fn=lambda x, t=float(tau): np.full_like(np.asarray(x, dtype=float), t),
-        dtau_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
 
 
@@ -111,8 +102,6 @@ def product_model(kappa_field: ScalarField1D, fiber_length: float | None,
         tau_field=tau0,
         fiber_length=None if fiber_length is None else float(fiber_length),
         name=name or "product",
-        tau_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        dtau_fn=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
     )
 
 

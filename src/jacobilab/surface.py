@@ -17,13 +17,16 @@ Two classes of surfaces carry the whole verification programme:
 
 The stability potential q = |A|^2 + Ric(N, N) reduces to 4 H^2 + kappa(s) on
 a Hopf torus (the tau^2 contributions cancel) and to 0 on a slice.
+
+Both implement the :class:`SurfaceModel` protocol, the only view of a surface
+that the other modules take, so only this module dispatches on the class.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Protocol
 
 import numpy as np
 
@@ -33,6 +36,25 @@ from .geometry import Regime, classify_regime
 from .submersion import GradientMode, SubmersionModel
 
 GAUSS_BONNET_RTOL = 1e-9
+
+
+class SurfaceModel(Protocol):
+    """A compact orientable CMC surface as the bounds on lambda1 read it.
+
+    ``horizontal`` is nu^2 == 1 (a surface that is not horizontal is a Hopf
+    torus); ``samples(mode)`` gives (kappa, tau, |grad tau|) at the surface's
+    quadrature nodes and ``mean`` the area mean of values at those nodes.
+    """
+
+    name: str
+    area: float
+    genus: int
+    mean_curvature: float
+    horizontal: bool
+
+    def samples(self, mode: GradientMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
+
+    def mean(self, values: np.ndarray) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -48,6 +70,8 @@ class HopfTorus:
     grad_tau_ambient: ScalarField1D
     base_point: float | None = None
     name: str = ""
+
+    horizontal = False
 
     def __post_init__(self):
         fields = (self.kappa_on_curve, self.tau_on_curve,
@@ -67,11 +91,6 @@ class HopfTorus:
         return 1
 
     @property
-    def geodesic_curvature(self) -> ScalarField1D:
-        return ScalarField1D.constant(2.0 * self.mean_curvature, self.curve_length,
-                                      self.kappa_on_curve.n)
-
-    @property
     def angle_function(self) -> float:
         return 0.0
 
@@ -85,12 +104,13 @@ class HopfTorus:
             return self.grad_tau_ambient
         return self.grad_tau_intrinsic
 
-    def surface_mean(self, samples) -> float:
-        """Area mean of a fiber-constant quantity sampled along the curve."""
-        return float(np.mean(np.asarray(samples, dtype=float)))
+    def samples(self, mode: GradientMode):
+        return (self.kappa_on_curve.samples, self.tau_on_curve.samples,
+                self.grad_tau(mode).samples)
 
-    def surface_integral(self, samples) -> float:
-        return self.surface_mean(samples) * self.area
+    def mean(self, values) -> float:
+        """Area mean of a fiber-constant quantity sampled along the curve."""
+        return float(np.mean(np.asarray(values, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -123,6 +143,8 @@ class HorizontalSlice:
     kappa: float | SampledKappa
     name: str = ""
 
+    horizontal = True
+
     def __post_init__(self):
         if not (math.isfinite(self.base_area) and self.base_area > 0):
             raise SurfaceError(f"base_area must be positive, got {self.base_area}")
@@ -141,22 +163,25 @@ class HorizontalSlice:
     def euler_characteristic(self) -> int:
         return 2 - 2 * self.genus
 
-    @property
-    def kappa_values(self) -> np.ndarray:
-        if isinstance(self.kappa, SampledKappa):
-            return self.kappa.values
-        return np.array([self.kappa])
+    def samples(self, mode: GradientMode):
+        """kappa at the quadrature nodes (one value when constant); tau and
+        |grad tau| vanish on a slice under either reading."""
+        kappa = (self.kappa.values if isinstance(self.kappa, SampledKappa)
+                 else np.array([self.kappa]))
+        zero = np.zeros_like(kappa)
+        return kappa, zero, zero
+
+    def mean(self, values) -> float:
+        """Weighted area mean; a single value is returned as is, because
+        (x * area) / area need not round back to x."""
+        if values.size == 1:
+            return float(values[0])
+        return float(values @ self.kappa.weights) / self.area
 
     def kappa_integral(self) -> float:
         if isinstance(self.kappa, SampledKappa):
             return self.kappa.integral()
         return self.kappa * self.base_area
-
-    def surface_mean_kappa(self) -> float:
-        return self.kappa_integral() / self.base_area
-
-
-SurfaceModel = Union[HopfTorus, HorizontalSlice]
 
 
 # --- constructors ----------------------------------------------------------
@@ -280,7 +305,5 @@ def umbilicity_defect(s: SurfaceModel) -> ScalarField1D | float:
 
 def surface_regime(s: SurfaceModel, tol: float | None = None) -> Regime:
     """Regime of kappa - 4 tau^2 sampled over the surface itself."""
-    if isinstance(s, HopfTorus):
-        return classify_regime(s.kappa_on_curve.samples, s.tau_on_curve.samples, tol)
-    values = s.kappa_values
-    return classify_regime(values, np.zeros_like(values), tol)
+    kappa, tau, _ = s.samples(GradientMode.INTRINSIC_ON_SURFACE)
+    return classify_regime(kappa, tau, tol)

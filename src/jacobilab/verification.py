@@ -125,17 +125,14 @@ def check_curvature_identities(seed: int = DEFAULT_SEED) -> CheckResult:
                    f"{n} tuples within 8 ulps" + ("; " + "; ".join(msgs) if msgs else ""))
 
 
-def _expected_equality(part: TheoremPart, s, is_slice: bool) -> bool:
-    if part is TheoremPart.PLUS_I:
-        return is_slice
+def _expected_equality(part: TheoremPart, s) -> bool:
     if part is TheoremPart.PLUS_II:
-        return not is_slice  # constant-data Hopf tori always attain it
+        return not s.horizontal  # constant-data Hopf tori always attain it
     if part is TheoremPart.MINUS_I:
-        if is_slice:
-            return False
-        return (abs(s.mean_curvature) <= 1e-12
-                and float(np.max(np.abs(s.tau_on_curve.samples))) <= 1e-12)
-    return is_slice
+        tau = s.samples(GradientMode.INTRINSIC_ON_SURFACE)[1]
+        return (not s.horizontal and abs(s.mean_curvature) <= 1e-12
+                and float(np.max(np.abs(tau))) <= 1e-12)
+    return s.horizontal
 
 
 def _soundness_catalog(rng, regime: Regime) -> list:
@@ -172,13 +169,12 @@ def _check_soundness(name: str, regime: Regime, seed: int) -> CheckResult:
     misclassified = 0
     for s in surfaces:
         lam = solve_surface(s, m=1).lambda1
-        is_slice = not hasattr(s, "curve_length")
         for part in parts:
             bound = theorem_bound(s, part)
             if lam > bound + 1e-8:
                 violations += 1
             eq = equality_classify(s, lam, bound, part)
-            expected = _expected_equality(part, s, is_slice)
+            expected = _expected_equality(part, s)
             if eq.numeric_equality != expected or \
                     eq.characterization_holds != expected:
                 misclassified += 1

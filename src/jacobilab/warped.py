@@ -141,9 +141,9 @@ def submersion_from_theta(profile: ThetaProfile,
     """Killing submersion of the doubly warped product built on ``profile``.
 
     ``window`` selects the sampled subinterval for the model's fields (it
-    must be given when the profile interval is unbounded); closed-form
-    evaluators are attached alongside.  The fiber has unit speed and closes
-    at 2 pi.
+    must be given when the profile interval is unbounded); the profile itself
+    is kept as ``model.profile``.  The fiber has unit speed and closes at
+    2 pi.
     """
     if window is None:
         a, b = profile.interval
@@ -167,9 +167,6 @@ def submersion_from_theta(profile: ThetaProfile,
         tau_field=tau,
         fiber_length=2.0 * math.pi,
         name=f"warped[{profile.name}]",
-        kappa_fn=profile.kappa,
-        tau_fn=profile.tau,
-        dtau_fn=profile.dtau,
         profile=profile,
     )
 

@@ -75,9 +75,12 @@ PROFILE_KIND = "model.profile.kind: expected 'half_arctan', 'constant' or 'sampl
 SERIES = ("outputs.series: expected a list drawn from "
           "['potential', 'ground_state', 'convergence']")
 INTERVAL = "expected [a, b] with a < b"
+SAMPLES = "expected an integer in [8, 65536]"
+TOO_MANY_POINTS = "outputs.sweep: expected at most 10000 points"
 
 # (document, exact error list); the hand-written validator that the schema
-# table replaced gave the same lists
+# table replaced gave the same lists, except that its samples message read
+# "expected an integer >= 8" (samples had no upper bound then)
 UNCHANGED = {
     "valid_berger": (BERGER, []),
     "valid_product": (PRODUCT, []),
@@ -109,7 +112,7 @@ UNCHANGED = {
                          ["surface.tau: expected an object"]),
     "product_period_samples": (edit(PRODUCT, model__period=0, model__samples=4),
                                ["model.period: expected a positive number",
-                                "model.samples: expected an integer >= 8"]),
+                                f"model.samples: {SAMPLES}"]),
     "profile_unknown_name": (edit(WARPED, model__profile="foo"),
                              ["model.profile: unknown profile name"]),
     "profile_wrong_type": (edit(WARPED, model__profile=3),
@@ -137,7 +140,7 @@ UNCHANGED = {
                      ["surface.curve_length: expected a positive number",
                       "surface.geodesic_curvature: expected a finite number",
                       "surface.kappa.mean: expected a finite number",
-                      "surface.samples: expected an integer >= 8"]),
+                      f"surface.samples: {SAMPLES}"]),
     "slice_values": (edit(SLICE, surface__base_area=-1, surface__genus=-1),
                      ["surface.base_area: expected a positive number",
                       "surface.genus: expected a nonnegative integer"]),
@@ -205,6 +208,28 @@ FIXED = {
 }
 
 
+# size caps: a sweep of more than 10,000 points (also one whose point count
+# overflows a float) and a grid of more than 65,536 samples are input errors;
+# the boundary sizes stay valid
+BOUNDED = {
+    "sweep_step_1e-9": (edit(WARPED, outputs__sweep={"start": 0.5, "stop": 3.0, "step": 1e-9}),
+                        [TOO_MANY_POINTS]),
+    "sweep_10001_points": (edit(WARPED, outputs__sweep={"start": 0.0, "stop": 10000.0,
+                                                        "step": 1.0}), [TOO_MANY_POINTS]),
+    "sweep_10000_points": (edit(WARPED, outputs__sweep={"start": 0.0, "stop": 9999.0,
+                                                        "step": 1.0}), []),
+    "sweep_span_overflows": (edit(WARPED, outputs__sweep={"start": -1e308, "stop": 1e308,
+                                                          "step": 1.0}), [TOO_MANY_POINTS]),
+    "sweep_quotient_overflows": (edit(WARPED, outputs__sweep__step=5e-324),
+                                 [TOO_MANY_POINTS]),
+    "surface_samples_1e7": (edit(BERGER, surface__samples=10**7),
+                            [f"surface.samples: {SAMPLES}"]),
+    "model_samples_65537": (edit(WARPED, model__samples=65537),
+                            [f"model.samples: {SAMPLES}"]),
+    "samples_65536": (edit(PRODUCT, model__samples=65536, surface__samples=65536), []),
+}
+
+
 @pytest.mark.parametrize("doc, expected", list(UNCHANGED.values()), ids=list(UNCHANGED))
 def test_error_list(doc, expected):
     assert validate_scenario(doc) == expected
@@ -213,6 +238,17 @@ def test_error_list(doc, expected):
 @pytest.mark.parametrize("doc, expected", list(FIXED.values()), ids=list(FIXED))
 def test_error_list_fixed(doc, expected):
     assert validate_scenario(doc) == expected
+
+
+@pytest.mark.parametrize("doc, expected", list(BOUNDED.values()), ids=list(BOUNDED))
+def test_error_list_bounded(doc, expected):
+    assert validate_scenario(doc) == expected
+
+
+def test_sweep_grid_length_is_the_validated_count():
+    sweep = {"start": 0.0, "stop": 9999.0, "step": 1.0}
+    grid = list(_sweep_grid(sweep))
+    assert len(grid) == 10000 and grid[-1] == 9999.0
 
 
 def test_sweep_grid_has_no_drift():

@@ -1,7 +1,11 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import jacobilab
 
 from jacobilab import (GradientMode, ModelError, SampledKappa, ScalarField1D,
                        SurfaceError, gauss_bonnet_check, homogeneous_model,
@@ -122,7 +126,7 @@ def test_sampled_kappa_slice_quadrature():
     flat = product_model(ScalarField1D.constant(0.0, TWO_PI), TWO_PI)
     s = horizontal_slice(flat, base_area=area, genus=1, kappa=kappa)
     assert gauss_bonnet_check(s) < 1e-6
-    assert s.surface_mean_kappa() == pytest.approx(0.0, abs=1e-14)
+    assert s.mean(s.samples(GradientMode.AMBIENT)[0]) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sampled_kappa_weights_must_match_area():
@@ -145,3 +149,37 @@ def test_grad_tau_modes_on_torus():
     assert np.max(np.abs(g.samples - np.abs(0.2 * np.cos(g.grid)))) < 1e-10
     # ambient defaults to the intrinsic derivative when not supplied
     assert np.all(t.grad_tau(GradientMode.AMBIENT).samples == g.samples)
+
+
+# --- the surface class is decided in jacobilab.surface only ------------------------------
+
+CLASS_NAMES = {"HopfTorus", "HorizontalSlice", "curve_length"}
+
+
+def _class_tests(tree):
+    """Lines of isinstance/hasattr calls whose arguments name a surface class
+    or the torus-only attribute ``curve_length``."""
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "hasattr")):
+            named = {n.id for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Name)}
+            named |= {n.attr for arg in node.args for n in ast.walk(arg)
+                      if isinstance(n, ast.Attribute)}
+            named |= {n.value for arg in node.args for n in ast.walk(arg)
+                      if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+            if named & CLASS_NAMES:
+                hits.append(node.lineno)
+    return hits
+
+
+@pytest.mark.parametrize("module", ["bounds", "spectral", "scenario", "verification"])
+def test_only_surface_module_dispatches_on_surface_class(module):
+    path = Path(jacobilab.__file__).parent / f"{module}.py"
+    assert _class_tests(ast.parse(path.read_text())) == []
+
+
+def test_class_dispatch_detector_sees_both_forms():
+    source = ("isinstance(s, HopfTorus)\nisinstance(s, (int, surface.HorizontalSlice))\n"
+              "hasattr(s, 'curve_length')\nisinstance(s, dict)\n")
+    assert _class_tests(ast.parse(source)) == [1, 2, 3]

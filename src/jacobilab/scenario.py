@@ -46,6 +46,9 @@ EXIT_ANOMALY = 2
 SERIES_NAMES = ("potential", "ground_state", "convergence")
 MAX_SAMPLES = 65_536
 MAX_SWEEP_POINTS = 10_000
+# largest solver.truncation per backend: a 2049 x 2049 Galerkin matrix, and an
+# fd grid where rounding already sets the accuracy floor
+MAX_TRUNCATION = {"fourier": 1024, "fd": MAX_SAMPLES}
 
 
 # --- deterministic serialization --------------------------------------------------
@@ -260,6 +263,11 @@ def validate_scenario(doc) -> list[str]:
         elif _sweep_count(sweep) > MAX_SWEEP_POINTS:
             errors.append(f"outputs.sweep: expected at most {MAX_SWEEP_POINTS} points")
     if not errors:
+        solver = {"backend": "fourier", "truncation": 0, **doc.get("solver", {})}
+        cap = MAX_TRUNCATION[solver["backend"]]
+        if solver["truncation"] > cap:
+            errors.append(f"solver.truncation: expected at most {cap} for the "
+                          f"{solver['backend']} backend")
         surface, warped = doc["surface"], doc["model"]["kind"] == "warped"
         if surface["type"] == "hopf_torus" and warped != ("parallel" in surface):
             errors.append("surface: hopf_torus needs 'parallel' exactly when the "
@@ -417,6 +425,11 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
         solver["backend"] = backend
     if truncation is not None:
         solver["truncation"] = truncation
+    if solver != doc.get("solver", {}):
+        # overrides meet the same caps as the file
+        errors = validate_scenario({**doc, "solver": solver})
+        if errors:
+            raise ScenarioError(errors)
     mode_name = gradient_mode or doc.get("gradient_mode",
                                          GradientMode.INTRINSIC_ON_SURFACE.value)
     mode = GradientMode(mode_name)

@@ -16,13 +16,15 @@ of the reduced problem are provided:
   size 2K + 1.  Spectrally accurate for smooth potentials.
 
 * ``fd`` (oracle): second-order central differences on a periodic grid of N
-  points, optionally Richardson-extrapolated from the N/2 and N solves.
+  points, optionally Richardson-extrapolated from the N/2 and N solves.  The
+  periodic tridiagonal matrix is never formed: a preconditioned block
+  Rayleigh-Ritz iteration applies the 3-point stencil in O(N) per vector,
+  and an O(N) inertia count certifies that no low eigenvalue was missed.
 
-Both backends diagonalize with dense symmetric LAPACK routines; matrix sizes
-stay in the few-thousands, so no sparse machinery is involved.  The torus
-spectrum with fiber modes (:func:`solve_torus_2d`) is the exact merge of the
-circle spectrum with the fiber kinetic terms, so it needs no eigensolve of
-its own.
+The Fourier backend diagonalizes its (2K + 1)-square matrix with dense
+LAPACK.  The torus spectrum with fiber modes (:func:`solve_torus_2d`) is the
+exact merge of the circle spectrum with the fiber kinetic terms, so it needs
+no eigensolve of its own.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ DEFAULT_TRUNCATION = 64
 DEFAULT_FD_TRUNCATION = 2048
 DEFAULT_CONV_TOL = 1e-6
 MIN_FD_GRID = 16
+# fd eigensolve: residual stop in units of eps ||A||, and the iterations
+# allowed per block size before the block grows
+FD_RESIDUAL_ULPS = 64
+FD_MAX_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -176,10 +182,97 @@ def assemble_fd(length: float, q_samples: np.ndarray) -> np.ndarray:
     return A
 
 
+def _fd_apply(q: np.ndarray, inv_h2: float, X: np.ndarray) -> np.ndarray:
+    """A X for the periodic 3-point stencil, without forming A."""
+    return (2.0 * X - np.roll(X, 1, axis=0) - np.roll(X, -1, axis=0)) * inv_h2 \
+        - q[:, None] * X
+
+
+def _trig_modes(n: int, start: int, stop: int) -> np.ndarray:
+    """Columns start..stop-1 of the grid basis [1, cos s, sin s, cos 2s, ...];
+    the n columns of a full basis end at the grid Nyquist mode."""
+    phase = 2.0 * np.pi * np.arange(n) / n
+    cols = [np.sin(t // 2 * phase) if t % 2 == 0 and t > 0 else np.cos((t + 1) // 2 * phase)
+            for t in range(start, stop)]
+    return np.array(cols).T.reshape(n, stop - start)
+
+
+def _fd_count_below(q: np.ndarray, inv_h2: float, sigma: float) -> int:
+    """Number of eigenvalues of the periodic fd matrix below ``sigma``.
+
+    Inertia of A - sigma (Sylvester) from the LDL^T pivots of its leading
+    tridiagonal (n-1) x (n-1) block, plus the sign of the Schur complement of
+    that block, which carries the two periodic corner entries (Haynsworth).
+    A zero pivot is replaced by -eps |e|, a perturbation of A below its
+    rounding.
+    """
+    e = -inv_h2
+    a = (2.0 * inv_h2 - q - sigma).tolist()
+    n = len(a)
+    tiny = -np.finfo(float).eps * inv_h2
+    d, g, schur, count = a[0], e, a[-1], 0
+    for i in range(1, n - 1):
+        d = d or tiny
+        count += d < 0.0
+        ratio = e / d
+        schur -= g * g / d
+        g = (e if i == n - 2 else 0.0) - ratio * g
+        d = a[i] - e * ratio
+    d = d or tiny
+    schur -= g * g / d
+    return count + (d < 0.0) + (schur < 0.0)
+
+
 def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lowest ``min(m, n_grid)`` eigenvalues and the ground vector of the fd matrix.
+
+    Block Rayleigh-Ritz on [X, P R, previous direction] (LOBPCG, Knyazev
+    2001): X starts from the k = m + 2 lowest grid trig modes, R is the
+    residual block and P = (L + c)^-1 the exact inverse of the shifted
+    periodic difference Laplacian L, applied by FFT, with
+    c = (2 pi / length)^2 - mean(q) - theta_1 for the lowest Ritz value
+    theta_1 (q replaced by its mean).  The solve stops once every returned
+    residual is at most FD_RESIDUAL_ULPS eps ||A|| and an inertia count of
+    A - sigma, with sigma in the first clear Ritz gap at index j >= m, finds
+    exactly j eigenvalues below sigma; otherwise the block grows by two trig
+    modes.  A basis of n_grid or more columns spans the whole space, where
+    Rayleigh-Ritz is exact.
+    """
+    L = problem.circle_length
     q = problem.potential.resampled(n_grid).samples
-    w, v = np.linalg.eigh(assemble_fd(problem.circle_length, q))
-    return w[:m], v[:, 0]
+    inv_h2 = 1.0 / (L / n_grid) ** 2
+    eps_norm = np.finfo(float).eps * (4.0 * inv_h2 + float(np.max(np.abs(q))))
+    res_tol = FD_RESIDUAL_ULPS * eps_norm
+    freq = np.arange(n_grid // 2 + 1)
+    kinetic = 4.0 * inv_h2 * np.sin(np.pi * freq / n_grid) ** 2 + (2.0 * np.pi / L) ** 2
+    q_mean = float(np.mean(q))
+
+    k = min(m + 2, n_grid)
+    basis = _trig_modes(n_grid, 0, k)
+    stalled = 0
+    while True:
+        Q = np.linalg.qr(basis)[0]
+        AQ = _fd_apply(q, inv_h2, Q)
+        H = Q.T @ AQ
+        theta, V = np.linalg.eigh((H + H.T) / 2.0)
+        if Q.shape[1] == n_grid:
+            return theta[:m], Q @ V[:, 0]
+        X, AX = Q @ V[:, :k], AQ @ V[:, :k]
+        R = AX - X * theta[:k]
+        converged = np.linalg.norm(R, axis=0) <= res_tol
+        j = next((j for j in range(m, k) if theta[j] - theta[j - 1] > 4.0 * res_tol), k)
+        stalled += 1
+        if converged[:j].all():
+            if j < k and _fd_count_below(q, inv_h2, 0.5 * (theta[j - 1] + theta[j])) == j:
+                return theta[:m], X[:, 0]
+            stalled = FD_MAX_ITERATIONS  # a missed eigenvalue or no clear gap
+        # theta_1 <= -mean(q) by min-max; the guard only absorbs rounding
+        symbol = kinetic + max(0.0, -q_mean - theta[0])
+        W = np.fft.irfft(np.fft.rfft(R, axis=0) / symbol[:, None], n_grid, axis=0)
+        k_next = min(k + 2, n_grid) if stalled >= FD_MAX_ITERATIONS else k
+        basis = np.hstack([X, _trig_modes(n_grid, k, k_next), W, Q[:, k:] @ V[k:, :k]])
+        if k_next > k:
+            k, stalled = k_next, 0
 
 
 # --- public solves -------------------------------------------------------------
@@ -191,7 +284,8 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
     The reported convergence_estimate is |lambda1(T) - lambda1(T/2)| over the
     problem truncation T; a value above the problem's conv_tol raises
     :class:`ConvergenceError`.  ``richardson`` applies h^2 extrapolation to
-    the fd eigenvalues (the fourier backend ignores it).
+    the fd eigenvalues (the fourier backend ignores it).  The fd backend
+    returns at most N eigenvalues on its N-point grid, N/2 with ``richardson``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -213,7 +307,8 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
         w_half, _ = _fd_eigs(problem, n_grid // 2, m)
         estimate = abs(w_full[0] - w_half[0])
         if richardson:
-            eigenvalues = (4.0 * w_full - w_half) / 3.0
+            # the half grid has n_grid // 2 eigenvalues when m exceeds that
+            eigenvalues = (4.0 * w_full[:w_half.size] - w_half) / 3.0
         else:
             eigenvalues = w_full.copy()
         rho = v0

@@ -7,7 +7,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jacobilab import JacobilabError
+from jacobilab import JacobilabError, ScenarioError
 from jacobilab.scenario import (_sweep_grid, build_model, build_surface,
                                 run_scenario, validate_scenario)
 
@@ -77,6 +77,8 @@ SERIES = ("outputs.series: expected a list drawn from "
 INTERVAL = "expected [a, b] with a < b"
 SAMPLES = "expected an integer in [8, 65536]"
 TOO_MANY_POINTS = "outputs.sweep: expected at most 10000 points"
+FOURIER_CAP = "expected at most 1024 for the fourier backend"
+FD_CAP = "expected at most 65536 for the fd backend"
 
 # (document, exact error list); the hand-written validator that the schema
 # table replaced gave the same lists, except that its samples message read
@@ -227,6 +229,18 @@ BOUNDED = {
     "model_samples_65537": (edit(WARPED, model__samples=65537),
                             [f"model.samples: {SAMPLES}"]),
     "samples_65536": (edit(PRODUCT, model__samples=65536, surface__samples=65536), []),
+    "fourier_truncation_1025": (edit(BERGER, solver__truncation=1025),
+                                [f"solver.truncation: {FOURIER_CAP}"]),
+    "fourier_truncation_1e6": (edit(BERGER, solver__truncation=10**6),
+                               [f"solver.truncation: {FOURIER_CAP}"]),
+    "default_backend_truncation_1025": (edit(BERGER, solver={"truncation": 1025}),
+                                        [f"solver.truncation: {FOURIER_CAP}"]),
+    "fourier_truncation_1024": (edit(BERGER, solver__truncation=1024), []),
+    "fd_truncation_65537": (edit(BERGER, solver__backend="fd", solver__truncation=65537),
+                            [f"solver.truncation: {FD_CAP}"]),
+    "fd_truncation_1e6": (edit(BERGER, solver__backend="fd", solver__truncation=10**6),
+                          [f"solver.truncation: {FD_CAP}"]),
+    "fd_truncation_65536": (edit(BERGER, solver__backend="fd", solver__truncation=65536), []),
 }
 
 
@@ -243,6 +257,17 @@ def test_error_list_fixed(doc, expected):
 @pytest.mark.parametrize("doc, expected", list(BOUNDED.values()), ids=list(BOUNDED))
 def test_error_list_bounded(doc, expected):
     assert validate_scenario(doc) == expected
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"truncation": 10**6}, FD_CAP),
+    # the file's fd grid becomes a Fourier truncation under the override
+    ({"backend": "fourier"}, FOURIER_CAP)], ids=["truncation", "backend"])
+def test_solver_overrides_meet_the_caps(overrides, message):
+    doc = edit(BERGER, solver__backend="fd", solver__truncation=2048)
+    with pytest.raises(ScenarioError) as excinfo:
+        run_scenario(doc, **overrides)
+    assert excinfo.value.paths == [f"solver.truncation: {message}"]
 
 
 def test_sweep_grid_length_is_the_validated_count():

@@ -1,16 +1,22 @@
+import functools
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.special
 
+import jacobilab
 from jacobilab import (ConvergenceError, FieldError, ScalarField1D,
                        SpectralProblem, alpha_invariant, homogeneous_model,
                        hopf_torus, horizontal_slice, lambda1_identity_check,
                        product_model, rayleigh_quotient, solve, solve_surface,
                        solve_torus_2d, surface_spectral_problem)
-from jacobilab.spectral import assemble_fd, assemble_fourier
+from jacobilab.spectral import (FD_RESIDUAL_ULPS, _fd_count_below, _fd_eigs,
+                                assemble_fd, assemble_fourier)
 from conftest import ulp_tol
 
 TWO_PI = 2 * math.pi
@@ -182,6 +188,92 @@ def test_period_mismatch_rejected():
 def test_unknown_backend():
     with pytest.raises(ValueError):
         solve(problem(lambda s: np.zeros_like(s)), backend="magic")
+
+
+# --- fd eigensolve against the dense oracle ---------------------------------------
+
+FD_POTENTIALS = {
+    # exact double eigenvalues
+    "constant": lambda s: np.full_like(s, 3.7),
+    "band_limited": lambda s: 1.0 + 2.0 * np.cos(s) - 1.5 * np.sin(2 * s) + 0.8 * np.cos(3 * s),
+    "deep_well": lambda s: 40.0 * np.exp(-30.0 * (1.0 - np.cos(s))),
+}
+# eigenvalue difference from eigh(assemble_fd) in units of eps ||A||, with
+# ||A|| <= 4/h^2 + max|q|; both solves round.  Measured worst: 2.2 over the
+# 30 cases below, 9.1 on 8 cos s - 8 sin 3s at N = 512
+FD_EIG_ULPS = 16
+
+
+@functools.lru_cache(maxsize=None)
+def dense_fd(kind, n):
+    q = FD_POTENTIALS[kind](np.arange(n) * (TWO_PI / n))
+    w, v = np.linalg.eigh(assemble_fd(TWO_PI, q))
+    eps_norm = np.finfo(float).eps * (4.0 * (n / TWO_PI) ** 2 + np.max(np.abs(q)))
+    return q, w, v[:, 0], eps_norm
+
+
+def fd_problem(q):
+    return SpectralProblem(TWO_PI, TWO_PI, ScalarField1D(q, period=TWO_PI),
+                           truncation=q.size)
+
+
+@pytest.mark.parametrize("m", [1, 6])
+@pytest.mark.parametrize("n", [16, 17, 64, 1000, 2048])
+@pytest.mark.parametrize("kind", list(FD_POTENTIALS))
+def test_fd_eigensolve_matches_dense(kind, n, m):
+    q, w, v0, eps_norm = dense_fd(kind, n)
+    eigenvalues, x0 = _fd_eigs(fd_problem(q), n, m)
+    assert eigenvalues.shape == (m,)
+    assert np.max(np.abs(eigenvalues - w[:m])) <= FD_EIG_ULPS * eps_norm
+    # Davis-Kahan: a residual below FD_RESIDUAL_ULPS eps ||A|| leaves the
+    # ground vector within that over the spectral gap (measured: a third of it)
+    x0 = x0 * np.sign(x0 @ v0)
+    assert np.max(np.abs(x0 - v0)) <= FD_RESIDUAL_ULPS * eps_norm / (w[1] - w[0])
+
+
+@pytest.mark.parametrize("n", [16, 17, 64, 1000])
+@pytest.mark.parametrize("kind", list(FD_POTENTIALS))
+def test_fd_inertia_count_matches_eigvalsh(kind, n, rng):
+    q, w, _, eps_norm = dense_fd(kind, n)
+    inv_h2 = 1.0 / (TWO_PI / n) ** 2
+    # random shifts over the low spectrum, and the midpoints of its gaps,
+    # where the solve places its shift; a shift within rounding of an
+    # eigenvalue (the middle of a double one) has no defined count
+    shifts = np.concatenate((rng.uniform(w[0] - 1.0, w[min(n, 40) - 1], 20),
+                             0.5 * (w[:12] + w[1:13])))
+    shifts = shifts[np.min(np.abs(shifts[:, None] - w), axis=1) > FD_RESIDUAL_ULPS * eps_norm]
+    assert shifts.size >= 20
+    for sigma in shifts:
+        assert _fd_count_below(q, inv_h2, sigma) == np.sum(w < sigma)
+
+
+def test_fd_edge_sizes_keep_their_arrays():
+    # m above the grid size: every eigenvalue of the 16-point grid, and the
+    # 8 of its half grid for Richardson, as the dense solve returned them
+    q, w16, _, eps_norm = dense_fd("band_limited", 16)
+    w8 = dense_fd("band_limited", 8)[1]
+    p = SpectralProblem(TWO_PI, TWO_PI, ScalarField1D(q, period=TWO_PI), truncation=16,
+                        conv_tol=math.inf)
+    plain = solve(p, m=40, backend="fd")
+    assert np.max(np.abs(plain.eigenvalues - w16)) <= FD_EIG_ULPS * eps_norm
+    extrapolated = solve(p, m=40, backend="fd", richardson=True)
+    assert extrapolated.eigenvalues.shape == (8,)
+    # (4 a - b) / 3 carries up to 5/3 of the two solves' errors
+    assert np.max(np.abs(extrapolated.eigenvalues - (4.0 * w16[:8] - w8) / 3.0)) \
+        <= 3 * FD_EIG_ULPS * eps_norm
+
+
+def test_fd_solve_imports_no_scipy():
+    code = ("import sys, numpy as np\n"
+            "from jacobilab import ScalarField1D, SpectralProblem, solve\n"
+            "q = ScalarField1D.from_function(lambda s: 1 + 0.3 * np.cos(s), 2 * np.pi)\n"
+            "solve(SpectralProblem(2 * np.pi, 2 * np.pi, q, truncation=2048),"
+            " backend='fd', richardson=True)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = os.path.dirname(os.path.dirname(jacobilab.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
 
 
 # --- Rayleigh quotient -----------------------------------------------------------

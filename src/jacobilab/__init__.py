@@ -8,24 +8,22 @@ from .fields import ScalarField1D
 from .geometry import (CurvatureData, Regime, classify_regime,
                        combined_integrand, ricci_normal, sectional_curvature)
 from .submersion import (GradientMode, ModelKind, SubmersionModel,
-                         gradient_norm_field, homogeneous_model, model_regime,
-                         product_model)
+                         homogeneous_model, product_model)
 from .surface import (HopfTorus, HorizontalSlice, SampledKappa, SurfaceModel,
                       gauss_bonnet_check, hopf_torus, horizontal_slice,
-                      potential_field, surface_regime, umbilicity_defect)
+                      potential_field, surface_regime)
 from .spectral import (SpectralProblem, SpectralResult, alpha_invariant,
                        lambda1_identity_check, rayleigh_quotient, solve,
                        solve_surface, solve_torus_2d, surface_spectral_problem)
 from .bounds import (BoundReport, CorollaryRecord, EqualityClassification,
-                     EqualityStatus, TheoremPart, Verdict, bound_thm_minus_i,
-                     bound_thm_minus_ii, bound_thm_plus_i, bound_thm_plus_ii,
-                     build_bound_report, corollary_checks, equality_classify,
-                     stability_verdict, theorem_bound)
+                     EqualityStatus, TheoremPart, Verdict, build_bound_report,
+                     corollary_checks, equality_classify, stability_verdict,
+                     theorem_bound)
 from .warped import (ThetaProfile, base_curvature_oracle, bounds_in_theta_form,
                      constant_profile, half_arctan_profile, parallel_hopf_torus,
                      sampled_profile, submersion_from_theta)
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "BoundReport", "ConvergenceError", "CorollaryRecord", "CurvatureData",
@@ -35,15 +33,13 @@ __all__ = [
     "ScalarField1D", "ScenarioError", "SpectralProblem", "SpectralResult",
     "SubmersionModel", "SurfaceError", "SurfaceModel", "TheoremPart",
     "ThetaProfile", "Verdict", "alpha_invariant", "base_curvature_oracle",
-    "bound_thm_minus_i", "bound_thm_minus_ii", "bound_thm_plus_i",
-    "bound_thm_plus_ii", "bounds_in_theta_form", "build_bound_report",
-    "classify_regime", "combined_integrand", "constant_profile",
-    "corollary_checks", "equality_classify", "gauss_bonnet_check",
-    "gradient_norm_field", "half_arctan_profile", "homogeneous_model",
-    "hopf_torus", "horizontal_slice", "lambda1_identity_check",
-    "model_regime", "parallel_hopf_torus", "potential_field", "product_model",
-    "rayleigh_quotient", "ricci_normal", "sampled_profile",
+    "bounds_in_theta_form", "build_bound_report", "classify_regime",
+    "combined_integrand", "constant_profile", "corollary_checks",
+    "equality_classify", "gauss_bonnet_check", "half_arctan_profile",
+    "homogeneous_model", "hopf_torus", "horizontal_slice",
+    "lambda1_identity_check", "parallel_hopf_torus", "potential_field",
+    "product_model", "rayleigh_quotient", "ricci_normal", "sampled_profile",
     "sectional_curvature", "solve", "solve_surface", "solve_torus_2d",
     "stability_verdict", "submersion_from_theta", "surface_regime",
-    "surface_spectral_problem", "umbilicity_defect",
+    "surface_spectral_problem",
 ]

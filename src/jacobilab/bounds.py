@@ -94,39 +94,13 @@ def theorem_bound(s: SurfaceModel, part: TheoremPart,
     return bound - mean
 
 
-def bound_thm_plus_i(s: SurfaceModel,
-                     gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
-    """Positive-regime bound (i); see module docstring."""
-    return theorem_bound(s, TheoremPart.PLUS_I, gradient_mode)
-
-
-def bound_thm_plus_ii(s: SurfaceModel,
-                      gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
-    """Positive-regime bound (ii); see module docstring."""
-    return theorem_bound(s, TheoremPart.PLUS_II, gradient_mode)
-
-
-def bound_thm_minus_i(s: SurfaceModel,
-                      gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
-    """Negative-regime bound (i); see module docstring."""
-    return theorem_bound(s, TheoremPart.MINUS_I, gradient_mode)
-
-
-def bound_thm_minus_ii(s: SurfaceModel,
-                       gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
-    """Negative-regime bound (ii); see module docstring."""
-    return theorem_bound(s, TheoremPart.MINUS_II, gradient_mode)
-
-
 # --- verdicts and equality ---------------------------------------------------------
 
-def stability_verdict(lambda1: float, tol: float = STABILITY_TOL) -> Verdict:
-    """Strong stability means lambda1 >= 0; MARGINAL flags |lambda1| <= tol."""
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
-    if lambda1 > tol:
+def stability_verdict(lambda1: float) -> Verdict:
+    """Strong stability means lambda1 >= 0; MARGINAL flags |lambda1| <= STABILITY_TOL."""
+    if lambda1 > STABILITY_TOL:
         return Verdict.STRONGLY_STABLE
-    if lambda1 < -tol:
+    if lambda1 < -STABILITY_TOL:
         return Verdict.UNSTABLE
     return Verdict.MARGINAL
 
@@ -157,8 +131,8 @@ class EqualityClassification:
         }
 
 
-def _is_zero(samples: np.ndarray, tol: float = PREDICATE_TOL) -> bool:
-    return float(np.max(np.abs(samples))) <= tol
+def _is_zero(samples: np.ndarray) -> bool:
+    return float(np.max(np.abs(samples))) <= PREDICATE_TOL
 
 
 def equality_predicates(s: SurfaceModel, part: TheoremPart) -> dict:
@@ -188,14 +162,13 @@ def equality_predicates(s: SurfaceModel, part: TheoremPart) -> dict:
 
 
 def equality_classify(s: SurfaceModel, lambda1: float, bound: float,
-                      part: TheoremPart, tol: float | None = None) -> EqualityClassification:
+                      part: TheoremPart) -> EqualityClassification:
     """Compare numeric equality in a bound with its characterization.
 
     Agreement yields EQUALITY / NO_EQUALITY; any mismatch between the numbers
     and the predicates is flagged ANOMALY rather than silently accepted.
     """
-    if tol is None:
-        tol = default_equality_tol(lambda1)
+    tol = default_equality_tol(lambda1)
     gap = lambda1 - bound
     numeric = abs(gap) <= tol
     predicates = equality_predicates(s, part)
@@ -229,8 +202,8 @@ class CorollaryRecord:
 
 
 def corollary_checks(s: SurfaceModel, lambda1: float,
-                     gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE,
-                     stability_tol: float = STABILITY_TOL) -> list[CorollaryRecord]:
+                     gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE
+                     ) -> list[CorollaryRecord]:
     """Evaluate every consequence whose hypothesis the surface can meet.
 
     Strict inequalities are verified up to the numerical tolerance; exact
@@ -242,7 +215,7 @@ def corollary_checks(s: SurfaceModel, lambda1: float,
     area = s.area
     genus = s.genus
     h2 = s.mean_curvature**2
-    stable = lambda1 >= -stability_tol
+    stable = lambda1 >= -STABILITY_TOL
     tau_const = is_constant(tau, PREDICATE_TOL)
     kappa_const = is_constant(kappa, PREDICATE_TOL)
     tol = default_equality_tol(lambda1)
@@ -299,14 +272,14 @@ def corollary_checks(s: SurfaceModel, lambda1: float,
             if abs(s.mean_curvature) > abs(tau0):
                 records.append(CorollaryRecord(
                     "area_genus_consequence", applicable=True,
-                    satisfied=lambda1 < stability_tol, lhs=lambda1, rhs=0.0,
+                    satisfied=lambda1 < STABILITY_TOL, lhs=lambda1, rhs=0.0,
                     detail="|H| > tau forbids strong stability"))
             else:
                 lhs = area * (tau0**2 - h2)
                 rhs = 2.0 * math.pi * (genus - 1)
                 records.append(CorollaryRecord(
                     "area_genus_consequence", applicable=stable,
-                    satisfied=(lhs >= rhs - stability_tol) if stable else None,
+                    satisfied=(lhs >= rhs - STABILITY_TOL) if stable else None,
                     lhs=lhs, rhs=rhs,
                     detail="strong stability with |H| <= tau forces "
                            "Area (tau^2 - H^2) >= 2 pi (g - 1)"))
@@ -352,21 +325,16 @@ class BoundReport:
             "violations": list(self.violations),
         }
 
-    @property
-    def has_violation(self) -> bool:
-        return bool(self.violations)
-
 
 def build_bound_report(s: SurfaceModel, lambda1: float,
-                       gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE,
-                       stability_tol: float = STABILITY_TOL,
-                       bound_tol: float = STABILITY_TOL) -> BoundReport:
+                       gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE
+                       ) -> BoundReport:
     """Evaluate both bounds of the applicable regime under both gradient modes.
 
-    A bound violated beyond ``bound_tol`` (lambda1 > bound + tol) lands in
-    ``violations``; an equality-characterization mismatch in the intrinsic
-    mode does too, while ambient-mode mismatches are kept visible in the
-    per-mode records (the two modes legitimately disagree on warped models).
+    A bound violated beyond STABILITY_TOL lands in ``violations``; an
+    equality-characterization mismatch in the intrinsic mode does too, while
+    ambient-mode mismatches are kept visible in the per-mode records (the two
+    modes legitimately disagree on warped models).
     """
     regime = surface_regime(s)
     if regime not in REGIME_PARTS:
@@ -383,7 +351,7 @@ def build_bound_report(s: SurfaceModel, lambda1: float,
         eq_ii = equality_classify(s, lambda1, b_ii, parts[1])
         per_mode[mode] = ModeBounds(b_i, b_ii, eq_i, eq_ii)
         for label, bound in (("bound_i", b_i), ("bound_ii", b_ii)):
-            if lambda1 > bound + bound_tol:
+            if lambda1 > bound + STABILITY_TOL:
                 violations.append(
                     f"{label} violated under {mode.value}: lambda1 {lambda1:.12g} "
                     f"> bound {bound:.12g}")
@@ -396,7 +364,7 @@ def build_bound_report(s: SurfaceModel, lambda1: float,
     return BoundReport(
         regime=regime, theorem=theorem, lambda1=float(lambda1),
         gradient_mode=gradient_mode, per_mode=per_mode,
-        stability=stability_verdict(lambda1, stability_tol),
-        corollaries=corollary_checks(s, lambda1, gradient_mode, stability_tol),
+        stability=stability_verdict(lambda1),
+        corollaries=corollary_checks(s, lambda1, gradient_mode),
         violations=violations,
     )

@@ -1,6 +1,6 @@
 """Uniformly sampled scalar fields over a circle or an interval.
 
-All heavier machinery (differentiation, quadrature, resampling) lives here so
+All heavier machinery (differentiation, resampling) lives here so
 the geometric modules can stay close to their formulas.  Periodic fields are
 sampled at ``s_j = j * period / n`` (endpoint excluded); interval fields
 include both endpoints.
@@ -68,11 +68,6 @@ class ScalarField1D:
         grid = np.arange(n) * (float(period) / n)
         return ScalarField1D(np.asarray(fn(grid), dtype=float), period=float(period))
 
-    @staticmethod
-    def from_function_on_interval(fn, interval: tuple[float, float], n: int = 257) -> "ScalarField1D":
-        grid = np.linspace(interval[0], interval[1], n)
-        return ScalarField1D(np.asarray(fn(grid), dtype=float), interval=interval)
-
     # --- grid geometry ----------------------------------------------------
 
     @property
@@ -97,13 +92,6 @@ class ScalarField1D:
         a, b = self.interval
         return np.linspace(a, b, self.n)
 
-    @property
-    def length(self) -> float:
-        if self.period is not None:
-            return self.period
-        a, b = self.interval
-        return b - a
-
     def same_grid(self, other: "ScalarField1D") -> bool:
         return (
             self.n == other.n
@@ -120,36 +108,18 @@ class ScalarField1D:
 
     # --- calculus ---------------------------------------------------------
 
-    def mean(self) -> float:
-        """Grid mean; for periodic fields this equals the trapezoid mean."""
-        if self.is_periodic:
-            return float(np.mean(self.samples))
-        return self.integrate() / self.length
-
-    def integrate(self) -> float:
-        """Trapezoid quadrature over the whole domain."""
-        if self.is_periodic:
-            return float(np.sum(self.samples) * self.spacing)
-        return float(np.trapezoid(self.samples, dx=self.spacing))
-
-    def derivative(self, method: str = "auto") -> "ScalarField1D":
+    def derivative(self) -> "ScalarField1D":
         """First derivative on the same grid.
 
-        Periodic fields default to spectral (FFT) differentiation; interval
-        fields to fourth-order Richardson-extrapolated central differences
-        with one-sided stencils at the ends.
+        Periodic fields use spectral (FFT) differentiation; interval fields
+        fourth-order Richardson-extrapolated central differences with
+        one-sided stencils at the ends.
         """
-        if method == "auto":
-            method = "spectral" if self.is_periodic else "central_richardson"
-        if method == "spectral":
-            if not self.is_periodic:
-                raise FieldError("spectral differentiation requires a periodic field")
-            d = _spectral_derivative(self.samples, self.period)
-            return ScalarField1D(d, period=self.period)
-        if method == "central_richardson":
-            d = _central_richardson_derivative(self.samples, self.spacing, self.is_periodic)
-            return ScalarField1D(d, period=self.period, interval=self.interval)
-        raise FieldError(f"unknown differentiation method {method!r}")
+        if self.is_periodic:
+            return ScalarField1D(_spectral_derivative(self.samples, self.period),
+                                 period=self.period)
+        return ScalarField1D(_central_richardson_derivative(self.samples, self.spacing),
+                             interval=self.interval)
 
     def map(self, fn) -> "ScalarField1D":
         return ScalarField1D(np.asarray(fn(self.samples), dtype=float),
@@ -189,25 +159,20 @@ def _spectral_derivative(samples: np.ndarray, period: float) -> np.ndarray:
     return np.fft.irfft(d, n)
 
 
-def _central_richardson_derivative(samples: np.ndarray, h: float, periodic: bool) -> np.ndarray:
+def _central_richardson_derivative(samples: np.ndarray, h: float) -> np.ndarray:
     f = samples
 
     def central(step: int) -> np.ndarray:
-        if periodic:
-            return (np.roll(f, -step) - np.roll(f, step)) / (2 * step * h)
         d = np.empty_like(f)
         d[step:-step] = (f[2 * step:] - f[:-2 * step]) / (2 * step * h)
         d[:step] = np.nan
         d[-step:] = np.nan
         return d
 
-    d1 = central(1)
-    d2 = central(2)
-    out = (4.0 * d1 - d2) / 3.0
-    if not periodic:
-        # second-order one-sided stencils near the endpoints
-        for i in range(2):
-            out[i] = (-3 * f[i] + 4 * f[i + 1] - f[i + 2]) / (2 * h)
-            j = f.size - 1 - i
-            out[j] = (3 * f[j] - 4 * f[j - 1] + f[j - 2]) / (2 * h)
+    out = (4.0 * central(1) - central(2)) / 3.0
+    # second-order one-sided stencils near the endpoints
+    for i in range(2):
+        out[i] = (-3 * f[i] + 4 * f[i + 1] - f[i + 2]) / (2 * h)
+        j = f.size - 1 - i
+        out[j] = (3 * f[j] - 4 * f[j - 1] + f[j - 2]) / (2 * h)
     return out

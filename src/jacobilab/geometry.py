@@ -89,16 +89,13 @@ def combined_integrand(d: CurvatureData):
                      - 2.0 * d.nu * _vertical_root(d.nu) * d.x_tau)
 
 
-def default_regime_tol(kappa_samples) -> float:
-    return 1e-12 * max(1.0, float(np.max(np.abs(kappa_samples))))
-
-
-def classify_regime(kappa_samples, tau_samples, tol: float | None = None) -> Regime:
+def classify_regime(kappa_samples, tau_samples) -> Regime:
     """Classify the sign of kappa - 4 tau^2 over paired samples.
 
-    NULL means |kappa - 4 tau^2| <= tol everywhere (the space-form quotient
-    case, excluded from the eigenvalue bounds); POSITIVE/NEGATIVE require the
-    strict sign beyond tol at every sample, anything else is MIXED.
+    With tol = 1e-12 max(1, max |kappa|), NULL means |kappa - 4 tau^2| <= tol
+    everywhere (the space-form quotient case, excluded from the eigenvalue
+    bounds); POSITIVE/NEGATIVE require the strict sign beyond tol at every
+    sample, anything else is MIXED.
     """
     kappa = np.asarray(kappa_samples, dtype=float)
     tau = np.asarray(tau_samples, dtype=float)
@@ -106,10 +103,7 @@ def classify_regime(kappa_samples, tau_samples, tol: float | None = None) -> Reg
         raise ValueError("regime classification needs nonempty samples")
     if kappa.shape != tau.shape:
         raise ValueError(f"sample length mismatch: {kappa.shape} vs {tau.shape}")
-    if tol is None:
-        tol = default_regime_tol(kappa)
-    if tol < 0:
-        raise ValueError("tol must be >= 0")
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(kappa))))
     w = kappa - 4.0 * tau**2
     if np.all(np.abs(w) <= tol):
         return Regime.NULL

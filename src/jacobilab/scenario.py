@@ -506,7 +506,7 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
 
     series = {}
     outputs = doc.get("outputs", {})
-    for kind in outputs.get("series", []):
+    for kind in outputs.get("series") or []:
         if kind == "potential" and torus:
             qf = q
             series["potential"] = format_csv(

@@ -332,18 +332,19 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
     )
 
 
-def solve_torus_2d(problem: SpectralProblem, m: int = 6,
-                   fiber_truncation: int = 8) -> SpectralResult:
+def solve_torus_2d(problem: SpectralProblem, m: int = 6) -> SpectralResult:
     """Lowest ``m`` eigenvalues on the L x ell torus, fiber modes included.
 
     For fiber-constant potentials fiber mode k only adds (2 pi k / ell)^2 to
-    the circle spectrum mu_i, so the torus spectrum over |k| <=
-    fiber_truncation is the sorted merge of {mu_i + (2 pi k / ell)^2}, each
-    k != 0 counted twice (cos and sin along the fiber).  The circle solve,
-    its ground state and its convergence check are those of :func:`solve`.
+    the circle spectrum mu_i, so the torus spectrum is the sorted merge of
+    {mu_i + (2 pi k / ell)^2}, each k != 0 counted twice (cos and sin along
+    the fiber).  Fiber modes |k| <= m // 2 suffice: the 1 + 2 (m // 2) >= m
+    values mu_1 + (2 pi j / ell)^2, |j| <= m // 2, lie strictly below every
+    value of a mode |k| > m // 2.  The circle solve, its ground state and its
+    convergence check are those of :func:`solve`.
     """
     circle = solve(problem, m=m)
-    k = np.concatenate(([0], np.repeat(np.arange(1, fiber_truncation + 1), 2)))
+    k = np.concatenate(([0], np.repeat(np.arange(1, m // 2 + 1), 2)))
     fiber_kinetic = (2.0 * np.pi / problem.fiber_length) ** 2 * k.astype(float) ** 2
     eigenvalues = np.sort((fiber_kinetic[:, None] + circle.eigenvalues).ravel())[:m]
     return SpectralResult(
@@ -400,7 +401,7 @@ def rayleigh_quotient(problem: SpectralProblem, f: ScalarField1D) -> float:
     denom = float(np.sum(f2))
     if denom == 0.0:
         raise ValueError("test function must be nonzero")
-    df = f.derivative("spectral").samples
+    df = f.derivative().samples
     num = float(np.sum(df**2) - np.sum(problem.potential.samples * f2))
     return num / denom
 
@@ -418,7 +419,7 @@ def alpha_invariant(rho: ScalarField1D, area: float) -> float:
     if L is None:
         raise FieldError("rho must be periodic")
     ell = area / L
-    dr = rho.derivative("spectral").samples
+    dr = rho.derivative().samples
     integrand = (dr / rho.samples) ** 2
     return ell * float(np.sum(integrand)) * (L / rho.n)
 

@@ -15,12 +15,8 @@ from typing import Any
 
 import numpy as np
 
-from .errors import FieldError, ModelError
+from .errors import ModelError
 from .fields import ScalarField1D
-from .geometry import Regime, classify_regime
-
-
-MIN_DIFF_SAMPLES = 8
 
 
 class ModelKind(Enum):
@@ -74,23 +70,21 @@ class SubmersionModel:
         return self.fiber_length is not None
 
 
-def homogeneous_model(kappa: float, tau: float, fiber_length: float,
-                      n: int = 512, name: str = "") -> SubmersionModel:
+def homogeneous_model(kappa: float, tau: float, fiber_length: float) -> SubmersionModel:
     """Model with constant curvature data (a homogeneous 3-manifold)."""
     if not (math.isfinite(fiber_length) and fiber_length > 0):
         raise ModelError(f"fiber_length must be positive, got {fiber_length}")
     period = 2.0 * math.pi
     return SubmersionModel(
         kind=ModelKind.HOMOGENEOUS,
-        kappa_field=ScalarField1D.constant(kappa, period, n),
-        tau_field=ScalarField1D.constant(tau, period, n),
+        kappa_field=ScalarField1D.constant(kappa, period),
+        tau_field=ScalarField1D.constant(tau, period),
         fiber_length=float(fiber_length),
-        name=name or f"homogeneous(kappa={kappa}, tau={tau})",
+        name=f"homogeneous(kappa={kappa}, tau={tau})",
     )
 
 
-def product_model(kappa_field: ScalarField1D, fiber_length: float | None,
-                  name: str = "") -> SubmersionModel:
+def product_model(kappa_field: ScalarField1D, fiber_length: float | None) -> SubmersionModel:
     """Product of a base surface with a circle (finite fiber) or a line."""
     if fiber_length is not None and not (math.isfinite(fiber_length) and fiber_length > 0):
         raise ModelError(f"fiber_length must be positive, got {fiber_length}")
@@ -101,29 +95,5 @@ def product_model(kappa_field: ScalarField1D, fiber_length: float | None,
         kappa_field=kappa_field,
         tau_field=tau0,
         fiber_length=None if fiber_length is None else float(fiber_length),
-        name=name or "product",
+        name="product",
     )
-
-
-def gradient_norm_field(model: SubmersionModel, mode: GradientMode,
-                        method: str = "auto") -> ScalarField1D:
-    """Sampled |grad tau| over the model's base parameter.
-
-    AMBIENT differentiates the sampled tau field numerically (spectral on
-    periodic grids, Richardson central differences otherwise).  INTRINSIC
-    follows the curve a lifted surface lives over: for warped models that
-    curve is a parallel transverse to the base parameter, so tau is constant
-    along it and the field is identically zero; for the other kinds the base
-    parameter itself parametrizes the curve.
-    """
-    if model.tau_field.n < MIN_DIFF_SAMPLES:
-        raise FieldError("too few samples to differentiate tau")
-    if mode is GradientMode.INTRINSIC_ON_SURFACE and model.kind is ModelKind.WARPED:
-        return ScalarField1D(np.zeros(model.tau_field.n),
-                             period=model.tau_field.period,
-                             interval=model.tau_field.interval)
-    return model.tau_field.derivative(method).map(np.abs)
-
-
-def model_regime(model: SubmersionModel, tol: float | None = None) -> Regime:
-    return classify_regime(model.kappa_field.samples, model.tau_field.samples, tol)

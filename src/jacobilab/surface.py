@@ -90,15 +90,6 @@ class HopfTorus:
     def genus(self) -> int:
         return 1
 
-    @property
-    def angle_function(self) -> float:
-        return 0.0
-
-    def shape_operator_norm2(self) -> ScalarField1D:
-        """|A|^2 = 4 H^2 + 2 tau^2 along the curve."""
-        h2 = 4.0 * self.mean_curvature**2
-        return self.tau_on_curve.map(lambda t: h2 + 2.0 * t**2)
-
     def grad_tau(self, mode: GradientMode) -> ScalarField1D:
         if mode is GradientMode.AMBIENT:
             return self.grad_tau_ambient
@@ -222,7 +213,7 @@ def hopf_torus(model: SubmersionModel, curve_length: float, k_g: float,
     if not kappa_on_curve.same_grid(tau_on_curve):
         raise SurfaceError("kappa_on_curve and tau_on_curve must share one grid")
 
-    grad_intrinsic = tau_on_curve.derivative("spectral").map(np.abs)
+    grad_intrinsic = tau_on_curve.derivative().map(np.abs)
     if grad_tau_ambient is None:
         grad_tau_ambient = grad_intrinsic
     elif not grad_tau_ambient.same_grid(tau_on_curve):
@@ -241,8 +232,7 @@ def hopf_torus(model: SubmersionModel, curve_length: float, k_g: float,
 
 
 def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
-                     kappa: float | SampledKappa | None = None,
-                     name: str = "") -> HorizontalSlice:
+                     kappa: float | SampledKappa | None = None) -> HorizontalSlice:
     """Build a horizontal slice of a model whose tau vanishes on the surface.
 
     Constant-curvature slices must satisfy the total-curvature constraint
@@ -271,7 +261,7 @@ def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
                 f"(needs 2*pi*chi = {chi_term:g})")
 
     return HorizontalSlice(base_area=float(base_area), genus=int(genus), kappa=kappa,
-                           name=name or f"slice(genus={genus})")
+                           name=f"slice(genus={genus})")
 
 
 # --- derived quantities -----------------------------------------------------
@@ -295,15 +285,7 @@ def gauss_bonnet_check(s: SurfaceModel) -> float:
     return abs(s.kappa_integral() - 2.0 * math.pi * s.euler_characteristic)
 
 
-def umbilicity_defect(s: SurfaceModel) -> ScalarField1D | float:
-    """|phi|^2 = |A|^2 - 2 H^2, the squared traceless second fundamental form."""
-    if isinstance(s, HorizontalSlice):
-        return 0.0
-    h2 = 2.0 * s.mean_curvature**2
-    return s.tau_on_curve.map(lambda t: h2 + 2.0 * t**2)
-
-
-def surface_regime(s: SurfaceModel, tol: float | None = None) -> Regime:
+def surface_regime(s: SurfaceModel) -> Regime:
     """Regime of kappa - 4 tau^2 sampled over the surface itself."""
     kappa, tau, _ = s.samples(GradientMode.INTRINSIC_ON_SURFACE)
-    return classify_regime(kappa, tau, tol)
+    return classify_regime(kappa, tau)

@@ -295,7 +295,7 @@ def check_warped_example(seed: int = DEFAULT_SEED) -> CheckResult:
         ddth = float(np.asarray(profile.theta_second(u)))
         th = float(np.asarray(profile.theta(u)))
         # (a) closed form vs -f''/f finite differences
-        oracle = base_curvature_oracle(profile, u, h=1e-4)
+        oracle = base_curvature_oracle(profile, u)
         if abs(oracle - kappa_u) > 1e-5:
             ok = False
             msgs.append(f"u={u}: oracle gap {abs(oracle - kappa_u):.2e}")

@@ -58,9 +58,6 @@ class ThetaProfile:
         """Warping function of the base, f = sin(2 theta) / 2."""
         return 0.5 * np.sin(2.0 * np.asarray(self.theta(u)))
 
-    def f_prime(self, u):
-        return np.asarray(self.theta_prime(u)) * np.cos(2.0 * np.asarray(self.theta(u)))
-
     def kappa(self, u):
         """Base Gaussian curvature 4 theta'^2 - 2 cot(2 theta) theta''."""
         u = np.asarray(u, dtype=float)
@@ -70,9 +67,6 @@ class ThetaProfile:
 
     def tau(self, u):
         return -np.asarray(self.theta_prime(u))
-
-    def dtau(self, u):
-        return -np.asarray(self.theta_second(u))
 
 
 def _check_range(theta_values) -> None:
@@ -110,7 +104,7 @@ def constant_profile(value: float) -> ThetaProfile:
     )
 
 
-def sampled_profile(theta_field: ScalarField1D, name: str = "sampled") -> ThetaProfile:
+def sampled_profile(theta_field: ScalarField1D) -> ThetaProfile:
     """Profile from theta samples on an interval grid.
 
     Derivatives come from Richardson-extrapolated central differences on the
@@ -120,14 +114,14 @@ def sampled_profile(theta_field: ScalarField1D, name: str = "sampled") -> ThetaP
         raise ModelError("sampled profiles are defined on an interval")
     _check_range(theta_field.samples)
     grid = theta_field.grid
-    d1 = theta_field.derivative("central_richardson").samples
-    d2 = theta_field.derivative("central_richardson").derivative("central_richardson").samples
+    d1 = theta_field.derivative().samples
+    d2 = theta_field.derivative().derivative().samples
 
     def interp(values):
         return lambda u: np.interp(np.asarray(u, dtype=float), grid, values)
 
     return ThetaProfile(
-        name=name,
+        name="sampled",
         theta=interp(theta_field.samples),
         theta_prime=interp(d1),
         theta_second=interp(d2),
@@ -171,15 +165,14 @@ def submersion_from_theta(profile: ThetaProfile,
     )
 
 
-def base_curvature_oracle(profile: ThetaProfile, x: float, h: float = 1e-4) -> float:
+def base_curvature_oracle(profile: ThetaProfile, x: float) -> float:
     """Finite-difference estimate -f''(x)/f(x) of the base curvature.
 
     Independent of the closed form: only theta itself is evaluated, at the
-    three-point central stencil.  ``x`` must sit inside the interval with a
-    margin of at least 2 h.
+    three-point central stencil of step h = 1e-4.  ``x`` must sit inside
+    the interval with a margin of at least 2 h.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    h = 1e-4
     lo, hi = profile.interval
     if not (lo + 2 * h <= x <= hi - 2 * h):
         raise ModelError(f"x = {x} leaves the profile interval with margin 2h")

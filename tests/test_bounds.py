@@ -6,10 +6,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from jacobilab import (EqualityStatus, GradientMode, Regime, RegimeMismatchError,
                        SampledKappa, ScalarField1D, TheoremPart, Verdict,
-                       alpha_invariant, bound_thm_minus_i, bound_thm_minus_ii,
-                       bound_thm_plus_i, bound_thm_plus_ii, build_bound_report,
-                       corollary_checks, equality_classify, homogeneous_model,
-                       hopf_torus, horizontal_slice, product_model, solve_surface,
+                       alpha_invariant, build_bound_report, corollary_checks,
+                       equality_classify, homogeneous_model, hopf_torus,
+                       horizontal_slice, product_model, solve_surface,
                        stability_verdict, surface_regime, theorem_bound)
 from jacobilab.bounds import REGIME_PARTS
 from jacobilab.scenario import run_scenario
@@ -36,44 +35,44 @@ def genus2_slice():
 
 def test_plus_i_slice_equality():
     s = sphere_slice()
-    assert bound_thm_plus_i(s) == pytest.approx(0.0, abs=1e-15)
+    assert theorem_bound(s, TheoremPart.PLUS_I) == pytest.approx(0.0, abs=1e-15)
     lam = solve_surface(s).lambda1
-    eq = equality_classify(s, lam, bound_thm_plus_i(s), TheoremPart.PLUS_I)
+    eq = equality_classify(s, lam, theorem_bound(s, TheoremPart.PLUS_I), TheoremPart.PLUS_I)
     assert eq.status is EqualityStatus.EQUALITY
 
 
 def test_plus_i_hopf_strict():
     t = torus(4.0, 0.5, 0.0)
-    assert bound_thm_plus_i(t) == pytest.approx(-0.5, abs=1e-14)
+    assert theorem_bound(t, TheoremPart.PLUS_I) == pytest.approx(-0.5, abs=1e-14)
     lam = solve_surface(t).lambda1
     assert lam == pytest.approx(-4.0, abs=1e-10)
-    eq = equality_classify(t, lam, bound_thm_plus_i(t), TheoremPart.PLUS_I)
+    eq = equality_classify(t, lam, theorem_bound(t, TheoremPart.PLUS_I), TheoremPart.PLUS_I)
     assert eq.status is EqualityStatus.NO_EQUALITY
 
 
 def test_plus_i_hopf_with_mean_curvature():
     t = torus(4.0, 0.5, 1.0)
-    assert bound_thm_plus_i(t) == pytest.approx(-2.5, abs=1e-14)
+    assert theorem_bound(t, TheoremPart.PLUS_I) == pytest.approx(-2.5, abs=1e-14)
     assert solve_surface(t).lambda1 == pytest.approx(-8.0, abs=1e-10)
 
 
 def test_plus_ii_hopf_equality():
     t = torus(4.0, 0.5, 0.0)
-    assert bound_thm_plus_ii(t) == pytest.approx(-4.0, abs=1e-14)
+    assert theorem_bound(t, TheoremPart.PLUS_II) == pytest.approx(-4.0, abs=1e-14)
     lam = solve_surface(t).lambda1
-    eq = equality_classify(t, lam, bound_thm_plus_ii(t), TheoremPart.PLUS_II)
+    eq = equality_classify(t, lam, theorem_bound(t, TheoremPart.PLUS_II), TheoremPart.PLUS_II)
     assert eq.status is EqualityStatus.EQUALITY
     t2 = torus(4.0, 0.5, 0.5)
-    assert bound_thm_plus_ii(t2) == pytest.approx(-5.0, abs=1e-14)
+    assert theorem_bound(t2, TheoremPart.PLUS_II) == pytest.approx(-5.0, abs=1e-14)
     assert solve_surface(t2).lambda1 == pytest.approx(-5.0, abs=1e-10)
 
 
 def test_plus_ii_slice_strict():
     s = sphere_slice()
-    assert bound_thm_plus_ii(s) == pytest.approx(1.0, abs=1e-14)
+    assert theorem_bound(s, TheoremPart.PLUS_II) == pytest.approx(1.0, abs=1e-14)
     lam = solve_surface(s).lambda1
     assert lam == 0.0
-    eq = equality_classify(s, lam, bound_thm_plus_ii(s), TheoremPart.PLUS_II)
+    eq = equality_classify(s, lam, theorem_bound(s, TheoremPart.PLUS_II), TheoremPart.PLUS_II)
     assert eq.status is EqualityStatus.NO_EQUALITY
 
 
@@ -81,41 +80,41 @@ def test_plus_ii_slice_strict():
 
 def test_minus_i_values():
     t = torus(0.0, 1.0, 0.0)
-    assert bound_thm_minus_i(t) == pytest.approx(2.0, abs=1e-14)
+    assert theorem_bound(t, TheoremPart.MINUS_I) == pytest.approx(2.0, abs=1e-14)
     assert solve_surface(t).lambda1 == pytest.approx(0.0, abs=1e-10)
     # equality additionally requires tau = 0 on the surface, impossible here
-    eq = equality_classify(t, 0.0, bound_thm_minus_i(t), TheoremPart.MINUS_I)
+    eq = equality_classify(t, 0.0, theorem_bound(t, TheoremPart.MINUS_I), TheoremPart.MINUS_I)
     assert eq.status is EqualityStatus.NO_EQUALITY
 
 
 def test_minus_i_product_minimal_torus_equality():
     t = torus(-1.0, 0.0, 0.0)
-    assert bound_thm_minus_i(t) == pytest.approx(1.0, abs=1e-14)
+    assert theorem_bound(t, TheoremPart.MINUS_I) == pytest.approx(1.0, abs=1e-14)
     lam = solve_surface(t).lambda1
     assert lam == pytest.approx(1.0, abs=1e-10)
-    eq = equality_classify(t, lam, bound_thm_minus_i(t), TheoremPart.MINUS_I)
+    eq = equality_classify(t, lam, theorem_bound(t, TheoremPart.MINUS_I), TheoremPart.MINUS_I)
     assert eq.status is EqualityStatus.EQUALITY
 
 
 def test_minus_i_cmc_strict():
     t = torus(-1.0, 0.0, 0.5)
-    assert bound_thm_minus_i(t) == pytest.approx(0.5, abs=1e-14)
+    assert theorem_bound(t, TheoremPart.MINUS_I) == pytest.approx(0.5, abs=1e-14)
     assert solve_surface(t).lambda1 == pytest.approx(0.0, abs=1e-10)
 
 
 def test_minus_ii_genus2_slice_equality():
     s = genus2_slice()
-    assert bound_thm_minus_ii(s) == pytest.approx(0.0, abs=1e-14)
+    assert theorem_bound(s, TheoremPart.MINUS_II) == pytest.approx(0.0, abs=1e-14)
     lam = solve_surface(s).lambda1
-    eq = equality_classify(s, lam, bound_thm_minus_ii(s), TheoremPart.MINUS_II)
+    eq = equality_classify(s, lam, theorem_bound(s, TheoremPart.MINUS_II), TheoremPart.MINUS_II)
     assert eq.status is EqualityStatus.EQUALITY
 
 
 def test_minus_ii_hopf_strict():
     t = torus(0.0, 1.0, 0.0)
-    assert bound_thm_minus_ii(t) == pytest.approx(4.0, abs=1e-14)
+    assert theorem_bound(t, TheoremPart.MINUS_II) == pytest.approx(4.0, abs=1e-14)
     t2 = torus(-1.0, 0.0, 0.0)
-    assert bound_thm_minus_ii(t2) == pytest.approx(2.0, abs=1e-14)
+    assert theorem_bound(t2, TheoremPart.MINUS_II) == pytest.approx(2.0, abs=1e-14)
     assert solve_surface(t2).lambda1 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -126,12 +125,12 @@ def test_bounds_refuse_wrong_regime():
     negative = torus(0.0, 1.0, 0.0)
     null = torus(4.0, 1.0, 0.0)
     with pytest.raises(RegimeMismatchError):
-        bound_thm_minus_i(positive)
+        theorem_bound(positive, TheoremPart.MINUS_I)
     with pytest.raises(RegimeMismatchError):
-        bound_thm_plus_i(negative)
-    for fn in (bound_thm_plus_i, bound_thm_plus_ii, bound_thm_minus_i, bound_thm_minus_ii):
+        theorem_bound(negative, TheoremPart.PLUS_I)
+    for part in TheoremPart:
         with pytest.raises(RegimeMismatchError):
-            fn(null)
+            theorem_bound(null, part)
 
 
 def test_report_refuses_null_regime():
@@ -145,16 +144,14 @@ def test_stability_verdicts():
     assert stability_verdict(-4.0) is Verdict.UNSTABLE
     assert stability_verdict(0.0) is Verdict.MARGINAL
     assert stability_verdict(1.0) is Verdict.STRONGLY_STABLE
-    assert stability_verdict(5e-9, tol=1e-8) is Verdict.MARGINAL
-    with pytest.raises(ValueError):
-        stability_verdict(0.0, tol=-1.0)
+    assert stability_verdict(5e-9) is Verdict.MARGINAL
 
 
 # --- equality anomaly flag -------------------------------------------------------------
 
 def test_numeric_equality_without_characterization_is_anomalous():
     t = torus(0.0, 1.0, 0.0)  # negative regime, tau != 0
-    bound = bound_thm_minus_i(t)
+    bound = theorem_bound(t, TheoremPart.MINUS_I)
     eq = equality_classify(t, bound, bound, TheoremPart.MINUS_I)
     assert eq.numeric_equality and not eq.characterization_holds
     assert eq.status is EqualityStatus.ANOMALY
@@ -162,7 +159,7 @@ def test_numeric_equality_without_characterization_is_anomalous():
 
 def test_characterization_without_numeric_equality_is_anomalous():
     t = torus(-1.0, 0.0, 0.0)
-    bound = bound_thm_minus_i(t)
+    bound = theorem_bound(t, TheoremPart.MINUS_I)
     eq = equality_classify(t, bound - 1.0, bound, TheoremPart.MINUS_I)
     assert not eq.numeric_equality and eq.characterization_holds
     assert eq.status is EqualityStatus.ANOMALY
@@ -209,7 +206,7 @@ def test_constant_tau_specializations():
     # with tau constant: bound_plus_i == -2 (H^2 + tau^2)
     t = torus(4.0, 0.5, 0.7)
     h2 = 0.49
-    assert bound_thm_plus_i(t) == pytest.approx(-2.0 * (h2 + 0.25), abs=1e-13)
+    assert theorem_bound(t, TheoremPart.PLUS_I) == pytest.approx(-2.0 * (h2 + 0.25), abs=1e-13)
     tm = torus(-1.0, 0.3, 0.2)
     records = {r.name: r for r in corollary_checks(tm, solve_surface(tm).lambda1)}
     expect_i = -2.0 * (0.04 - 0.09) - (-1.0)
@@ -227,7 +224,7 @@ def test_report_round_trip():
     lam = solve_surface(t).lambda1
     rep = build_bound_report(t, lam)
     assert rep.stability is Verdict.UNSTABLE
-    assert not rep.has_violation
+    assert rep.violations == []
     d = rep.to_dict()
     assert d["regime"] == "positive"
     assert d["bounds"]["intrinsic_on_surface"]["equality_ii"]["status"] == "equality"
@@ -237,7 +234,7 @@ def test_report_round_trip():
 def test_report_flags_violation():
     t = torus(4.0, 0.5, 0.0)
     rep = build_bound_report(t, lambda1=10.0)  # deliberately impossible value
-    assert rep.has_violation
+    assert rep.violations
 
 
 # --- weighted slices: kappa given at quadrature nodes with their weights ----------------

@@ -178,6 +178,14 @@ def test_series_files_and_determinism(tmp_path):
     assert float(pot_lines[1].split(",")[1]) == pytest.approx(4.0)
 
 
+def test_null_series_writes_only_the_report(tmp_path):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(berger_doc(outputs={"series": None})))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == ["berger_minimal_hopf.report.json"]
+
+
 def test_fd_convergence_series_starts_at_fd_minimum(tmp_path):
     doc = berger_doc(solver={"backend": "fd", "truncation": 256},
                      outputs={"series": ["convergence"]})

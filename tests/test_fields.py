@@ -42,26 +42,14 @@ def test_samples_are_immutable():
 
 def test_spectral_derivative_of_sin():
     f = ScalarField1D.from_function(np.sin, 2 * np.pi, n=256)
-    d = f.derivative("spectral")
+    d = f.derivative()
     assert np.max(np.abs(d.samples - np.cos(f.grid))) < 1e-12
 
 
-def test_central_richardson_derivative_periodic():
-    f = ScalarField1D.from_function(np.sin, 2 * np.pi, n=256)
-    d = f.derivative("central_richardson")
-    assert np.max(np.abs(d.samples - np.cos(f.grid))) < 1e-6
-
-
 def test_central_richardson_on_interval_endpoints():
-    f = ScalarField1D.from_function_on_interval(lambda x: x**2, (0.0, 1.0), n=101)
+    f = ScalarField1D.on_interval(np.linspace(0.0, 1.0, 101) ** 2, (0.0, 1.0))
     d = f.derivative()
     assert np.max(np.abs(d.samples - 2.0 * f.grid)) < 1e-8
-
-
-def test_integrate_periodic_exact_for_harmonics():
-    f = ScalarField1D.from_function(lambda s: 2.0 + np.cos(s), 2 * np.pi, n=64)
-    assert f.integrate() == pytest.approx(4 * np.pi, abs=1e-12)
-    assert f.mean() == pytest.approx(2.0, abs=1e-14)
 
 
 def test_resample_band_limited_is_exact():

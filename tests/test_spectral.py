@@ -112,27 +112,39 @@ def test_potential_shift_covariance():
 def test_reduction_matches_2d_for_fiber_constant_potentials():
     p = problem(lambda s: 1.0 + 0.3 * np.cos(s), ell=3.0, K=24)
     r1 = solve(p)
-    r2 = solve_torus_2d(p, fiber_truncation=6)
+    r2 = solve_torus_2d(p)
     assert abs(r1.lambda1 - r2.lambda1) < 1e-8
     assert r2.convergence_estimate == r1.convergence_estimate
 
 
 def test_torus_spectrum_matches_kron_reference():
     # reference: the full tensor-mode matrix over circle modes x fiber modes
-    # |k| <= 4, block-diagonal for fiber-constant potentials
-    K, F, m = 16, 4, 12
+    # |k| <= m // 2, block-diagonal for fiber-constant potentials
+    K, m = 16, 12
+    F = m // 2
     p = problem(lambda s: 1.0 + 0.8 * np.cos(s) + 0.3 * np.sin(2 * s), ell=3.0, K=K)
     H1 = assemble_fourier(TWO_PI, p.potential.samples, K)
     k = np.concatenate(([0.0], np.arange(1.0, F + 1), np.arange(1.0, F + 1)))
     fiber = (TWO_PI / 3.0) ** 2 * k**2
     H = np.kron(np.eye(k.size), H1) + np.kron(np.diag(fiber), np.eye(H1.shape[0]))
     ref = np.linalg.eigvalsh(H)[:m]
-    r = solve_torus_2d(p, m=m, fiber_truncation=F)
+    r = solve_torus_2d(p, m=m)
     assert r.eigenvalues.shape == (m,)
     # the merge mixes fiber modes into the lowest m: mode k = 1 enters twice
     assert np.sum(np.isclose(r.eigenvalues, r.lambda1 + fiber[1], atol=1e-9)) == 2
     assert np.max(np.abs(r.eigenvalues - ref)) <= ulp_tol(64, H)
     assert r.lambda1 == solve(p).lambda1
+
+
+@pytest.mark.parametrize("m", [18, 40])
+def test_torus_spectrum_keeps_every_fiber_mode_it_needs(m):
+    # on a long fiber (2 pi / ell)^2 = 0.01, so fiber modes up to |k| = m // 2
+    # enter the lowest m; compare with a merge over every |k| <= m
+    p = problem(lambda s: 1.0 + 0.3 * np.cos(s), ell=20 * math.pi)
+    mu = solve(p, m=m).eigenvalues
+    k = np.arange(-m, m + 1, dtype=float)
+    ref = np.sort(((TWO_PI / p.fiber_length) ** 2 * k[:, None] ** 2 + mu).ravel())[:m]
+    assert np.array_equal(solve_torus_2d(p, m=m).eigenvalues, ref)
 
 
 def test_assembled_matrices_exactly_symmetric(rng):

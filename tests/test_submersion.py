@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from jacobilab import (GradientMode, ModelError, ModelKind, Regime,
-                       ScalarField1D, gradient_norm_field, half_arctan_profile,
-                       homogeneous_model, model_regime, product_model,
+                       ScalarField1D, half_arctan_profile, homogeneous_model,
+                       hopf_torus, parallel_hopf_torus, product_model,
                        submersion_from_theta)
+from conftest import base_regime
 
 
 def test_homogeneous_model_regimes():
-    assert model_regime(homogeneous_model(4.0, 0.5, 2 * math.pi)) is Regime.POSITIVE
-    assert model_regime(homogeneous_model(0.0, 1.0, 2 * math.pi)) is Regime.NEGATIVE
-    assert model_regime(homogeneous_model(4.0, 1.0, 2 * math.pi)) is Regime.NULL
+    assert base_regime(homogeneous_model(4.0, 0.5, 2 * math.pi)) is Regime.POSITIVE
+    assert base_regime(homogeneous_model(0.0, 1.0, 2 * math.pi)) is Regime.NEGATIVE
+    assert base_regime(homogeneous_model(4.0, 1.0, 2 * math.pi)) is Regime.NULL
 
 
 def test_homogeneous_model_rejects_bad_fiber():
@@ -39,34 +40,27 @@ def test_product_model_noncompact_fiber():
 def test_product_model_regimes():
     sphere = product_model(ScalarField1D.constant(1.0, 2 * math.pi), 2 * math.pi)
     hyperbolic = product_model(ScalarField1D.constant(-1.0, 2 * math.pi), 2 * math.pi)
-    assert model_regime(sphere) is Regime.POSITIVE
-    assert model_regime(hyperbolic) is Regime.NEGATIVE
+    assert base_regime(sphere) is Regime.POSITIVE
+    assert base_regime(hyperbolic) is Regime.NEGATIVE
 
 
 def test_gradient_norm_constant_field_vanishes():
-    m = homogeneous_model(4.0, 0.5, 2 * math.pi)
+    t = hopf_torus(homogeneous_model(4.0, 0.5, 2 * math.pi), 2 * math.pi, 0.0)
     for mode in GradientMode:
-        g = gradient_norm_field(m, mode)
-        assert np.max(np.abs(g.samples)) < 1e-10
+        assert np.max(np.abs(t.grad_tau(mode).samples)) < 1e-10
 
 
 def test_gradient_norm_spectral_accuracy():
-    # tau(v) = sin v should differentiate to |cos v| at spectral accuracy
-    kappa = ScalarField1D.constant(1.0, 2 * np.pi, 256)
+    # tau(v) = sin v on a circle should differentiate to |cos v| at spectral accuracy
     tau = ScalarField1D.from_function(np.sin, 2 * np.pi, 256)
-    from jacobilab import SubmersionModel
-    m = SubmersionModel(kind=ModelKind.WARPED, kappa_field=kappa, tau_field=tau,
-                        fiber_length=2 * math.pi)
-    g = gradient_norm_field(m, GradientMode.AMBIENT, method="spectral")
+    g = tau.derivative().map(np.abs)
     assert np.max(np.abs(g.samples - np.abs(np.cos(tau.grid)))) < 1e-8
-    g2 = gradient_norm_field(m, GradientMode.AMBIENT, method="central_richardson")
-    assert np.max(np.abs(g2.samples - np.abs(np.cos(tau.grid)))) < 1e-3
 
 
 def test_gradient_norm_warped_modes():
     # grid of (0.5, 1.5) with 257 points contains x = 1 exactly
     model = submersion_from_theta(half_arctan_profile(), window=(0.5, 1.5), n=257)
-    ambient = gradient_norm_field(model, GradientMode.AMBIENT)
+    ambient = model.tau_field.derivative().map(np.abs)
     # tau = -theta', so |d tau/dx| = |theta''| = x / (1+x^2)^2
     x = model.tau_field.grid
     expect = np.abs(x / (1 + x**2) ** 2)
@@ -75,8 +69,9 @@ def test_gradient_norm_warped_modes():
     i = np.argmin(np.abs(x - 1.0))
     assert x[i] == pytest.approx(1.0, abs=1e-12)
     assert ambient.samples[i] == pytest.approx(0.25, abs=1e-6)
-    intrinsic = gradient_norm_field(model, GradientMode.INTRINSIC_ON_SURFACE)
-    assert np.all(intrinsic.samples == 0.0)
+    # tau is constant along the parallel torus: its intrinsic reading vanishes
+    torus = parallel_hopf_torus(model, float(x[i]))
+    assert np.all(torus.grad_tau(GradientMode.INTRINSIC_ON_SURFACE).samples == 0.0)
 
 
 def test_model_fields_share_grid():

@@ -10,7 +10,7 @@ import jacobilab
 from jacobilab import (GradientMode, ModelError, SampledKappa, ScalarField1D,
                        SurfaceError, gauss_bonnet_check, homogeneous_model,
                        hopf_torus, horizontal_slice, potential_field,
-                       product_model, surface_regime, umbilicity_defect, Regime)
+                       product_model, surface_regime, Regime)
 
 TWO_PI = 2 * math.pi
 
@@ -24,15 +24,15 @@ def test_minimal_hopf_torus_basics():
     assert t.mean_curvature == 0.0
     assert t.area == pytest.approx(4 * math.pi**2)
     assert t.genus == 1
-    assert t.angle_function == 0.0
     assert gauss_bonnet_check(t) == 0.0
 
 
 def test_hopf_torus_shape_operator():
     t = hopf_torus(berger_like(), TWO_PI, 1.0)
     assert t.mean_curvature == 0.5
-    # |A|^2 = 4 H^2 + 2 tau^2 = 1 + 0.5
-    assert np.all(t.shape_operator_norm2().samples == pytest.approx(1.5, abs=1e-15))
+    # q = |A|^2 + Ric(N, N) with |A|^2 = 4 H^2 + 2 tau^2 = 1 + 0.5 and
+    # Ric(N, N) = kappa - 2 tau^2 = 3.5
+    assert np.all(potential_field(t).samples == pytest.approx(5.0, abs=1e-15))
 
 
 def test_hopf_torus_requires_compact_fibers():
@@ -75,20 +75,6 @@ def test_potential_field_variable_kappa():
     q = potential_field(t)
     expect = 1.0 + 1 + 0.3 * np.cos(q.grid)
     assert np.max(np.abs(q.samples - expect)) < 1e-14
-
-
-def test_umbilicity_defect():
-    slice_ = horizontal_slice(product_model(ScalarField1D.constant(1.0, TWO_PI), TWO_PI),
-                              base_area=4 * math.pi, genus=0)
-    assert umbilicity_defect(slice_) == 0.0
-    t = hopf_torus(berger_like(), TWO_PI, 0.0)
-    assert np.all(umbilicity_defect(t).samples == pytest.approx(0.5, abs=1e-15))
-    t2 = hopf_torus(homogeneous_model(-1.0, 0.0, TWO_PI), TWO_PI, 1.0)
-    assert np.all(umbilicity_defect(t2).samples == pytest.approx(0.5, abs=1e-15))
-    # vanishes exactly when both H and tau do (totally geodesic lift)
-    flat = hopf_torus(homogeneous_model(-1.0, 0.0, TWO_PI), TWO_PI, 0.0)
-    assert np.all(umbilicity_defect(flat).samples == 0.0)
-    assert np.all(umbilicity_defect(t).samples > 0.0)
 
 
 def test_slice_gauss_bonnet_validation():

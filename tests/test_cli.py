@@ -228,6 +228,70 @@ def test_shipped_scenario_outputs_are_pinned(tmp_path):
     assert digests == SHIPPED_OUTPUT_SHA256
 
 
+def _product_tau_torus(kappa_mean):
+    return {
+        "model": {"kind": "product", "fiber_length": TWO_PI,
+                  "kappa": {"mean": kappa_mean, "cos": [0.3]}},
+        "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                    "geodesic_curvature": 0.5,
+                    "kappa": {"mean": kappa_mean, "cos": [0.3]},
+                    "tau": {"mean": 0.2, "cos": [0.1]}},
+        "gradient_mode": "ambient",
+    }
+
+
+# Inline documents that together emit every corollary record in both regimes:
+# constant and varying tau, nonzero |grad tau|, the area-genus consequence
+# and a Gauss-weighted genus-2 slice.  Same contract as the table above.
+PINNED_DOCS = {
+    "homogeneous_negative": {
+        "model": {"kind": "homogeneous", "kappa": 0.5, "tau": 0.5, "fiber_length": TWO_PI},
+        "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                    "geodesic_curvature": 0.4}},
+    "homogeneous_marginal": {
+        "model": {"kind": "homogeneous", "kappa": 0.0, "tau": 1.0, "fiber_length": TWO_PI},
+        "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                    "geodesic_curvature": 0.0}},
+    # |H| = tau with kappa 0: the constant-tau right-hand sides are -0.0
+    "homogeneous_h_equals_tau": {
+        "model": {"kind": "homogeneous", "kappa": 0.0, "tau": 0.5, "fiber_length": TWO_PI},
+        "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                    "geodesic_curvature": 1.0}},
+    "product_tau_negative": _product_tau_torus(-1.0),
+    "product_tau_positive": _product_tau_torus(2.0),
+    "weighted_genus2_slice": {
+        "model": {"kind": "product", "fiber_length": TWO_PI,
+                  "kappa": {"constant": -1.0}},
+        "surface": {"type": "horizontal_slice", "base_area": 4 * math.pi, "genus": 2,
+                    "kappa": {"values": [-1.5, -0.5, -1.25, -0.75],
+                              "weights": [math.pi] * 4}}},
+}
+PINNED_DOC_SHA256 = {
+    "homogeneous_h_equals_tau.report.json":
+        "5b461ca138e97e1635d16fcd392be69388350337acbfd9d9c7b40f31aa3ec94d",
+    "homogeneous_negative.report.json":
+        "16557d17ec564f7d47c919a5c71d0e426b4fd1af8b759d91c03555e7c55a2bdb",
+    "homogeneous_marginal.report.json":
+        "5a56fff179c1e4ccb0eace9ab9835173248c62ae165f2c45933a673ece800281",
+    "product_tau_negative.report.json":
+        "b2e90dd729578f4941b1adadf0116669593f662e4a791dd166f9b13e95a1ba03",
+    "product_tau_positive.report.json":
+        "c0f737660dbf907a7822e484a7a739946c549c34494bd88e05059e0a352d1a1c",
+    "weighted_genus2_slice.report.json":
+        "3027e4a2e2528d166cc5d56bc0b66c48f4f63abe3083e957696d55af9c2d8002",
+}
+
+
+def test_bound_and_corollary_reports_are_pinned(tmp_path):
+    for name, body in PINNED_DOCS.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"version": 1, "name": name, **body}))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0, name
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in (tmp_path / "out").iterdir()}
+    assert digests == PINNED_DOC_SHA256
+
+
 def test_bound_violation_maps_to_exit_2(tmp_path, monkeypatch):
     # force a falsified bound to verify that the anomaly exit code is wired up
     import jacobilab.scenario as scenario_mod

@@ -17,6 +17,10 @@ negative regime (w < 0):
     (ii)  lambda1 <= -4 H^2 - 8 pi (g - 1)/Area - E[2 kappa - 4 tau^2 - |grad tau|]
           equality exactly for horizontal surfaces with K = kappa
 
+Each strong-stability corollary is its bound at lambda1 >= 0, solved for
+H^2.  ``_BOUND_TABLE`` holds the coefficients, the equality predicates and the
+corollary text of all four bounds.
+
 Every bound evaluator refuses NULL/MIXED regimes with a typed error, and a
 report records which |grad tau| interpretation was used (both are evaluated
 side by side since they can disagree on warped models).
@@ -25,8 +29,9 @@ side by side since they can disagree on warped models).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,14 +66,37 @@ class EqualityStatus(Enum):
 
 # --- theorem bounds -------------------------------------------------------------
 
-# part -> (regime, H^2 coefficient c_H, genus term, kappa coefficient c_k,
-# tau^2 coefficient c_t) of
-#   bound = -c_H H^2 [- 8 pi (g - 1)/Area] - E[c_k kappa + c_t tau^2 - |grad tau|]
+class _Bound(NamedTuple):
+    """bound = -c_h H^2 [- 8 pi (g - 1)/Area] - E[c_k kappa + c_t tau^2 - |grad tau|],
+    the ``_PREDICATES`` whose conjunction is its equality case, and the detail
+    line of its strong-stability corollary."""
+
+    regime: Regime
+    c_h: float
+    genus_term: bool
+    c_k: float
+    c_t: float
+    predicates: tuple[str, ...]
+    corollary: str
+
+
+_STRICT = "strict inequality, verified within tolerance"
+
 _BOUND_TABLE = {
-    TheoremPart.PLUS_I: (Regime.POSITIVE, 2.0, False, 0.0, 2.0),
-    TheoremPart.PLUS_II: (Regime.POSITIVE, 4.0, True, 1.0, 0.0),
-    TheoremPart.MINUS_I: (Regime.NEGATIVE, 2.0, False, 1.0, -2.0),
-    TheoremPart.MINUS_II: (Regime.NEGATIVE, 4.0, True, 2.0, -4.0),
+    TheoremPart.PLUS_I: _Bound(
+        Regime.POSITIVE, 2.0, False, 0.0, 2.0, ("horizontal",),
+        "strong stability forces H^2 <= E[|grad tau|/2 - tau^2]; "
+        "equality exactly for horizontal surfaces"),
+    TheoremPart.PLUS_II: _Bound(
+        Regime.POSITIVE, 4.0, True, 1.0, 0.0,
+        ("hopf_torus", "kappa_constant", "tau_constant"), _STRICT),
+    TheoremPart.MINUS_I: _Bound(
+        Regime.NEGATIVE, 2.0, False, 1.0, -2.0,
+        ("hopf_torus", "geodesic_curve", "tau_zero", "kappa_constant"), _STRICT),
+    TheoremPart.MINUS_II: _Bound(
+        Regime.NEGATIVE, 4.0, True, 2.0, -4.0,
+        ("horizontal", "gaussian_curvature_is_kappa"),
+        "equality exactly for horizontal surfaces with K = kappa"),
 }
 
 # regime -> (bound (i), bound (ii)) of that regime's theorem
@@ -81,15 +109,15 @@ REGIME_PARTS = {
 def theorem_bound(s: SurfaceModel, part: TheoremPart,
                   gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
     """Upper bound ``part`` on lambda1; see module docstring."""
-    regime, h2_coef, genus_term, kappa_coef, tau2_coef = _BOUND_TABLE[part]
+    row = _BOUND_TABLE[part]
     actual = surface_regime(s)
-    if actual is not regime:
+    if actual is not row.regime:
         raise RegimeMismatchError(
-            f"bound requires regime {regime.value}, surface has {actual.value}")
+            f"bound requires regime {row.regime.value}, surface has {actual.value}")
     kappa, tau, grad = s.samples(gradient_mode)
-    mean = s.mean(kappa_coef * kappa + tau2_coef * tau**2 - grad)
-    bound = -h2_coef * s.mean_curvature**2
-    if genus_term:
+    mean = s.mean(row.c_k * kappa + row.c_t * tau**2 - grad)
+    bound = -row.c_h * s.mean_curvature**2
+    if row.genus_term:
         bound -= 8.0 * math.pi * (s.genus - 1) / s.area
     return bound - mean
 
@@ -109,6 +137,15 @@ def default_equality_tol(lambda1: float) -> float:
     return 1e-6 * max(1.0, abs(lambda1))
 
 
+def _as_dict(record) -> dict:
+    """A report record as plain data, enums by their value.  Only dicts are
+    copied; ``dataclasses.asdict`` deep-copies every leaf at 3x the cost."""
+    return {key: value.value if isinstance(value, Enum)
+            else _as_dict(value) if is_dataclass(value)
+            else dict(value) if isinstance(value, dict) else value
+            for key, value in vars(record).items()}
+
+
 @dataclass(frozen=True)
 class EqualityClassification:
     part: TheoremPart
@@ -119,46 +156,25 @@ class EqualityClassification:
     gap: float
     tolerance: float
 
-    def to_dict(self) -> dict:
-        return {
-            "part": self.part.value,
-            "status": self.status.value,
-            "numeric_equality": self.numeric_equality,
-            "characterization_holds": self.characterization_holds,
-            "predicates": dict(self.predicates),
-            "gap": self.gap,
-            "tolerance": self.tolerance,
-        }
 
-
-def _is_zero(samples: np.ndarray) -> bool:
-    return float(np.max(np.abs(samples))) <= PREDICATE_TOL
+# name -> predicate of the equality characterizations, given the surface and
+# its kappa and tau samples; a surface that is not horizontal is a Hopf torus
+_PREDICATES = {
+    "horizontal": lambda s, k, t: s.horizontal,
+    "hopf_torus": lambda s, k, t: not s.horizontal,
+    "kappa_constant": lambda s, k, t: not s.horizontal and is_constant(k, PREDICATE_TOL),
+    "tau_constant": lambda s, k, t: not s.horizontal and is_constant(t, PREDICATE_TOL),
+    "geodesic_curve": lambda s, k, t: not s.horizontal and abs(s.mean_curvature) <= PREDICATE_TOL,
+    "tau_zero": lambda s, k, t: not s.horizontal and float(np.max(np.abs(t))) <= PREDICATE_TOL,
+    # our slices carry the base metric, so K = kappa holds by construction
+    "gaussian_curvature_is_kappa": lambda s, k, t: s.horizontal,
+}
 
 
 def equality_predicates(s: SurfaceModel, part: TheoremPart) -> dict:
     """Predicates of the equality characterization for one bound."""
-    torus = not s.horizontal
     kappa, tau, _ = s.samples(GradientMode.INTRINSIC_ON_SURFACE)
-    if part is TheoremPart.PLUS_I:
-        return {"horizontal": s.horizontal}
-    if part is TheoremPart.PLUS_II:
-        return {
-            "hopf_torus": torus,
-            "kappa_constant": torus and is_constant(kappa, PREDICATE_TOL),
-            "tau_constant": torus and is_constant(tau, PREDICATE_TOL),
-        }
-    if part is TheoremPart.MINUS_I:
-        return {
-            "hopf_torus": torus,
-            "geodesic_curve": torus and abs(s.mean_curvature) <= PREDICATE_TOL,
-            "tau_zero": torus and _is_zero(tau),
-            "kappa_constant": torus and is_constant(kappa, PREDICATE_TOL),
-        }
-    if part is TheoremPart.MINUS_II:
-        # our slices carry the base metric, so K = kappa holds by construction
-        return {"horizontal": s.horizontal,
-                "gaussian_curvature_is_kappa": s.horizontal}
-    raise ValueError(f"unknown part {part}")
+    return {name: _PREDICATES[name](s, kappa, tau) for name in _BOUND_TABLE[part].predicates}
 
 
 def equality_classify(s: SurfaceModel, lambda1: float, bound: float,
@@ -195,11 +211,6 @@ class CorollaryRecord:
     rhs: float | None = None
     detail: str = ""
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "applicable": self.applicable,
-                "satisfied": self.satisfied, "lhs": self.lhs, "rhs": self.rhs,
-                "detail": self.detail}
-
 
 def corollary_checks(s: SurfaceModel, lambda1: float,
                      gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE
@@ -211,62 +222,48 @@ def corollary_checks(s: SurfaceModel, lambda1: float,
     """
     records: list[CorollaryRecord] = []
     regime = surface_regime(s)
+    parts = REGIME_PARTS.get(regime, ())
     kappa, tau, grad = s.samples(gradient_mode)
     area = s.area
     genus = s.genus
     h2 = s.mean_curvature**2
     stable = lambda1 >= -STABILITY_TOL
     tau_const = is_constant(tau, PREDICATE_TOL)
-    kappa_const = is_constant(kappa, PREDICATE_TOL)
     tol = default_equality_tol(lambda1)
 
-    if regime is Regime.POSITIVE:
-        rhs = s.mean(grad / 2.0 - tau**2)
+    specialized = []
+    for part in parts:
+        row = _BOUND_TABLE[part]
+        theorem, numeral = part.value.rsplit("_", 1)
+        # the bound at lambda1 >= 0 solved for H^2; c_h is 2 or 4, so the
+        # divisions are exact
+        rhs = s.mean(-row.c_t * tau**2 + grad - row.c_k * kappa) / row.c_h
+        if row.genus_term:
+            rhs += 8.0 * math.pi * (1 - genus) / area / row.c_h
         records.append(CorollaryRecord(
-            "thm_plus_cor_i", applicable=stable,
+            f"{theorem}_cor_{numeral}", applicable=stable,
             satisfied=(h2 <= rhs + tol) if stable else None,
-            lhs=h2, rhs=rhs,
-            detail="strong stability forces H^2 <= E[|grad tau|/2 - tau^2]; "
-                   "equality exactly for horizontal surfaces"))
-        rhs = 2.0 * math.pi * (1 - genus) / area + s.mean(grad - kappa) / 4.0
-        records.append(CorollaryRecord(
-            "thm_plus_cor_ii", applicable=stable,
-            satisfied=(h2 <= rhs + tol) if stable else None,
-            lhs=h2, rhs=rhs,
-            detail="strict inequality, verified within tolerance"))
-        if tau_const:
-            records.append(CorollaryRecord(
-                "thm_plus_cor_const_tau", applicable=stable,
-                satisfied=s.horizontal if stable else None,
-                detail="with constant tau the only strongly stable surfaces "
-                       "are the horizontal ones"))
-    elif regime is Regime.NEGATIVE:
-        rhs = s.mean(tau**2 + grad / 2.0 - kappa / 2.0)
-        records.append(CorollaryRecord(
-            "thm_minus_cor_i", applicable=stable,
-            satisfied=(h2 <= rhs + tol) if stable else None,
-            lhs=h2, rhs=rhs,
-            detail="strict inequality, verified within tolerance"))
-        rhs = 2.0 * math.pi * (1 - genus) / area + s.mean(tau**2 + grad / 4.0 - kappa / 2.0)
-        records.append(CorollaryRecord(
-            "thm_minus_cor_ii", applicable=stable,
-            satisfied=(h2 <= rhs + tol) if stable else None,
-            lhs=h2, rhs=rhs,
-            detail="equality exactly for horizontal surfaces with K = kappa"))
-        if tau_const:
-            rhs = -2.0 * (h2 - float(tau[0]) ** 2) - s.mean(kappa)
-            records.append(CorollaryRecord(
-                "thm_minus_cor_const_tau_i", applicable=True,
+            lhs=h2, rhs=rhs, detail=row.corollary))
+        if tau_const and regime is Regime.NEGATIVE:
+            # the bound with tau == tau0 on the surface, grouped so that
+            # H^2 = tau0^2 still gives -c_h * 0.0 = -0.0
+            rhs = -row.c_h * (h2 + row.c_t / row.c_h * float(tau[0]) ** 2)
+            if row.genus_term:
+                rhs -= 8.0 * math.pi * (genus - 1) / area
+            rhs -= row.c_k * s.mean(kappa)
+            specialized.append(CorollaryRecord(
+                f"{theorem}_cor_const_tau_{numeral}", applicable=True,
                 satisfied=lambda1 <= rhs + tol, lhs=lambda1, rhs=rhs,
-                detail="constant-tau specialization of the negative-regime bound (i)"))
-            rhs = (-4.0 * (h2 - float(tau[0]) ** 2)
-                   - 8.0 * math.pi * (genus - 1) / area - 2.0 * s.mean(kappa))
-            records.append(CorollaryRecord(
-                "thm_minus_cor_const_tau_ii", applicable=True,
-                satisfied=lambda1 <= rhs + tol, lhs=lambda1, rhs=rhs,
-                detail="constant-tau specialization of the negative-regime bound (ii)"))
+                detail=f"constant-tau specialization of the negative-regime bound ({numeral})"))
+    if tau_const and regime is Regime.POSITIVE:
+        specialized.append(CorollaryRecord(
+            "thm_plus_cor_const_tau", applicable=stable,
+            satisfied=s.horizontal if stable else None,
+            detail="with constant tau the only strongly stable surfaces "
+                   "are the horizontal ones"))
+    records += specialized
 
-    if tau_const and kappa_const:
+    if tau_const and is_constant(kappa, PREDICATE_TOL):
         tau0, kappa0 = float(tau[0]), float(kappa[0])
         if 0.0 <= kappa0 < 4.0 * tau0**2:
             if abs(s.mean_curvature) > abs(tau0):
@@ -296,11 +293,6 @@ class ModeBounds:
     equality_i: EqualityClassification
     equality_ii: EqualityClassification
 
-    def to_dict(self) -> dict:
-        return {"bound_i": self.bound_i, "bound_ii": self.bound_ii,
-                "equality_i": self.equality_i.to_dict(),
-                "equality_ii": self.equality_ii.to_dict()}
-
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -319,9 +311,9 @@ class BoundReport:
             "theorem": self.theorem,
             "lambda1": self.lambda1,
             "gradient_mode": self.gradient_mode.value,
-            "bounds": {mode.value: mb.to_dict() for mode, mb in self.per_mode.items()},
+            "bounds": {mode.value: _as_dict(mb) for mode, mb in self.per_mode.items()},
             "stability_verdict": self.stability.value,
-            "corollaries": [c.to_dict() for c in self.corollaries],
+            "corollaries": [_as_dict(c) for c in self.corollaries],
             "violations": list(self.violations),
         }
 

@@ -451,7 +451,7 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
     bounds_dict = None
     theta_form = None
     violations: list[str] = []
-    if regime in (Regime.POSITIVE, Regime.NEGATIVE):
+    if regime in REGIME_PARTS:
         bound_report = build_bound_report(surface, result.lambda1, gradient_mode=mode)
         bounds_dict = bound_report.to_dict()
         violations = list(bound_report.violations)

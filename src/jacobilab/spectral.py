@@ -97,7 +97,6 @@ class SpectralResult:
     backend: str
     convergence_estimate: float
     truncation: int
-    area: float
 
     def __post_init__(self):
         object.__setattr__(self, "eigenvalues", np.asarray(self.eigenvalues, dtype=float))
@@ -328,7 +327,6 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
         backend=backend if not (backend == "fd" and richardson) else "fd_richardson",
         convergence_estimate=float(estimate),
         truncation=problem.truncation,
-        area=problem.area,
     )
 
 
@@ -354,7 +352,6 @@ def solve_torus_2d(problem: SpectralProblem, m: int = 6) -> SpectralResult:
         backend="fourier_2d",
         convergence_estimate=circle.convergence_estimate,
         truncation=problem.truncation,
-        area=problem.area,
     )
 
 
@@ -380,7 +377,7 @@ def solve_surface(s: SurfaceModel, m: int = 6, backend: str = "fourier",
         rho = ScalarField1D.constant(1.0, period=1.0, n=8)
         return SpectralResult(lambda1=0.0, eigenvalues=np.array([0.0]),
                               ground_state=rho, backend="closed_form",
-                              convergence_estimate=0.0, truncation=0, area=s.area)
+                              convergence_estimate=0.0, truncation=0)
     if truncation is None:
         truncation = DEFAULT_FD_TRUNCATION if backend == "fd" else DEFAULT_TRUNCATION
     problem = surface_spectral_problem(s, truncation=truncation, conv_tol=conv_tol)

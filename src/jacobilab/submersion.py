@@ -50,7 +50,6 @@ class SubmersionModel:
     kappa_field: ScalarField1D
     tau_field: ScalarField1D
     fiber_length: float | None
-    name: str = ""
     profile: Any = None
 
     def __post_init__(self):
@@ -72,22 +71,17 @@ class SubmersionModel:
 
 def homogeneous_model(kappa: float, tau: float, fiber_length: float) -> SubmersionModel:
     """Model with constant curvature data (a homogeneous 3-manifold)."""
-    if not (math.isfinite(fiber_length) and fiber_length > 0):
-        raise ModelError(f"fiber_length must be positive, got {fiber_length}")
     period = 2.0 * math.pi
     return SubmersionModel(
         kind=ModelKind.HOMOGENEOUS,
         kappa_field=ScalarField1D.constant(kappa, period),
         tau_field=ScalarField1D.constant(tau, period),
         fiber_length=float(fiber_length),
-        name=f"homogeneous(kappa={kappa}, tau={tau})",
     )
 
 
 def product_model(kappa_field: ScalarField1D, fiber_length: float | None) -> SubmersionModel:
     """Product of a base surface with a circle (finite fiber) or a line."""
-    if fiber_length is not None and not (math.isfinite(fiber_length) and fiber_length > 0):
-        raise ModelError(f"fiber_length must be positive, got {fiber_length}")
     tau0 = ScalarField1D(np.zeros(kappa_field.n),
                          period=kappa_field.period, interval=kappa_field.interval)
     return SubmersionModel(
@@ -95,5 +89,4 @@ def product_model(kappa_field: ScalarField1D, fiber_length: float | None) -> Sub
         kappa_field=kappa_field,
         tau_field=tau0,
         fiber_length=None if fiber_length is None else float(fiber_length),
-        name="product",
     )

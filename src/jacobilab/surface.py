@@ -207,11 +207,6 @@ def hopf_torus(model: SubmersionModel, curve_length: float, k_g: float,
             raise SurfaceError("tau_on_curve is required when the model tau varies")
         tau_on_curve = ScalarField1D.constant(float(model.tau_field.samples[0]),
                                               curve_length, n)
-    for label, f in (("kappa_on_curve", kappa_on_curve), ("tau_on_curve", tau_on_curve)):
-        if not f.is_periodic or not math.isclose(f.period, curve_length, rel_tol=1e-12):
-            raise SurfaceError(f"{label} period must equal curve_length")
-    if not kappa_on_curve.same_grid(tau_on_curve):
-        raise SurfaceError("kappa_on_curve and tau_on_curve must share one grid")
 
     grad_intrinsic = tau_on_curve.derivative().map(np.abs)
     if grad_tau_ambient is None:

@@ -48,7 +48,6 @@ class ThetaProfile:
     is sampled or evaluated, not globally.
     """
 
-    name: str
     theta: Callable
     theta_prime: Callable
     theta_second: Callable
@@ -82,7 +81,6 @@ def half_arctan_profile(offset: float = 0.0) -> ThetaProfile:
     offset = pi/4 pushes it above (negative regime).
     """
     return ThetaProfile(
-        name=f"half_arctan(offset={offset:g})",
         theta=lambda x: 0.5 * np.arctan(np.asarray(x, dtype=float)) + offset,
         theta_prime=lambda x: 0.5 / (1.0 + np.asarray(x, dtype=float) ** 2),
         theta_second=lambda x: -np.asarray(x, dtype=float)
@@ -96,7 +94,6 @@ def constant_profile(value: float) -> ThetaProfile:
     if not 0.0 < value < math.pi / 2:
         raise ModelError("constant theta must lie in (0, pi/2)")
     return ThetaProfile(
-        name=f"constant(theta={value:g})",
         theta=lambda x: np.full_like(np.asarray(x, dtype=float), value),
         theta_prime=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
         theta_second=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
@@ -121,7 +118,6 @@ def sampled_profile(theta_field: ScalarField1D) -> ThetaProfile:
         return lambda u: np.interp(np.asarray(u, dtype=float), grid, values)
 
     return ThetaProfile(
-        name="sampled",
         theta=interp(theta_field.samples),
         theta_prime=interp(d1),
         theta_second=interp(d2),
@@ -160,7 +156,6 @@ def submersion_from_theta(profile: ThetaProfile,
         kappa_field=kappa,
         tau_field=tau,
         fiber_length=2.0 * math.pi,
-        name=f"warped[{profile.name}]",
         profile=profile,
     )
 

@@ -14,7 +14,7 @@ from jacobilab import (ConvergenceError, FieldError, ScalarField1D,
                        SpectralProblem, alpha_invariant, homogeneous_model,
                        hopf_torus, horizontal_slice, lambda1_identity_check,
                        product_model, rayleigh_quotient, solve, solve_surface,
-                       solve_torus_2d, surface_spectral_problem)
+                       solve_torus_2d, spectral, surface_spectral_problem)
 from jacobilab.spectral import (FD_RESIDUAL_ULPS, _fd_count_below, _fd_eigs,
                                 assemble_fd, assemble_fourier)
 from conftest import ulp_tol
@@ -243,6 +243,28 @@ def test_fd_eigensolve_matches_dense(kind, n, m):
     assert np.max(np.abs(x0 - v0)) <= FD_RESIDUAL_ULPS * eps_norm / (w[1] - w[0])
 
 
+@pytest.mark.parametrize("m", [1, 6])
+def test_fd_block_grows_on_a_deep_periodic_well(m, monkeypatch):
+    # 400 cos 20s stalls FD_MAX_ITERATIONS steps before it separates, so the
+    # block gains trig modes beyond its first m + 2
+    grown = []
+    trig_modes = spectral._trig_modes
+
+    def recording(n, start, stop):
+        if start > 0 and stop > start:
+            grown.append(stop)
+        return trig_modes(n, start, stop)
+
+    monkeypatch.setattr(spectral, "_trig_modes", recording)
+    n = 512
+    q = 400.0 * np.cos(20.0 * np.arange(n) * (TWO_PI / n))
+    w = np.linalg.eigvalsh(assemble_fd(TWO_PI, q))
+    eps_norm = np.finfo(float).eps * (4.0 * (n / TWO_PI) ** 2 + np.max(np.abs(q)))
+    eigenvalues, _ = _fd_eigs(fd_problem(q), n, m)
+    assert grown and max(grown) > m + 2
+    assert np.max(np.abs(eigenvalues - w[:m])) <= FD_RESIDUAL_ULPS * eps_norm
+
+
 @pytest.mark.parametrize("n", [16, 17, 64, 1000])
 @pytest.mark.parametrize("kind", list(FD_POTENTIALS))
 def test_fd_inertia_count_matches_eigvalsh(kind, n, rng):
@@ -343,8 +365,8 @@ def test_alpha_rejects_nonpositive_rho():
 
 
 def test_alpha_of_constant_potential_ground_state():
-    r = solve(problem(lambda s: np.full_like(s, 2.0)))
-    assert alpha_invariant(r.ground_state, r.area) < 1e-18
+    p = problem(lambda s: np.full_like(s, 2.0))
+    assert alpha_invariant(solve(p).ground_state, p.area) < 1e-18
 
 
 # --- surface-level solves -------------------------------------------------------------

@@ -31,6 +31,12 @@ def test_product_model_has_zero_tau():
     assert m.kappa_field.same_grid(m.tau_field)
 
 
+@pytest.mark.parametrize("fiber_length", [0.0, -2.0, math.inf, math.nan])
+def test_product_model_rejects_bad_fiber(fiber_length):
+    with pytest.raises(ModelError, match="fiber_length must be positive"):
+        product_model(ScalarField1D.constant(-1.0, 2 * math.pi), fiber_length)
+
+
 def test_product_model_noncompact_fiber():
     kappa = ScalarField1D.constant(-1.0, 2 * math.pi)
     m = product_model(kappa, None)

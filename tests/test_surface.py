@@ -47,6 +47,16 @@ def test_hopf_torus_period_mismatch_rejected():
         hopf_torus(berger_like(), TWO_PI, 0.0, kappa_on_curve=bad)
 
 
+@pytest.mark.parametrize("curve_fields", [
+    {"tau_on_curve": ScalarField1D.constant(0.5, 1.0, 64)},
+    {"kappa_on_curve": ScalarField1D.constant(4.0, TWO_PI, 64)},
+    {"tau_on_curve": ScalarField1D.on_interval(np.full(64, 0.5), (0.0, TWO_PI))},
+], ids=["tau_period", "grid_mismatch", "tau_on_interval"])
+def test_hopf_torus_curve_fields_rejected(curve_fields):
+    with pytest.raises(SurfaceError):
+        hopf_torus(berger_like(), TWO_PI, 0.0, **curve_fields)
+
+
 def test_hopf_torus_variable_kappa_needs_field():
     kappa = ScalarField1D.from_function(lambda v: 1 + 0.3 * np.cos(v), TWO_PI)
     m = product_model(kappa, TWO_PI)

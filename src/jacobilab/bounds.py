@@ -114,6 +114,12 @@ def theorem_bound(s: SurfaceModel, part: TheoremPart,
     if actual is not row.regime:
         raise RegimeMismatchError(
             f"bound requires regime {row.regime.value}, surface has {actual.value}")
+    return _bound_value(s, part, gradient_mode)
+
+
+def _bound_value(s: SurfaceModel, part: TheoremPart, gradient_mode: GradientMode) -> float:
+    """The formula of ``theorem_bound``, for callers that already checked the regime."""
+    row = _BOUND_TABLE[part]
     kappa, tau, grad = s.samples(gradient_mode)
     mean = s.mean(row.c_k * kappa + row.c_t * tau**2 - grad)
     bound = -row.c_h * s.mean_curvature**2
@@ -184,10 +190,15 @@ def equality_classify(s: SurfaceModel, lambda1: float, bound: float,
     Agreement yields EQUALITY / NO_EQUALITY; any mismatch between the numbers
     and the predicates is flagged ANOMALY rather than silently accepted.
     """
+    return _classify(part, lambda1, bound, equality_predicates(s, part))
+
+
+def _classify(part: TheoremPart, lambda1: float, bound: float,
+              predicates: dict) -> EqualityClassification:
+    """``equality_classify`` with the predicates of ``part`` already evaluated."""
     tol = default_equality_tol(lambda1)
     gap = lambda1 - bound
     numeric = abs(gap) <= tol
-    predicates = equality_predicates(s, part)
     characterized = all(predicates.values())
     if numeric and characterized:
         status = EqualityStatus.EQUALITY
@@ -220,8 +231,13 @@ def corollary_checks(s: SurfaceModel, lambda1: float,
     Strict inequalities are verified up to the numerical tolerance; exact
     strictness is not decidable in floating point and the records say so.
     """
+    return _corollary_records(s, lambda1, gradient_mode, surface_regime(s))
+
+
+def _corollary_records(s: SurfaceModel, lambda1: float, gradient_mode: GradientMode,
+                       regime: Regime) -> list[CorollaryRecord]:
+    """``corollary_checks`` for a surface in the given ``regime``."""
     records: list[CorollaryRecord] = []
-    regime = surface_regime(s)
     parts = REGIME_PARTS.get(regime, ())
     kappa, tau, grad = s.samples(gradient_mode)
     area = s.area
@@ -333,14 +349,16 @@ def build_bound_report(s: SurfaceModel, lambda1: float,
         raise RegimeMismatchError(f"no bounds apply in regime {regime.value}")
     parts = REGIME_PARTS[regime]
     theorem = f"{regime.value}_regime"
+    # the predicates read intrinsic samples only, so both modes share them
+    pred_i, pred_ii = (equality_predicates(s, part) for part in parts)
 
     per_mode = {}
     violations = []
     for mode in (GradientMode.INTRINSIC_ON_SURFACE, GradientMode.AMBIENT):
-        b_i = theorem_bound(s, parts[0], mode)
-        b_ii = theorem_bound(s, parts[1], mode)
-        eq_i = equality_classify(s, lambda1, b_i, parts[0])
-        eq_ii = equality_classify(s, lambda1, b_ii, parts[1])
+        b_i = _bound_value(s, parts[0], mode)
+        b_ii = _bound_value(s, parts[1], mode)
+        eq_i = _classify(parts[0], lambda1, b_i, dict(pred_i))
+        eq_ii = _classify(parts[1], lambda1, b_ii, dict(pred_ii))
         per_mode[mode] = ModeBounds(b_i, b_ii, eq_i, eq_ii)
         for label, bound in (("bound_i", b_i), ("bound_ii", b_ii)):
             if lambda1 > bound + STABILITY_TOL:
@@ -357,6 +375,6 @@ def build_bound_report(s: SurfaceModel, lambda1: float,
         regime=regime, theorem=theorem, lambda1=float(lambda1),
         gradient_mode=gradient_mode, per_mode=per_mode,
         stability=stability_verdict(lambda1),
-        corollaries=corollary_checks(s, lambda1, gradient_mode),
+        corollaries=_corollary_records(s, lambda1, gradient_mode, regime),
         violations=violations,
     )

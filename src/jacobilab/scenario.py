@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .bounds import REGIME_PARTS, build_bound_report, theorem_bound
+from .bounds import REGIME_PARTS, _bound_value, build_bound_report
 from .errors import JacobilabError, ScenarioError
 from .fields import ScalarField1D
 from .geometry import Regime
@@ -88,16 +89,12 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def format_csv(header: list[str], rows: list[list]) -> str:
+def format_csv(header: list[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of rows of Python numbers (numpy arrays enter through
+    ``tolist()``): floats in shortest round-trip form, other cells by str."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, (float, np.floating)):
-                cells.append(repr(float(v)))
-            else:
-                cells.append(str(v))
-        lines.append(",".join(cells))
+        lines.append(",".join([repr(v) if isinstance(v, float) else str(v) for v in row]))
     return "\n".join(lines) + "\n"
 
 
@@ -400,7 +397,7 @@ def _sweep_series(model: SubmersionModel, sweep: dict, solver: dict) -> list[lis
                float(torus.tau_on_curve.samples[0]),
                float(torus.mean_curvature), float(lam)]
         for mode in (GradientMode.AMBIENT, GradientMode.INTRINSIC_ON_SURFACE):
-            row.extend([float(theorem_bound(torus, part, mode)) for part in parts])
+            row.extend([float(_bound_value(torus, part, mode)) for part in parts])
         rows.append(row)
     return rows
 
@@ -508,13 +505,12 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
     outputs = doc.get("outputs", {})
     for kind in outputs.get("series") or []:
         if kind == "potential" and torus:
-            qf = q
             series["potential"] = format_csv(
-                ["s", "q"], [[float(s), float(v)] for s, v in zip(qf.grid, qf.samples)])
+                ["s", "q"], zip(q.grid.tolist(), q.samples.tolist()))
         elif kind == "ground_state":
             rho = result.ground_state
             series["ground_state"] = format_csv(
-                ["s", "rho"], [[float(s), float(v)] for s, v in zip(rho.grid, rho.samples)])
+                ["s", "rho"], zip(rho.grid.tolist(), rho.samples.tolist()))
         elif kind == "convergence" and torus:
             rows = _convergence_series(surface, solver.get("backend", "fourier"),
                                        result.truncation,

@@ -22,9 +22,13 @@ of the reduced problem are provided:
   and an O(N) inertia count certifies that no low eigenvalue was missed.
 
 The Fourier backend diagonalizes its (2K + 1)-square matrix with dense
-LAPACK.  The torus spectrum with fiber modes (:func:`solve_torus_2d`) is the
-exact merge of the circle spectrum with the fiber kinetic terms, so it needs
-no eigensolve of its own.
+LAPACK, unless the matrix is diagonal: when every coefficient c_n, n >= 1,
+that the assembly reads is exactly zero (a constant potential, such as that
+of a Hopf torus with constant data), the spectrum is the sorted diagonal,
+the ground vector is the constant mode and the K/2 estimate is 0.  The torus
+spectrum with fiber modes (:func:`solve_torus_2d`) is the exact merge of the
+circle spectrum with the fiber kinetic terms, so it needs no eigensolve of
+its own.
 """
 
 from __future__ import annotations
@@ -116,11 +120,9 @@ def assemble_fourier(length: float, q_samples: np.ndarray, K: int) -> np.ndarray
     w_j = 1 otherwise.  Harmonics beyond the grid Nyquist are taken as zero
     (exact for band-limited potentials, spectrally accurate otherwise).
     """
-    n = q_samples.size
-    # stop below the Nyquist mode of even grids, where cos amplitudes alias
-    avail = min(2 * K, (n - 1) // 2)
     c = np.zeros(2 * K + 1, dtype=complex)
-    c[:avail + 1] = (np.fft.rfft(q_samples) / n)[:avail + 1]
+    read = _potential_coefficients(q_samples, K)
+    c[:read.size] = read
     j = np.arange(K + 1)
     toeplitz = np.abs(j[:, None] - j)
     hankel = j[:, None] + j
@@ -133,10 +135,24 @@ def assemble_fourier(length: float, q_samples: np.ndarray, K: int) -> np.ndarray
     Vss = c.real[toeplitz[1:, 1:]] - c.real[hankel[1:, 1:]]
     Vcs = (sign * c.imag[toeplitz] - c.imag[hankel])[:, 1:] / np.sqrt(inv_w2)[:, None]
 
-    kinetic = (2.0 * np.pi / length) ** 2 * j[1:].astype(float) ** 2
     H = -np.block([[Vcc, Vcs], [Vcs.T, Vss]])
-    H[np.diag_indices(2 * K + 1)] += np.concatenate(([0.0], kinetic, kinetic))
+    H[np.diag_indices(2 * K + 1)] += _kinetic_diagonal(length, K)
     return H
+
+
+def _potential_coefficients(q_samples: np.ndarray, K: int) -> np.ndarray:
+    """The coefficients c_0..c_avail of q that the Galerkin matrix of
+    truncation K reads; it takes the higher ones as zero."""
+    n = q_samples.size
+    # stop below the Nyquist mode of even grids, where cos amplitudes alias
+    avail = min(2 * K, (n - 1) // 2)
+    return (np.fft.rfft(q_samples) / n)[:avail + 1]
+
+
+def _kinetic_diagonal(length: float, K: int) -> np.ndarray:
+    """Diagonal of -d^2/ds^2 in the basis [const, cos_1..cos_K, sin_1..sin_K]."""
+    kinetic = (2.0 * np.pi / length) ** 2 * np.arange(1, K + 1).astype(float) ** 2
+    return np.concatenate(([0.0], kinetic, kinetic))
 
 
 def _fourier_ground_state(length: float, vec: np.ndarray, n: int) -> np.ndarray:
@@ -282,9 +298,14 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
 
     The reported convergence_estimate is |lambda1(T) - lambda1(T/2)| over the
     problem truncation T; a value above the problem's conv_tol raises
-    :class:`ConvergenceError`.  ``richardson`` applies h^2 extrapolation to
-    the fd eigenvalues (the fourier backend ignores it).  The fd backend
-    returns at most N eigenvalues on its N-point grid, N/2 with ``richardson``.
+    :class:`ConvergenceError`.  If every Fourier coefficient c_n, n >= 1, of
+    q that the Galerkin matrix reads is exactly zero (a test with no
+    tolerance), the matrix is diag(0, k^2, k^2) - c_0 and the fourier backend
+    returns its sorted diagonal, the constant ground state and an estimate of
+    0 without calling LAPACK: the values ``eigh`` returns for that matrix.
+    ``richardson`` applies h^2 extrapolation to the fd eigenvalues (the
+    fourier backend ignores it).  The fd backend returns at most N eigenvalues
+    on its N-point grid, N/2 with ``richardson``.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -293,11 +314,20 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
 
     if backend == "fourier":
         K = problem.truncation
-        H = assemble_fourier(L, q_field.samples, K)
-        w, vecs = np.linalg.eigh(H)
+        c = _potential_coefficients(q_field.samples, K)
+        if np.any(c[1:]):
+            w, vecs = np.linalg.eigh(assemble_fourier(L, q_field.samples, K))
+            ground = vecs[:, 0]
+            estimate = abs(w[0] - _fourier_lambda1(L, q_field.samples, max(4, K // 2)))
+        else:
+            # kinetic terms are positive, so the stable sort keeps the
+            # constant mode first; the K/2 matrix reads a subset of c
+            w = np.sort(_kinetic_diagonal(L, K) - c[0].real, kind="stable")
+            ground = np.zeros(2 * K + 1)
+            ground[0] = 1.0
+            estimate = 0.0
         eigenvalues = w[:m]
-        estimate = abs(w[0] - _fourier_lambda1(L, q_field.samples, max(4, K // 2)))
-        rho = _fourier_ground_state(L, vecs[:, 0], q_field.n)
+        rho = _fourier_ground_state(L, ground, q_field.n)
     elif backend == "fd":
         n_grid = problem.truncation
         if n_grid < MIN_FD_GRID:

@@ -412,3 +412,59 @@ def test_surface_problem_potential():
     p = surface_spectral_problem(t)
     assert np.all(p.potential.samples == pytest.approx(5.0, abs=1e-14))
     assert p.area == pytest.approx(t.area)
+
+
+# --- constant potentials: the diagonal Galerkin matrix ---------------------------
+
+def _lapack_solve(p, m):
+    """What solve computed for every Fourier problem before the diagonal
+    shortcut: eigenvalues, ground state and K/2 estimate through LAPACK."""
+    L, q, K = p.circle_length, p.potential.samples, p.truncation
+    w, v = np.linalg.eigh(assemble_fourier(L, q, K))
+    estimate = abs(w[0] - np.linalg.eigvalsh(assemble_fourier(L, q, max(4, K // 2)))[0])
+    rho = spectral._fourier_ground_state(L, v[:, 0], q.size)
+    return w[:m], spectral._normalize_ground_state(rho, L), estimate
+
+
+@pytest.mark.parametrize("c0", [0.0, -0.0, -3.7, 1e3])
+@pytest.mark.parametrize("K", [4, 5, 64, 1024])
+def test_constant_potential_matches_lapack_bit_for_bit(K, c0):
+    for n in (8, 512, 65536):
+        p = problem(lambda s: np.full_like(s, c0), n=n, K=K, conv_tol=math.inf)
+        # on these grids the rfft of a constant has exact zeros, so the gate fires
+        assert not np.any(spectral._potential_coefficients(p.potential.samples, K)[1:])
+        w, rho, estimate = _lapack_solve(p, 6)
+        r = solve(p)
+        assert np.array_equal(r.eigenvalues, w)
+        assert np.array_equal(np.signbit(r.eigenvalues), np.signbit(w))
+        assert np.array_equal(r.ground_state.samples, rho)
+        assert r.convergence_estimate == estimate == 0.0
+
+
+@pytest.mark.parametrize("c", [0.0, 1e-290])
+def test_tiny_harmonic_takes_the_lapack_path(c, monkeypatch):
+    # c_1 = 5e-301 passes any tolerance scaled by max(1, |c_0|); only a test
+    # for exact zeros sees that the matrix is not diagonal
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    p = problem(lambda s: c + 1e-300 * np.cos(s))
+    r = solve(p)
+    assert shapes == [(129, 129)]
+    w, rho, _ = _lapack_solve(p, 6)
+    assert np.array_equal(r.eigenvalues, w)
+    assert np.array_equal(r.ground_state.samples, rho)
+
+
+def test_constant_data_hopf_torus_solves_without_lapack(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called on a diagonal Galerkin matrix")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    t = hopf_torus(homogeneous_model(4.0, 0.5, TWO_PI), TWO_PI, 1.0)
+    r = solve_surface(t)
+    # q = 4 H^2 + kappa = k_g^2 + kappa
+    assert r.lambda1 == -5.0
+    assert r.convergence_estimate == 0.0
+    assert np.max(np.abs(r.ground_state.samples - 1.0)) <= ulp_tol(2, 1.0)

@@ -1,4 +1,4 @@
-"""Layer timings of the Fourier solve on a constant and a varying potential.
+"""Timings of the Fourier solve on a constant and a varying potential.
 
 Usage (from the repository root):
 
@@ -7,77 +7,52 @@ Usage (from the repository root):
 
 Times ``spectral.solve`` at K = 64 on 512 samples for q = 2 (a diagonal
 Galerkin matrix, solved in closed form) and for q = 2 + 0.3 cos s (dense
-LAPACK), and one ``verification.run_checks()`` pass, which is what
-``jacobilab verify`` runs.  Each quantity is timed in ``--repeats`` rounds;
-the median and quartiles of the rounds go into the ``runs`` entry named by
-``--label`` of the output file, next to the numpy, BLAS and thread settings.
-Other labels already in the file are kept, so two checkouts can be compared
-in one file.  BLAS is pinned to one thread before numpy loads: on a 2-core
-machine, two-thread timings of small eigensolves do not repeat.
+LAPACK), and ``verification.run_checks()``, which is what ``jacobilab
+verify`` runs.  The median and quartiles of the timed rounds go into
+BENCH_fourier_diagonal.json under ``runs[label]``, next to the numpy, BLAS
+and thread settings; other labels in the file are kept, so two checkouts can
+be compared in one file.  BLAS is pinned to one thread before numpy loads,
+as in the perfbench harness, whose environment record is reused.
 """
 
 from __future__ import annotations
 
-import os
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-for _var in BLAS_THREAD_VARS:
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import json  # noqa: E402
-import math  # noqa: E402
-import platform  # noqa: E402
-import statistics  # noqa: E402
-import sys  # noqa: E402
-import time  # noqa: E402
-from pathlib import Path  # noqa: E402
+import argparse
+import json
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-DEFAULT_OUT = ROOT / "BENCH_fourier_diagonal.json"
+sys.path.insert(0, str(ROOT / "perfbench"))
+import run as perfbench  # noqa: E402  (pins BLAS to one thread before numpy loads)
+
+OUT = ROOT / "BENCH_fourier_diagonal.json"
 TWO_PI = 2.0 * math.pi
 SAMPLES = 512
 TRUNCATION = 64
-# solves per timed round, so that a round of the closed form lasts ~10 ms
-SOLVES_PER_ROUND = 200
+# (rounds, calls per round): a round of closed-form solves lasts about 20 ms
+SOLVE_ROUNDS = (31, 200)
+CHECK_ROUNDS = (7, 1)
 
 
-def _summary(seconds: list[float], scale: float, unit: str) -> dict:
-    q1, median, q3 = statistics.quantiles([s * scale for s in seconds], n=4)
-    return {"unit": unit, "median": median, "q1": q1, "q3": q3, "rounds": len(seconds)}
-
-
-def _rounds(fn, repeats: int, per_round: int) -> list[float]:
-    """Seconds per call of ``fn`` in each of ``repeats`` rounds, after one warm-up call."""
+def _timed(fn, rounds: int, per_round: int, scale: float, unit: str) -> dict:
+    """Median and quartiles over ``rounds`` of the time per call of ``fn``,
+    after one warm-up call."""
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(rounds):
         started = time.perf_counter()
         for _ in range(per_round):
             fn()
-        times.append((time.perf_counter() - started) / per_round)
-    return times
+        times.append((time.perf_counter() - started) / per_round * scale)
+    q1, median, q3 = statistics.quantiles(times, n=4)
+    return {"unit": unit, "median": median, "q1": q1, "q3": q3, "rounds": rounds}
 
 
-def environment() -> dict:
-    import numpy as np
-
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-        blas_version = f"{blas.get('name')} {blas.get('version')}"
-    except (TypeError, KeyError):
-        blas_version = "unknown"
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "blas": blas_version,
-        "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
-        "nproc": len(os.sched_getaffinity(0)),
-        "machine": platform.machine(),
-    }
-
-
-def measure(repeats: int, check_repeats: int) -> dict:
+def measure() -> dict:
     import numpy as np
     from jacobilab import ScalarField1D, SpectralProblem, solve, verification
 
@@ -85,20 +60,18 @@ def measure(repeats: int, check_repeats: int) -> dict:
         q = ScalarField1D.from_function(q_fn, TWO_PI, SAMPLES)
         return SpectralProblem(TWO_PI, TWO_PI, q, truncation=TRUNCATION)
 
-    constant = problem(lambda s: np.full_like(s, 2.0))
-    varying = problem(lambda s: 2.0 + 0.3 * np.cos(s))
-    results = {}
-    for name, p in (("solve_q_constant", constant), ("solve_q_cos", varying)):
-        results[name] = _summary(_rounds(lambda p=p: solve(p), repeats, SOLVES_PER_ROUND),
-                                 1e6, "us")
-
     def checks():
         failed = [r.name for r in verification.run_checks() if not r.passed]
         if failed:
             raise SystemExit(f"verification checks failed: {failed}")
 
-    results["run_checks"] = _summary(_rounds(checks, check_repeats, 1), 1e3, "ms")
-    return results
+    constant = problem(lambda s: np.full_like(s, 2.0))
+    varying = problem(lambda s: 2.0 + 0.3 * np.cos(s))
+    return {
+        "solve_q_constant": _timed(lambda: solve(constant), *SOLVE_ROUNDS, 1e6, "us"),
+        "solve_q_cos": _timed(lambda: solve(varying), *SOLVE_ROUNDS, 1e6, "us"),
+        "run_checks": _timed(checks, *CHECK_ROUNDS, 1e3, "ms"),
+    }
 
 
 def main(argv=None) -> int:
@@ -106,21 +79,17 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the jacobilab package to time")
     parser.add_argument("--label", required=True, help="name of this run in the output file")
-    parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
-    parser.add_argument("--repeats", type=int, default=31, help="timed rounds per solve")
-    parser.add_argument("--check-repeats", type=int, default=7,
-                        help="timed run_checks() passes")
     args = parser.parse_args(argv)
 
     sys.path.insert(0, str(args.src.resolve()))
-    results = measure(args.repeats, args.check_repeats)
-
-    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
-    doc["description"] = ("spectral.solve at K = 64 on 512 samples, per call; one "
-                          "verification.run_checks() pass; median and quartiles of rounds")
-    doc["environment"] = environment()
+    results = measure()
+    doc = json.loads(OUT.read_text()) if OUT.exists() else {}
+    doc["description"] = ("spectral.solve at K = 64 on 512 samples and "
+                          "verification.run_checks(), time per call: median and "
+                          "quartiles of timed rounds")
+    doc["environment"] = perfbench.environment()
     doc.setdefault("runs", {})[args.label] = results
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    OUT.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, r in results.items():
         print(f"{args.label:>8}  {name:18} {r['median']:10.3f} {r['unit']}  "
               f"[{r['q1']:.3f}, {r['q3']:.3f}]")

@@ -150,13 +150,14 @@ def is_constant(samples: np.ndarray, tol: float = 1e-9) -> bool:
 
 
 def _spectral_derivative(samples: np.ndarray, period: float) -> np.ndarray:
-    n = samples.size
-    c = np.fft.rfft(samples)
+    """Derivative along the last axis, so a stack of rows differentiates at once."""
+    n = samples.shape[-1]
+    c = np.fft.rfft(samples, axis=-1)
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
     d = 1j * k * c
     if n % 2 == 0:
-        d[-1] = 0.0  # derivative of the unresolved Nyquist mode
-    return np.fft.irfft(d, n)
+        d[..., -1] = 0.0  # derivative of the unresolved Nyquist mode
+    return np.fft.irfft(d, n, axis=-1)
 
 
 def _central_richardson_derivative(samples: np.ndarray, h: float) -> np.ndarray:

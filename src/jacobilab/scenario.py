@@ -24,8 +24,8 @@ from .bounds import REGIME_PARTS, _bound_value, build_bound_report
 from .errors import JacobilabError, ScenarioError
 from .fields import ScalarField1D
 from .geometry import Regime
-from .spectral import (DEFAULT_CONV_TOL, MIN_FD_GRID, alpha_invariant,
-                       lambda1_identity_check, solve, solve_surface,
+from .spectral import (DEFAULT_CONV_TOL, MIN_FD_GRID, _identity_residual,
+                       alpha_invariant, solve, solve_surface,
                        surface_spectral_problem)
 from .submersion import GradientMode, SubmersionModel, \
     homogeneous_model, product_model
@@ -439,10 +439,12 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
     regime = surface_regime(surface)
     torus = not surface.horizontal
     q = potential_field(surface)
+    alpha = alpha_invariant(result.ground_state, surface.area)
     identities = {
-        "lambda1_identity_residual": float(lambda1_identity_check(surface, result)),
+        "lambda1_identity_residual": float(_identity_residual(surface, result.lambda1,
+                                                              alpha, q)),
         "gauss_bonnet_residual": float(gauss_bonnet_check(surface)),
-        "alpha": float(alpha_invariant(result.ground_state, surface.area)),
+        "alpha": float(alpha),
     }
 
     bounds_dict = None

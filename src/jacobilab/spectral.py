@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, FieldError, JacobilabError
-from .fields import ScalarField1D
+from .fields import ScalarField1D, _spectral_derivative
 from .surface import HopfTorus, SurfaceModel, potential_field
 
 DEFAULT_TRUNCATION = 64
@@ -424,13 +424,29 @@ def rayleigh_quotient(problem: SpectralProblem, f: ScalarField1D) -> float:
     """
     if not f.same_grid(problem.potential):
         raise FieldError("test function must live on the potential grid")
-    f2 = f.samples**2
-    denom = float(np.sum(f2))
-    if denom == 0.0:
+    return float(_rayleigh_quotients(problem, f.samples[None])[0])
+
+
+def _rayleigh_quotients(problem: SpectralProblem, rows: np.ndarray) -> np.ndarray:
+    """Rayleigh quotients of the rows of an (m, n) stack of test functions
+    sampled on the n-point potential grid, one FFT pair for the whole stack.
+
+    Row sums run along the last axis, so each value equals, bit for bit, that
+    of the row alone.
+    """
+    q = problem.potential
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != q.n:
+        raise FieldError(f"test functions must be rows of {q.n} samples on the potential "
+                         f"grid, got shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise FieldError("test function samples must be finite")
+    f2 = rows**2
+    denom = np.sum(f2, axis=-1)
+    if not np.all(denom):
         raise ValueError("test function must be nonzero")
-    df = f.derivative().samples
-    num = float(np.sum(df**2) - np.sum(problem.potential.samples * f2))
-    return num / denom
+    df = _spectral_derivative(rows, q.period)
+    return (np.sum(df**2, axis=-1) - np.sum(q.samples * f2, axis=-1)) / denom
 
 
 def alpha_invariant(rho: ScalarField1D, area: float) -> float:
@@ -457,9 +473,15 @@ def lambda1_identity_check(s: SurfaceModel, result: SpectralResult) -> float:
     ``result`` must come from the surface's own spectral problem; alpha is
     evaluated on the computed ground state.
     """
+    return _identity_residual(s, result.lambda1,
+                              alpha_invariant(result.ground_state, s.area), potential_field(s))
+
+
+def _identity_residual(s: SurfaceModel, lambda1: float, alpha: float,
+                       q: ScalarField1D | float) -> float:
+    """|lambda1 + (alpha + integral of q) / area| for a Hopf torus; |lambda1|
+    on a horizontal slice, whose q and alpha vanish."""
     if s.horizontal:
-        return abs(result.lambda1)
-    q = potential_field(s)
-    alpha = alpha_invariant(result.ground_state, s.area)
+        return abs(lambda1)
     total_q = s.mean(q.samples) * s.area
-    return abs(result.lambda1 + (alpha + total_q) / s.area)
+    return abs(lambda1 + (alpha + total_q) / s.area)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from jacobilab.verification import (check_alpha_identity,
+from jacobilab.verification import (DEFAULT_SEED, check_alpha_identity,
                                     check_area_genus_consequence,
                                     check_backend_equivalence,
                                     check_curvature_identities,
@@ -62,3 +62,20 @@ def _run(number, check, budget):
                          ids=[f"criterion_{n:02d}_{c.__name__[6:]}" for n, c, _ in CRITERIA])
 def test_acceptance(number, check, budget):
     _run(number, check, budget)
+
+
+# detail lines of the one-function-at-a-time check, before the test functions
+# were drawn in blocks; they pin the order in which the generator is consumed
+MINMAX_DETAIL = {
+    DEFAULT_SEED: "3000 test functions, min RQ - lambda1 = 3.970e+00 (>= -1e-9), "
+                  "ground-state gap 2.220e-16 (tol 1e-9)",
+    1: "3000 test functions, min RQ - lambda1 = 4.731e+00 (>= -1e-9), "
+       "ground-state gap 2.220e-16 (tol 1e-9)",
+    2: "3000 test functions, min RQ - lambda1 = 5.206e+00 (>= -1e-9), "
+       "ground-state gap 2.220e-16 (tol 1e-9)",
+}
+
+
+@pytest.mark.parametrize("seed", list(MINMAX_DETAIL))
+def test_minmax_detail_is_pinned(seed):
+    assert check_minmax_property(seed).detail == MINMAX_DETAIL[seed]

@@ -17,6 +17,7 @@ from jacobilab import (ConvergenceError, FieldError, ScalarField1D,
                        solve_torus_2d, spectral, surface_spectral_problem)
 from jacobilab.spectral import (FD_RESIDUAL_ULPS, _fd_count_below, _fd_eigs,
                                 assemble_fd, assemble_fourier)
+from jacobilab.fields import _spectral_derivative
 from conftest import ulp_tol
 
 TWO_PI = 2 * math.pi
@@ -341,6 +342,51 @@ def test_rayleigh_rejects_zero_function():
     p = problem(lambda s: np.zeros_like(s))
     with pytest.raises(ValueError):
         rayleigh_quotient(p, ScalarField1D.constant(0.0, TWO_PI, 512))
+
+
+def _trig_rows(n, m, rng, L=TWO_PI):
+    """m random trigonometric polynomials of degree 8 on the n-point grid."""
+    grid = np.arange(n) * (L / n)
+    table = np.stack([np.cos(j * 2 * np.pi / L * grid) for j in range(9)]
+                     + [np.sin(j * 2 * np.pi / L * grid) for j in range(1, 9)])
+    return rng.standard_normal((m, 17)) @ table
+
+
+@pytest.mark.parametrize("n", [8, 9, 500, 512])
+def test_stacked_rayleigh_quotients_match_one_at_a_time(n, rng):
+    p = problem(lambda s: 1.0 + 0.3 * np.cos(s) - 0.5 * np.sin(3 * s), n=n)
+    rows = _trig_rows(n, 50, rng)
+    one_at_a_time = [rayleigh_quotient(p, ScalarField1D.periodic(f, TWO_PI)) for f in rows]
+    assert np.array_equal(spectral._rayleigh_quotients(p, rows), one_at_a_time)
+
+
+@pytest.mark.parametrize("n", [8, 9, 500, 512])
+def test_spectral_derivative_of_a_stack_matches_each_row(n, rng):
+    rows = _trig_rows(n, 20, rng, L=3.7)
+    stacked = _spectral_derivative(rows, 3.7)
+    for row, d in zip(rows, stacked):
+        assert np.array_equal(d, _spectral_derivative(row, 3.7))
+
+
+def test_rayleigh_quotients_reject_a_zero_row(rng):
+    rows = _trig_rows(512, 4, rng)
+    rows[2] = 0.0
+    with pytest.raises(ValueError):
+        spectral._rayleigh_quotients(problem(np.cos), rows)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_rayleigh_quotients_reject_a_non_finite_row(bad, rng):
+    rows = _trig_rows(512, 4, rng)
+    rows[1, 7] = bad
+    with pytest.raises(FieldError):
+        spectral._rayleigh_quotients(problem(np.cos), rows)
+
+
+@pytest.mark.parametrize("shape", [(4, 511), (4, 513), (512,), (2, 4, 512)])
+def test_rayleigh_quotients_reject_rows_off_the_grid(shape):
+    with pytest.raises(FieldError):
+        spectral._rayleigh_quotients(problem(np.cos), np.ones(shape))
 
 
 # --- alpha invariant ---------------------------------------------------------------

@@ -1,0 +1,105 @@
+"""Timings and Rayleigh-Ritz step counts of the O(N) fd eigensolve.
+
+Usage (from the repository root):
+
+    python3 benchmarks/bench_fd.py --label change
+    python3 benchmarks/bench_fd.py --src OTHER_CHECKOUT/src --label parent
+
+Times ``spectral._fd_eigs`` at N = 2048 and 1024 with m = 6 on five
+``oracle_crosscheck`` potentials q0 + a cos(s + phi) (perfbench seed 91), the
+two grids of one fd Richardson solve there, and at N = 512 and 2048 with
+m = 1 and 6 on the deep periodic well 400 cos 20s and the Gaussian well
+40 exp(-30 (1 - cos s)).  Each case also records its step count per
+potential: the number of ``np.linalg.qr`` calls, one per Rayleigh-Ritz step.
+``verification.check_backend_equivalence()`` is timed by its
+``CheckResult.elapsed``.  The median and quartiles of the timed rounds go
+into BENCH_fd_start.json under ``runs[label]``, next to the numpy, BLAS and
+thread settings, as ``benchmarks/_harness.py`` files every layer harness.
+"""
+
+from __future__ import annotations
+
+import math
+
+import _harness
+
+OUT = _harness.ROOT / "BENCH_fd_start.json"
+TWO_PI = 2.0 * math.pi
+ORACLE_SEED = 91
+ORACLE_OPS = 5
+# rounds of each timed case; a round solves every potential of the case once
+ROUNDS = 9
+CHECK_ROUNDS = 15
+
+
+def measure() -> dict:
+    import numpy as np
+    from jacobilab import ScalarField1D, SpectralProblem, spectral, verification
+    from workloads import oracle_input
+
+    def oracle(inp):
+        return lambda s: inp["q0"] + inp["a"] * np.cos(s + inp["phi"])
+
+    potentials = {
+        "oracle": [oracle(oracle_input(ORACLE_SEED, i)) for i in range(ORACLE_OPS)],
+        "cos20": [lambda s: 400.0 * np.cos(20.0 * s)],
+        "gauss": [lambda s: 40.0 * np.exp(-30.0 * (1.0 - np.cos(s)))],
+    }
+    cases = [("oracle", n, 6) for n in (2048, 1024)]
+    cases += [(kind, n, m) for kind in ("cos20", "gauss") for n in (512, 2048) for m in (1, 6)]
+
+    qr = np.linalg.qr
+    steps = [0]
+
+    def counting(a, *args, **kwargs):
+        steps[0] += 1
+        return qr(a, *args, **kwargs)
+
+    def step_count(problem, n, m):
+        steps[0] = 0
+        np.linalg.qr = counting
+        try:
+            spectral._fd_eigs(problem, n, m)
+        finally:
+            np.linalg.qr = qr
+        return steps[0]
+
+    results = {}
+    for kind, n, m in cases:
+        problems = [SpectralProblem(TWO_PI, TWO_PI, ScalarField1D.from_function(q, TWO_PI, n),
+                                    truncation=n) for q in potentials[kind]]
+
+        def solve_all():
+            for p in problems:
+                spectral._fd_eigs(p, n, m)
+
+        entry = _harness.timed(solve_all, ROUNDS, 1, 1e3 / len(problems), "ms")
+        entry["steps"] = [step_count(p, n, m) for p in problems]
+        results[f"fd_eigs_{kind}_N{n}_m{m}"] = entry
+
+    elapsed = []
+    verification.check_backend_equivalence()
+    for _ in range(CHECK_ROUNDS):
+        check = verification.check_backend_equivalence()
+        if not check.passed:
+            raise SystemExit(f"backend_equivalence failed: {check.detail}")
+        elapsed.append(check.elapsed * 1e3)
+    results["backend_equivalence"] = _harness.summary(elapsed, "ms")
+    return results
+
+
+def main(argv=None) -> int:
+    label, results = _harness.main(
+        __doc__, OUT, "spectral._fd_eigs time per potential (median and quartiles of "
+        f"{ROUNDS} rounds after one warm-up) and Rayleigh-Ritz steps per potential; "
+        f"check_backend_equivalence CheckResult.elapsed over {CHECK_ROUNDS} rounds",
+        measure, argv)
+    _harness.print_summaries(label, list(results.items()))
+    for name, r in results.items():
+        if "steps" in r:
+            print(f"{label:>8}  {name:26} steps {r['steps']}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -20,6 +20,13 @@ of the reduced problem are provided:
   periodic tridiagonal matrix is never formed: a preconditioned block
   Rayleigh-Ritz iteration applies the 3-point stencil in O(N) per vector,
   and an O(N) inertia count certifies that no low eigenvalue was missed.
+  The iteration starts from the Ritz vectors of the fd matrix restricted to
+  the grid trig modes |j| <= min(K, (N - 1) // 4), K = DEFAULT_TRUNCATION:
+  the Galerkin matrix above, built from the same potential block, with the
+  fd symbol 4/h^2 sin^2(pi j / N) as kinetic diagonal.  Smooth potentials
+  then converge in one step.  The start only sets the speed; the residual
+  stop and the inertia count set the answer, so the oracle stays
+  independent of the Galerkin assembly.
 
 The Fourier backend diagonalizes its (2K + 1)-square matrix with dense
 LAPACK, unless the matrix is diagonal: when every coefficient c_n, n >= 1,
@@ -120,6 +127,18 @@ def assemble_fourier(length: float, q_samples: np.ndarray, K: int) -> np.ndarray
     w_j = 1 otherwise.  Harmonics beyond the grid Nyquist are taken as zero
     (exact for band-limited potentials, spectrally accurate otherwise).
     """
+    H = _potential_block(q_samples, K)
+    H[np.diag_indices(2 * K + 1)] += _kinetic_diagonal(length, K)
+    return H
+
+
+def _potential_block(q_samples: np.ndarray, K: int) -> np.ndarray:
+    """Matrix of the multiplication by -q in the basis of :func:`assemble_fourier`.
+
+    On the grid of ``q_samples`` it is also exactly the matrix of -diag(q) in
+    the orthonormal grid trig vectors |j| <= K, as long as 2K stays below the
+    grid Nyquist mode: the discrete sums obey the same product formulas.
+    """
     c = np.zeros(2 * K + 1, dtype=complex)
     read = _potential_coefficients(q_samples, K)
     c[:read.size] = read
@@ -134,10 +153,7 @@ def assemble_fourier(length: float, q_samples: np.ndarray, K: int) -> np.ndarray
     Vcc = (c.real[toeplitz] + c.real[hankel]) / np.sqrt(np.outer(inv_w2, inv_w2))
     Vss = c.real[toeplitz[1:, 1:]] - c.real[hankel[1:, 1:]]
     Vcs = (sign * c.imag[toeplitz] - c.imag[hankel])[:, 1:] / np.sqrt(inv_w2)[:, None]
-
-    H = -np.block([[Vcc, Vcs], [Vcs.T, Vss]])
-    H[np.diag_indices(2 * K + 1)] += _kinetic_diagonal(length, K)
-    return H
+    return -np.block([[Vcc, Vcs], [Vcs.T, Vss]])
 
 
 def _potential_coefficients(q_samples: np.ndarray, K: int) -> np.ndarray:
@@ -158,15 +174,18 @@ def _kinetic_diagonal(length: float, K: int) -> np.ndarray:
 def _fourier_ground_state(length: float, vec: np.ndarray, n: int) -> np.ndarray:
     """Values of the basis expansion ``vec`` at the n periodic grid points.
 
-    One inverse real FFT on P = r n > 2K points carries every mode without
-    aliasing; keeping every r-th value samples the expansion on the n-grid.
+    The expansion runs along the last axis, so a stack of rows is synthesized
+    at once.  One inverse real FFT on P = r n > 2K points carries every mode
+    without aliasing; keeping every r-th value samples the expansion on the
+    n-grid.
     """
-    K = (vec.size - 1) // 2
+    K = (vec.shape[-1] - 1) // 2
     r = 2 * K // n + 1
-    X = np.zeros(r * n // 2 + 1, dtype=complex)
-    X[0] = vec[0] / math.sqrt(length)
-    X[1:K + 1] = math.sqrt(2.0 / length) * (vec[1:K + 1] - 1j * vec[K + 1:]) / 2.0
-    return np.fft.irfft(X, r * n, norm="forward")[::r]
+    X = np.zeros(vec.shape[:-1] + (r * n // 2 + 1,), dtype=complex)
+    X[..., 0] = vec[..., 0] / math.sqrt(length)
+    X[..., 1:K + 1] = \
+        math.sqrt(2.0 / length) * (vec[..., 1:K + 1] - 1j * vec[..., K + 1:]) / 2.0
+    return np.fft.irfft(X, r * n, norm="forward")[..., ::r]
 
 
 def _fourier_lambda1(length: float, q_samples: np.ndarray, K: int) -> float:
@@ -242,8 +261,12 @@ def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray,
     """Lowest ``min(m, n_grid)`` eigenvalues and the ground vector of the fd matrix.
 
     Block Rayleigh-Ritz on [X, P R, previous direction] (LOBPCG, Knyazev
-    2001): X starts from the k = m + 2 lowest grid trig modes, R is the
-    residual block and P = (L + c)^-1 the exact inverse of the shifted
+    2001).  X starts from the k = m + 2 lowest Ritz vectors of A restricted
+    to the grid trig modes |j| <= K0 = min(DEFAULT_TRUNCATION, (N - 1) // 4),
+    the Galerkin matrix of the grid samples of q with the fd symbol
+    4/h^2 sin^2(pi j / N) as kinetic diagonal, synthesized on the grid by one
+    inverse FFT and padded with higher trig modes when 2 K0 + 1 < k.  R is
+    the residual block and P = (L + c)^-1 the exact inverse of the shifted
     periodic difference Laplacian L, applied by FFT, with
     c = (2 pi / length)^2 - mean(q) - theta_1 for the lowest Ritz value
     theta_1 (q replaced by its mean).  The solve stops once every returned
@@ -251,7 +274,9 @@ def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray,
     A - sigma, with sigma in the first clear Ritz gap at index j >= m, finds
     exactly j eigenvalues below sigma; otherwise the block grows by two trig
     modes.  A basis of n_grid or more columns spans the whole space, where
-    Rayleigh-Ritz is exact.
+    Rayleigh-Ritz is exact.  The start only sets how many steps the solve
+    takes (one on smooth potentials); the residual stop and the inertia count
+    decide the answer.
     """
     L = problem.circle_length
     q = problem.potential.resampled(n_grid).samples
@@ -259,11 +284,22 @@ def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray,
     eps_norm = np.finfo(float).eps * (4.0 * inv_h2 + float(np.max(np.abs(q))))
     res_tol = FD_RESIDUAL_ULPS * eps_norm
     freq = np.arange(n_grid // 2 + 1)
-    kinetic = 4.0 * inv_h2 * np.sin(np.pi * freq / n_grid) ** 2 + (2.0 * np.pi / L) ** 2
+    fd_symbol = 4.0 * inv_h2 * np.sin(np.pi * freq / n_grid) ** 2
+    kinetic = fd_symbol + (2.0 * np.pi / L) ** 2
     q_mean = float(np.mean(q))
 
     k = min(m + 2, n_grid)
-    basis = _trig_modes(n_grid, 0, k)
+    # the fd matrix restricted to the grid trig modes |j| <= K0 is the
+    # Galerkin matrix of the samples with the fd symbol as kinetic diagonal;
+    # 2 K0 < n_grid / 2 keeps its Toeplitz and Hankel tables unaliased
+    K0 = min(DEFAULT_TRUNCATION, (n_grid - 1) // 4)
+    H0 = _potential_block(q, K0)
+    H0[np.diag_indices(2 * K0 + 1)] += np.concatenate(([0.0], fd_symbol[1:K0 + 1],
+                                                       fd_symbol[1:K0 + 1]))
+    ritz = np.linalg.eigh(H0)[1][:, :k]
+    start = _fourier_ground_state(L, ritz.T, n_grid).T
+    # the first 2 K0 + 1 trig modes span the modes |j| <= K0
+    basis = np.hstack([start, _trig_modes(n_grid, start.shape[1], k)])
     stalled = 0
     while True:
         Q = np.linalg.qr(basis)[0]

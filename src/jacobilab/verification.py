@@ -261,9 +261,9 @@ def check_minmax_property(seed: int = DEFAULT_SEED) -> CheckResult:
                    f"(>= -1e-9), ground-state gap {worst_saturation:.3e} (tol 1e-9)")
 
 
-def check_backend_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
-    """Galerkin and finite-difference lambda1 agree on smooth potentials."""
-    started = time.perf_counter()
+def _equivalence_potentials(seed: int) -> list[Callable]:
+    """The 20 smooth potentials of :func:`check_backend_equivalence`: one
+    harmonic, then 19 random three-harmonic ones."""
     rng = np.random.default_rng(seed)
     potentials: list[Callable] = [lambda s: 1.0 + 0.3 * np.cos(s)]
     for _ in range(19):
@@ -277,8 +277,14 @@ def check_backend_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
             return out
 
         potentials.append(q_fn)
+    return potentials
+
+
+def check_backend_equivalence(seed: int = DEFAULT_SEED) -> CheckResult:
+    """Galerkin and finite-difference lambda1 agree on smooth potentials."""
+    started = time.perf_counter()
     worst = 0.0
-    for q_fn in potentials:
+    for q_fn in _equivalence_potentials(seed):
         qf = ScalarField1D.from_function(q_fn, TWO_PI, 512)
         p_fourier = SpectralProblem(TWO_PI, TWO_PI, qf, truncation=64)
         p_fd = SpectralProblem(TWO_PI, TWO_PI, qf, truncation=1024, conv_tol=1e-3)

@@ -14,7 +14,8 @@ from jacobilab import (ConvergenceError, FieldError, ScalarField1D,
                        SpectralProblem, alpha_invariant, homogeneous_model,
                        hopf_torus, horizontal_slice, lambda1_identity_check,
                        product_model, rayleigh_quotient, solve, solve_surface,
-                       solve_torus_2d, spectral, surface_spectral_problem)
+                       solve_torus_2d, spectral, surface_spectral_problem,
+                       verification)
 from jacobilab.spectral import (FD_RESIDUAL_ULPS, _fd_count_below, _fd_eigs,
                                 assemble_fd, assemble_fourier)
 from jacobilab.fields import _spectral_derivative
@@ -244,9 +245,19 @@ def test_fd_eigensolve_matches_dense(kind, n, m):
     assert np.max(np.abs(x0 - v0)) <= FD_RESIDUAL_ULPS * eps_norm / (w[1] - w[0])
 
 
+def fd_and_dense_on_periodic_wells(amplitude, wells, m, n=512):
+    """``_fd_eigs`` and dense eigenvalues of amplitude cos(wells s), and the
+    FD_RESIDUAL_ULPS eps ||A|| within which they must agree."""
+    q = amplitude * np.cos(wells * np.arange(n) * (TWO_PI / n))
+    w = np.linalg.eigvalsh(assemble_fd(TWO_PI, q))
+    eps_norm = np.finfo(float).eps * (4.0 * (n / TWO_PI) ** 2 + np.max(np.abs(q)))
+    return _fd_eigs(fd_problem(q), n, m)[0], w[:m], FD_RESIDUAL_ULPS * eps_norm
+
+
 @pytest.mark.parametrize("m", [1, 6])
 def test_fd_block_grows_on_a_deep_periodic_well(m, monkeypatch):
-    # 400 cos 20s stalls FD_MAX_ITERATIONS steps before it separates, so the
+    # the 64-mode start does not resolve the 40 wells of 800 cos 40s, whose
+    # cluster stalls FD_MAX_ITERATIONS steps before it separates, so the
     # block gains trig modes beyond its first m + 2
     grown = []
     trig_modes = spectral._trig_modes
@@ -257,13 +268,78 @@ def test_fd_block_grows_on_a_deep_periodic_well(m, monkeypatch):
         return trig_modes(n, start, stop)
 
     monkeypatch.setattr(spectral, "_trig_modes", recording)
-    n = 512
-    q = 400.0 * np.cos(20.0 * np.arange(n) * (TWO_PI / n))
-    w = np.linalg.eigvalsh(assemble_fd(TWO_PI, q))
-    eps_norm = np.finfo(float).eps * (4.0 * (n / TWO_PI) ** 2 + np.max(np.abs(q)))
-    eigenvalues, _ = _fd_eigs(fd_problem(q), n, m)
+    eigenvalues, dense, tol = fd_and_dense_on_periodic_wells(800.0, 40, m)
     assert grown and max(grown) > m + 2
-    assert np.max(np.abs(eigenvalues - w[:m])) <= FD_RESIDUAL_ULPS * eps_norm
+    assert np.max(np.abs(eigenvalues - dense)) <= tol
+
+
+@pytest.mark.parametrize("m", [1, 6])
+def test_fd_twenty_deep_wells_match_dense(m):
+    # 400 cos 20s: a cluster of 20 nearly equal eigenvalues at the bottom
+    eigenvalues, dense, tol = fd_and_dense_on_periodic_wells(400.0, 20, m)
+    assert np.max(np.abs(eigenvalues - dense)) <= tol
+
+
+WRONG_POTENTIAL_BLOCKS = {
+    "negated_q": lambda block, q_samples, K: block(-q_samples, K),
+    "zero_q": lambda block, q_samples, K: np.zeros((2 * K + 1, 2 * K + 1)),
+}
+
+
+@pytest.mark.parametrize("m", [1, 6])
+@pytest.mark.parametrize("n", [64, 1000])
+@pytest.mark.parametrize("kind", ["band_limited", "deep_well"])
+@pytest.mark.parametrize("wrong", list(WRONG_POTENTIAL_BLOCKS))
+def test_fd_answer_does_not_depend_on_the_start(wrong, kind, n, m, monkeypatch):
+    # the start shares its potential block with assemble_fourier; a wrong
+    # block there may cost steps, but the residual stop and the inertia
+    # count keep the fd oracle independent of the Galerkin assembly
+    calls = []
+    block = spectral._potential_block
+
+    def wrong_block(q_samples, K):
+        calls.append(K)
+        return WRONG_POTENTIAL_BLOCKS[wrong](block, q_samples, K)
+
+    monkeypatch.setattr(spectral, "_potential_block", wrong_block)
+    q, w, v0, eps_norm = dense_fd(kind, n)
+    eigenvalues, x0 = _fd_eigs(fd_problem(q), n, m)
+    assert calls
+    assert np.max(np.abs(eigenvalues - w[:m])) <= FD_EIG_ULPS * eps_norm
+    x0 = x0 * np.sign(x0 @ v0)
+    assert np.max(np.abs(x0 - v0)) <= FD_RESIDUAL_ULPS * eps_norm / (w[1] - w[0])
+
+
+def _oracle_potentials():
+    # q0 + a cos(s + phi) over the oracle workload's ranges, a up to 1
+    rng = np.random.default_rng(91)
+    draws = [(rng.uniform(-2.0, 4.0), rng.uniform(0.05, 1.0), rng.uniform(0.0, TWO_PI))
+             for _ in range(6)]
+    return [lambda s, q0=q0, a=a, phi=phi: q0 + a * np.cos(s + phi)
+            for q0, a, phi in draws + [(-2.0, 1.0, 0.0), (4.0, 1.0, 2.0)]]
+
+
+@pytest.mark.parametrize("cases, sizes, m", [
+    pytest.param(_oracle_potentials(), (1024, 2048), 6, id="oracle"),
+    pytest.param(verification._equivalence_potentials(verification.DEFAULT_SEED),
+                 (512, 1024), 1, id="backend_equivalence"),
+])
+def test_fd_smooth_potentials_take_one_rayleigh_ritz_step(cases, sizes, m, monkeypatch):
+    # the start resolves smooth potentials on the grid, so the first
+    # Rayleigh-Ritz step already passes the residual stop and the count
+    steps = []
+    qr = np.linalg.qr
+
+    def counting(a, *args, **kwargs):
+        steps[-1] += 1
+        return qr(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    for q_fn in cases:
+        for n in sizes:
+            steps.append(0)
+            _fd_eigs(fd_problem(q_fn(np.arange(n) * (TWO_PI / n))), n, m)
+    assert steps == [1] * len(cases) * len(sizes)
 
 
 @pytest.mark.parametrize("n", [16, 17, 64, 1000])

@@ -3,7 +3,9 @@
 Exit codes for ``run``: 0 on success, 1 on input errors (schema violations,
 inconsistent geometry, solver non-convergence), 2 when a report contains a
 bound violation or an intrinsic-mode equality anomaly.  ``verify`` exits 0
-exactly when every selected check passes.
+exactly when every selected check passes; a rejected command line exits 1.
+``run`` always solves with the Fourier backend; the fd oracle is reached
+only through ``spectral.solve(..., backend="fd")``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--gradient-mode",
                          choices=[m.value for m in GradientMode], default=None,
                          help="Override the |grad tau| interpretation")
-    run_cmd.add_argument("--backend", choices=["fourier", "fd"], default=None,
-                         help="Override the eigenvalue backend")
     run_cmd.add_argument("--truncation", type=int, default=None,
                          help="Override the solver truncation")
 
@@ -50,7 +50,7 @@ def _cmd_run(args) -> int:
     try:
         doc = load_scenario(args.scenario)
         outcome = run_scenario(doc, gradient_mode=args.gradient_mode,
-                               backend=args.backend, truncation=args.truncation)
+                               truncation=args.truncation)
     except ScenarioError as exc:
         for path in exc.paths:
             print(f"error: {path}", file=sys.stderr)
@@ -82,7 +82,10 @@ def _cmd_verify(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage-error code 2 is EXIT_ANOMALY here
+        return EXIT_INPUT_ERROR if exc.code else 0
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_verify(args)

@@ -15,7 +15,7 @@ import json
 import math
 import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +24,13 @@ from .bounds import REGIME_PARTS, _bound_value, build_bound_report
 from .errors import JacobilabError, ScenarioError
 from .fields import ScalarField1D
 from .geometry import Regime
-from .spectral import (DEFAULT_CONV_TOL, MIN_FD_GRID, _identity_residual,
-                       alpha_invariant, solve, solve_surface,
-                       surface_spectral_problem)
+from .spectral import (DEFAULT_CONV_TOL, DEFAULT_TRUNCATION, SpectralProblem,
+                       SpectralResult, _identity_residual, alpha_invariant, solve,
+                       solve_surface, surface_spectral_problem)
 from .submersion import GradientMode, SubmersionModel, \
     homogeneous_model, product_model
-from .surface import (HopfTorus, SampledKappa, gauss_bonnet_check,
-                      hopf_torus, horizontal_slice, potential_field,
-                      surface_regime)
+from .surface import (SampledKappa, gauss_bonnet_check, hopf_torus,
+                      horizontal_slice, surface_regime)
 from .warped import (bounds_in_theta_form, constant_profile,
                      half_arctan_profile, parallel_hopf_torus, sampled_profile,
                      submersion_from_theta)
@@ -47,9 +46,8 @@ EXIT_ANOMALY = 2
 SERIES_NAMES = ("potential", "ground_state", "convergence")
 MAX_SAMPLES = 65_536
 MAX_SWEEP_POINTS = 10_000
-# largest solver.truncation per backend: a 2049 x 2049 Galerkin matrix, and an
-# fd grid where rounding already sets the accuracy floor
-MAX_TRUNCATION = {"fourier": 1024, "fd": MAX_SAMPLES}
+# largest solver.truncation: a 2049 x 2049 Galerkin matrix
+MAX_TRUNCATION = 1024
 
 
 # --- deterministic serialization --------------------------------------------------
@@ -197,11 +195,11 @@ _SCENARIO = {
     "model": _MODEL,
     "surface": _SURFACE,
     "solver?": {
-        "backend?": (lambda x: x in ("fourier", "fd"), "expected 'fourier' or 'fd'"),
-        "truncation?": (lambda x: _is_int(x) and x >= 4, "expected an integer >= 4"),
+        "backend?": (lambda x: x == "fourier", "expected 'fourier'"),
+        "truncation?": (lambda x: _is_int(x) and 4 <= x <= MAX_TRUNCATION,
+                        f"expected an integer in [4, {MAX_TRUNCATION}]"),
         "eigenvalue_count?": (lambda x: _is_int(x) and x >= 1, "expected a positive integer"),
-        "convergence_tol?": _POSITIVE,
-        "richardson?": (lambda x: isinstance(x, bool), "expected a boolean")},
+        "convergence_tol?": _POSITIVE},
     "gradient_mode?": (lambda x: x in tuple(m.value for m in GradientMode),
                        "expected 'intrinsic_on_surface' or 'ambient'"),
     "outputs?": {
@@ -260,11 +258,6 @@ def validate_scenario(doc) -> list[str]:
         elif _sweep_count(sweep) > MAX_SWEEP_POINTS:
             errors.append(f"outputs.sweep: expected at most {MAX_SWEEP_POINTS} points")
     if not errors:
-        solver = {"backend": "fourier", "truncation": 0, **doc.get("solver", {})}
-        cap = MAX_TRUNCATION[solver["backend"]]
-        if solver["truncation"] > cap:
-            errors.append(f"solver.truncation: expected at most {cap} for the "
-                          f"{solver['backend']} backend")
         surface, warped = doc["surface"], doc["model"]["kind"] == "warped"
         if surface["type"] == "hopf_torus" and warped != ("parallel" in surface):
             errors.append("surface: hopf_torus needs 'parallel' exactly when the "
@@ -354,15 +347,13 @@ class ScenarioOutcome:
     exit_code: int = EXIT_OK
 
 
-def _convergence_series(surface: HopfTorus, backend: str, truncation: int,
-                        richardson: bool) -> list[list]:
-    """lambda1 on the doubling ladder from the backend's smallest grid up to
-    the main solve's truncation, with the convergence check disabled."""
+def _convergence_series(problem: SpectralProblem) -> list[list]:
+    """lambda1 on the doubling ladder 8, 16, ... up to the main solve's
+    truncation: each rung is its problem with the convergence check disabled."""
     rows = []
-    t = MIN_FD_GRID if backend == "fd" else 8
-    while t <= truncation:
-        problem = surface_spectral_problem(surface, truncation=t, conv_tol=math.inf)
-        r = solve(problem, m=1, backend=backend, richardson=richardson)
+    t = 8
+    while t <= problem.truncation:
+        r = solve(replace(problem, truncation=t, conv_tol=math.inf), m=1)
         rows.append([t, float(r.lambda1)])
         t *= 2
     return rows
@@ -388,7 +379,7 @@ def _sweep_series(model: SubmersionModel, sweep: dict, solver: dict) -> list[lis
     rows = []
     for u in _sweep_grid(sweep):
         torus = parallel_hopf_torus(model, u)
-        lam = _solve_with(torus, solver).lambda1
+        lam = _solve_with(torus, solver)[1].lambda1
         parts = REGIME_PARTS.get(surface_regime(torus))
         if parts is None:
             continue
@@ -402,31 +393,29 @@ def _sweep_series(model: SubmersionModel, sweep: dict, solver: dict) -> list[lis
     return rows
 
 
-def _solve_with(surface, solver: dict):
-    return solve_surface(surface, m=int(solver.get("eigenvalue_count", 6)),
-                         backend=solver.get("backend", "fourier"),
-                         truncation=solver.get("truncation"),
-                         richardson=bool(solver.get("richardson", False)),
-                         conv_tol=float(solver.get("convergence_tol", DEFAULT_CONV_TOL)))
+def _solve_with(surface, solver: dict) -> tuple[SpectralProblem | None, SpectralResult]:
+    """The Fourier problem of a Hopf torus (None for a slice) and its solve."""
+    m = int(solver.get("eigenvalue_count", 6))
+    if surface.horizontal:
+        return None, solve_surface(surface, m=m)
+    problem = surface_spectral_problem(
+        surface, truncation=solver.get("truncation", DEFAULT_TRUNCATION),
+        conv_tol=float(solver.get("convergence_tol", DEFAULT_CONV_TOL)))
+    return problem, solve(problem, m=m)
 
 
 def run_scenario(doc: dict, gradient_mode: str | None = None,
-                 backend: str | None = None,
                  truncation: int | None = None) -> ScenarioOutcome:
-    """Validate and execute one scenario document; overrides beat the file."""
-    errors = validate_scenario(doc)
+    """Validate and execute one scenario document; overrides beat the file
+    and are validated with it.  The report echoes the document as given."""
+    run = doc
+    if truncation is not None and isinstance(doc, dict) \
+            and isinstance(doc.get("solver", {}), dict):
+        run = {**doc, "solver": {**doc.get("solver", {}), "truncation": truncation}}
+    errors = validate_scenario(run)
     if errors:
         raise ScenarioError(errors)
-    solver = dict(doc.get("solver", {}))
-    if backend is not None:
-        solver["backend"] = backend
-    if truncation is not None:
-        solver["truncation"] = truncation
-    if solver != doc.get("solver", {}):
-        # overrides meet the same caps as the file
-        errors = validate_scenario({**doc, "solver": solver})
-        if errors:
-            raise ScenarioError(errors)
+    solver = run.get("solver", {})
     mode_name = gradient_mode or doc.get("gradient_mode",
                                          GradientMode.INTRINSIC_ON_SURFACE.value)
     mode = GradientMode(mode_name)
@@ -434,11 +423,11 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
 
     model = build_model(doc["model"])
     surface = build_surface(doc["surface"], model)
-    result = _solve_with(surface, solver)
+    problem, result = _solve_with(surface, solver)
 
     regime = surface_regime(surface)
-    torus = not surface.horizontal
-    q = potential_field(surface)
+    torus = problem is not None
+    q = problem.potential if torus else 0.0
     alpha = alpha_invariant(result.ground_state, surface.area)
     identities = {
         "lambda1_identity_residual": float(_identity_residual(surface, result.lambda1,
@@ -514,9 +503,7 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
             series["ground_state"] = format_csv(
                 ["s", "rho"], zip(rho.grid.tolist(), rho.samples.tolist()))
         elif kind == "convergence" and torus:
-            rows = _convergence_series(surface, solver.get("backend", "fourier"),
-                                       result.truncation,
-                                       bool(solver.get("richardson", False)))
+            rows = _convergence_series(problem)
             series["convergence"] = format_csv(["truncation", "lambda1"], rows)
     sweep = outputs.get("sweep")
     if sweep is not None:

@@ -28,6 +28,9 @@ of the reduced problem are provided:
   stop and the inertia count set the answer, so the oracle stays
   independent of the Galerkin assembly.
 
+Scenarios and :func:`solve_surface` run the Fourier path; the fd path is
+reached only through ``solve(problem, backend="fd")``.
+
 The Fourier backend diagonalizes its (2K + 1)-square matrix with dense
 LAPACK, unless the matrix is diagonal: when every coefficient c_n, n >= 1,
 that the assembly reads is exactly zero (a constant potential, such as that
@@ -50,6 +53,7 @@ from .fields import ScalarField1D, _spectral_derivative
 from .surface import HopfTorus, SurfaceModel, potential_field
 
 DEFAULT_TRUNCATION = 64
+# grid of the fd oracle cross-checks (the benchmark's oracle_crosscheck)
 DEFAULT_FD_TRUNCATION = 2048
 DEFAULT_CONV_TOL = 1e-6
 MIN_FD_GRID = 16
@@ -429,25 +433,22 @@ def surface_spectral_problem(s: HopfTorus, truncation: int = DEFAULT_TRUNCATION,
                            potential=q, truncation=truncation, conv_tol=conv_tol)
 
 
-def solve_surface(s: SurfaceModel, m: int = 6, backend: str = "fourier",
-                  truncation: int | None = None, richardson: bool = False,
+def solve_surface(s: SurfaceModel, m: int = 6, truncation: int = DEFAULT_TRUNCATION,
                   conv_tol: float = DEFAULT_CONV_TOL) -> SpectralResult:
     """Spectrum of the stability operator of a surface.
 
     Horizontal slices are totally geodesic with vanishing normal Ricci
     curvature, so their operator is the plain Laplacian: the bottom eigenpair
     (0, constant) is exact on any closed surface and is returned in closed
-    form.  Hopf tori are solved numerically on their reduced circle.
+    form.  Hopf tori are solved on their reduced circle by the Fourier backend.
     """
     if s.horizontal:
         rho = ScalarField1D.constant(1.0, period=1.0, n=8)
         return SpectralResult(lambda1=0.0, eigenvalues=np.array([0.0]),
                               ground_state=rho, backend="closed_form",
                               convergence_estimate=0.0, truncation=0)
-    if truncation is None:
-        truncation = DEFAULT_FD_TRUNCATION if backend == "fd" else DEFAULT_TRUNCATION
     problem = surface_spectral_problem(s, truncation=truncation, conv_tol=conv_tol)
-    return solve(problem, m=m, backend=backend, richardson=richardson)
+    return solve(problem, m=m)
 
 
 # --- variational quantities -----------------------------------------------------

@@ -8,8 +8,9 @@ from jacobilab import (EqualityStatus, GradientMode, Regime, RegimeMismatchError
                        SampledKappa, ScalarField1D, TheoremPart, Verdict,
                        alpha_invariant, build_bound_report, corollary_checks,
                        equality_classify, homogeneous_model, hopf_torus,
-                       horizontal_slice, product_model, solve_surface,
-                       stability_verdict, surface_regime, theorem_bound)
+                       horizontal_slice, product_model, solve, solve_surface,
+                       stability_verdict, surface_regime, surface_spectral_problem,
+                       theorem_bound)
 from jacobilab.bounds import REGIME_PARTS
 from jacobilab.scenario import run_scenario
 
@@ -370,7 +371,7 @@ def test_bound_ii_gap_is_the_alpha_identity_fourier(sign, data):
 @given(data=st.data())
 def test_bound_ii_gap_is_the_alpha_identity_fd(sign, data):
     torus = data.draw(band_limited_tori(sign))
-    result = solve_surface(torus, m=1, backend="fd", truncation=FD_GRID, richardson=True,
-                           conv_tol=1e-2)
+    result = solve(surface_spectral_problem(torus, truncation=FD_GRID, conv_tol=1e-2), m=1,
+                   backend="fd", richardson=True)
     gap, identity, scale = _gap_and_identity(torus, result)
     assert abs(gap - identity) <= FD_GAP_RTOL * scale

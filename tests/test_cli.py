@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,14 +187,27 @@ def test_null_series_writes_only_the_report(tmp_path):
     assert [p.name for p in out.iterdir()] == ["berger_minimal_hopf.report.json"]
 
 
-def test_fd_convergence_series_starts_at_fd_minimum(tmp_path):
-    doc = berger_doc(solver={"backend": "fd", "truncation": 256},
-                     outputs={"series": ["convergence"]})
-    path = tmp_path / "scenario.json"
-    path.write_text(json.dumps(doc))
-    assert main(["run", str(path), "--out", str(tmp_path)]) == 0
-    lines = (tmp_path / "berger_minimal_hopf.convergence.csv").read_text().split()
-    assert [int(line.split(",")[0]) for line in lines[1:]] == [16, 32, 64, 128, 256]
+def test_one_potential_field_per_torus_report(monkeypatch):
+    import jacobilab.surface as surface_mod
+    real = surface_mod.potential_field
+    calls = []
+
+    def spy(s):
+        calls.append(s)
+        return real(s)
+
+    # modules import the function by name, so rebind every reference to it
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("jacobilab") and getattr(mod, "potential_field", None) is real:
+            monkeypatch.setattr(mod, "potential_field", spy)
+    doc = berger_doc(solver={"truncation": 32},
+                     outputs={"series": ["potential", "ground_state", "convergence"]})
+    doc["surface"]["kappa"] = {"mean": 4.0, "cos": [0.3]}
+    outcome = run_scenario(doc)
+    assert set(outcome.series) == {"potential", "ground_state", "convergence"}
+    rungs = outcome.series["convergence"].split()[1:]
+    assert [int(row.split(",")[0]) for row in rungs] == [8, 16, 32]
+    assert len(calls) == 1
 
 
 # SHA-256 of every output of the shipped scenarios; report bytes change only
@@ -304,6 +318,20 @@ def test_bound_violation_maps_to_exit_2(tmp_path, monkeypatch):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(berger_doc()))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+# argparse's own usage-error code 2 is EXIT_ANOMALY here
+@pytest.mark.parametrize("argv", [["run", "x.json", "--backend", "fd"],
+                                  ["run", "x.json", "--bogus"], ["run"]],
+                         ids=["backend_fd", "unknown_flag", "missing_scenario"])
+def test_cli_usage_error_is_input_error(argv, capsys):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_help_exits_0(capsys):
+    assert main(["run", "--help"]) == 0
+    assert "--truncation" in capsys.readouterr().out
 
 
 def test_cli_missing_file_is_input_error(tmp_path):

@@ -77,8 +77,7 @@ SERIES = ("outputs.series: expected a list drawn from "
 INTERVAL = "expected [a, b] with a < b"
 SAMPLES = "expected an integer in [8, 65536]"
 TOO_MANY_POINTS = "outputs.sweep: expected at most 10000 points"
-FOURIER_CAP = "expected at most 1024 for the fourier backend"
-FD_CAP = "expected at most 65536 for the fd backend"
+TRUNCATION = "expected an integer in [4, 1024]"
 
 # (document, exact error list); the hand-written validator that the schema
 # table replaced gave the same lists, except that its samples message read
@@ -155,12 +154,12 @@ UNCHANGED = {
     "solver_values": (edit(BERGER, solver={"backend": "gpu", "truncation": 2,
                                            "eigenvalue_count": 0, "convergence_tol": -1,
                                            "richardson": 1, "threads": 2}),
-                      ["solver.threads: unknown key",
-                       "solver.backend: expected 'fourier' or 'fd'",
-                       "solver.truncation: expected an integer >= 4",
+                      ["solver.richardson: unknown key",
+                       "solver.threads: unknown key",
+                       "solver.backend: expected 'fourier'",
+                       f"solver.truncation: {TRUNCATION}",
                        "solver.eigenvalue_count: expected a positive integer",
-                       "solver.convergence_tol: expected a positive number",
-                       "solver.richardson: expected a boolean"]),
+                       "solver.convergence_tol: expected a positive number"]),
     "solver_not_object": (edit(BERGER, solver="x"), ["solver: expected an object"]),
     "gradient_mode": (edit(BERGER, gradient_mode="sideways"),
                       ["gradient_mode: expected 'intrinsic_on_surface' or 'ambient'"]),
@@ -186,8 +185,12 @@ UNCHANGED = {
 }
 
 # rows whose errors changed on purpose: values that used to pass validation and
-# then crash, bools taken for integers, and a missing key reported twice
+# then crash, bools taken for integers, a missing key reported twice, and the
+# fd backend with its Richardson switch, which scenarios no longer select
+# (valid_berger selects the one backend left)
 FIXED = {
+    "backend_fd": (edit(BERGER, solver__backend="fd"), ["solver.backend: expected 'fourier'"]),
+    "richardson": (edit(BERGER, solver__richardson=True), ["solver.richardson: unknown key"]),
     **{f"sweep_{key}_{label}": (edit(WARPED, **{f"outputs__sweep__{key}": value}),
                                 [f"outputs.sweep.{key}: expected a finite number"])
        for key in ("start", "stop", "step")
@@ -230,17 +233,12 @@ BOUNDED = {
                             [f"model.samples: {SAMPLES}"]),
     "samples_65536": (edit(PRODUCT, model__samples=65536, surface__samples=65536), []),
     "fourier_truncation_1025": (edit(BERGER, solver__truncation=1025),
-                                [f"solver.truncation: {FOURIER_CAP}"]),
+                                [f"solver.truncation: {TRUNCATION}"]),
     "fourier_truncation_1e6": (edit(BERGER, solver__truncation=10**6),
-                               [f"solver.truncation: {FOURIER_CAP}"]),
+                               [f"solver.truncation: {TRUNCATION}"]),
     "default_backend_truncation_1025": (edit(BERGER, solver={"truncation": 1025}),
-                                        [f"solver.truncation: {FOURIER_CAP}"]),
+                                        [f"solver.truncation: {TRUNCATION}"]),
     "fourier_truncation_1024": (edit(BERGER, solver__truncation=1024), []),
-    "fd_truncation_65537": (edit(BERGER, solver__backend="fd", solver__truncation=65537),
-                            [f"solver.truncation: {FD_CAP}"]),
-    "fd_truncation_1e6": (edit(BERGER, solver__backend="fd", solver__truncation=10**6),
-                          [f"solver.truncation: {FD_CAP}"]),
-    "fd_truncation_65536": (edit(BERGER, solver__backend="fd", solver__truncation=65536), []),
 }
 
 
@@ -259,15 +257,17 @@ def test_error_list_bounded(doc, expected):
     assert validate_scenario(doc) == expected
 
 
-@pytest.mark.parametrize("overrides, message", [
-    ({"truncation": 10**6}, FD_CAP),
-    # the file's fd grid becomes a Fourier truncation under the override
-    ({"backend": "fourier"}, FOURIER_CAP)], ids=["truncation", "backend"])
-def test_solver_overrides_meet_the_caps(overrides, message):
-    doc = edit(BERGER, solver__backend="fd", solver__truncation=2048)
+# a --truncation override is merged into the document before validation, so
+# it meets the file's cap, and it does not hide a file's fd backend
+@pytest.mark.parametrize("doc, expected", [
+    (BERGER, [f"solver.truncation: {TRUNCATION}"]),
+    (edit(BERGER, solver__backend="fd"), ["solver.backend: expected 'fourier'",
+                                          f"solver.truncation: {TRUNCATION}"])],
+    ids=["truncation", "backend"])
+def test_solver_overrides_meet_the_caps(doc, expected):
     with pytest.raises(ScenarioError) as excinfo:
-        run_scenario(doc, **overrides)
-    assert excinfo.value.paths == [f"solver.truncation: {message}"]
+        run_scenario(doc, truncation=10**6)
+    assert excinfo.value.paths == expected
 
 
 def test_sweep_grid_length_is_the_validated_count():

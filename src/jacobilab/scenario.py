@@ -15,7 +15,7 @@ import json
 import math
 import os
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +25,8 @@ from .errors import JacobilabError, ScenarioError
 from .fields import ScalarField1D
 from .geometry import Regime
 from .spectral import (DEFAULT_CONV_TOL, DEFAULT_TRUNCATION, SpectralProblem,
-                       SpectralResult, _identity_residual, alpha_invariant, solve,
-                       solve_surface, surface_spectral_problem)
+                       SpectralResult, _convergence_ladder, _identity_residual,
+                       alpha_invariant, solve, solve_surface, surface_spectral_problem)
 from .submersion import GradientMode, SubmersionModel, \
     homogeneous_model, product_model
 from .surface import (SampledKappa, gauss_bonnet_check, hopf_torus,
@@ -347,18 +347,6 @@ class ScenarioOutcome:
     exit_code: int = EXIT_OK
 
 
-def _convergence_series(problem: SpectralProblem) -> list[list]:
-    """lambda1 on the doubling ladder 8, 16, ... up to the main solve's
-    truncation: each rung is its problem with the convergence check disabled."""
-    rows = []
-    t = 8
-    while t <= problem.truncation:
-        r = solve(replace(problem, truncation=t, conv_tol=math.inf), m=1)
-        rows.append([t, float(r.lambda1)])
-        t *= 2
-    return rows
-
-
 def _sweep_count(sweep: dict) -> float:
     """floor((stop - start)/step + 1e-9) + 1 points; inf when the quotient
     overflows, so a validator can compare it with a cap."""
@@ -503,7 +491,7 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
             series["ground_state"] = format_csv(
                 ["s", "rho"], zip(rho.grid.tolist(), rho.samples.tolist()))
         elif kind == "convergence" and torus:
-            rows = _convergence_series(problem)
+            rows = _convergence_ladder(problem, result.lambda1)
             series["convergence"] = format_csv(["truncation", "lambda1"], rows)
     sweep = outputs.get("sweep")
     if sweep is not None:

@@ -35,7 +35,11 @@ The Fourier backend diagonalizes its (2K + 1)-square matrix with dense
 LAPACK, unless the matrix is diagonal: when every coefficient c_n, n >= 1,
 that the assembly reads is exactly zero (a constant potential, such as that
 of a Hopf torus with constant data), the spectrum is the sorted diagonal,
-the ground vector is the constant mode and the K/2 estimate is 0.  The torus
+the ground vector is the constant mode and the K/2 estimate is 0.  The
+matrix of a lower truncation t is the principal submatrix of the
+truncation-K matrix on rows 0..t and K+1..K+t, entry for entry, so the K/2
+estimate and the convergence ladder slice one assembled matrix, and the
+ladder's top rung is the solve's own lambda_1.  The torus
 spectrum with fiber modes (:func:`solve_torus_2d`) is the exact merge of the
 circle spectrum with the fiber kinetic terms, so it needs no eigensolve of
 its own.
@@ -192,8 +196,33 @@ def _fourier_ground_state(length: float, vec: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(X, r * n, norm="forward")[..., ::r]
 
 
-def _fourier_lambda1(length: float, q_samples: np.ndarray, K: int) -> float:
-    return float(np.linalg.eigvalsh(assemble_fourier(length, q_samples, K))[0])
+def _galerkin_slice(H: np.ndarray, t: int) -> np.ndarray:
+    """The truncation-t matrix inside the truncation-K matrix ``H`` of
+    :func:`assemble_fourier`: its principal submatrix on rows 0..t and
+    K+1..K+t, which reads the same c_n with the same weights."""
+    K = H.shape[0] // 2
+    keep = np.r_[0:t + 1, K + 1:K + t + 1]
+    return H[np.ix_(keep, keep)]
+
+
+def _convergence_ladder(problem: SpectralProblem, lambda1: float) -> list[list]:
+    """[t, lambda_1 at truncation t] for t = 8, 16, ... up to the problem's
+    truncation K, whose solve gave ``lambda1``; empty for K < 8.
+
+    The top rung t = K is ``lambda1`` itself.  A lower rung is the lowest
+    eigenvalue of a slice of one truncation-K matrix, assembled only when
+    such a rung exists; it is taken from ``eigh``, the routine a solve of
+    that truncation runs, so each rung keeps that solve's bits (on a
+    diagonal slice ``eigh`` returns the closed form's bits).  When the
+    matrix is diagonal (the gate of :func:`solve`), every rung reads the
+    same c_0 and zeros, so every rung is ``lambda1``.  No rung builds a
+    ground state.
+    """
+    K, q = problem.truncation, problem.potential.samples
+    dense = K > 8 and np.any(_potential_coefficients(q, K)[1:])
+    H = assemble_fourier(problem.circle_length, q, K) if dense else None
+    return [[t, float(np.linalg.eigh(_galerkin_slice(H, t))[0][0]) if dense and t < K
+             else lambda1] for t in (8 << i for i in range((K // 8).bit_length()))]
 
 
 def _normalize_ground_state(values: np.ndarray, length: float) -> np.ndarray:
@@ -337,7 +366,8 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
     """Lowest ``m`` eigenvalues and the ground state of -Laplacian - q.
 
     The reported convergence_estimate is |lambda1(T) - lambda1(T/2)| over the
-    problem truncation T; a value above the problem's conv_tol raises
+    problem truncation T (the fourier backend reads lambda1(max(4, T // 2))
+    from a slice of its own matrix); a value above the problem's conv_tol raises
     :class:`ConvergenceError`.  If every Fourier coefficient c_n, n >= 1, of
     q that the Galerkin matrix reads is exactly zero (a test with no
     tolerance), the matrix is diag(0, k^2, k^2) - c_0 and the fourier backend
@@ -356,9 +386,9 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
         K = problem.truncation
         c = _potential_coefficients(q_field.samples, K)
         if np.any(c[1:]):
-            w, vecs = np.linalg.eigh(assemble_fourier(L, q_field.samples, K))
+            w, vecs = np.linalg.eigh(H := assemble_fourier(L, q_field.samples, K))
             ground = vecs[:, 0]
-            estimate = abs(w[0] - _fourier_lambda1(L, q_field.samples, max(4, K // 2)))
+            estimate = abs(w[0] - np.linalg.eigvalsh(_galerkin_slice(H, max(4, K // 2)))[0])
         else:
             # kinetic terms are positive, so the stable sort keeps the
             # constant mode first; the K/2 matrix reads a subset of c

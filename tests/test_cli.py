@@ -187,19 +187,25 @@ def test_null_series_writes_only_the_report(tmp_path):
     assert [p.name for p in out.iterdir()] == ["berger_minimal_hopf.report.json"]
 
 
-def test_one_potential_field_per_torus_report(monkeypatch):
-    import jacobilab.surface as surface_mod
-    real = surface_mod.potential_field
+def _count_calls(monkeypatch, module, name) -> list:
+    """Rebind every jacobilab reference to ``module.name`` to a spy (modules
+    import functions by name) and return the list it appends a call to."""
+    real = getattr(module, name)
     calls = []
 
-    def spy(s):
-        calls.append(s)
-        return real(s)
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    # modules import the function by name, so rebind every reference to it
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("jacobilab") and getattr(mod, "potential_field", None) is real:
-            monkeypatch.setattr(mod, "potential_field", spy)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("jacobilab") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, spy)
+    return calls
+
+
+def test_one_potential_field_per_torus_report(monkeypatch):
+    import jacobilab.surface as surface_mod
+    calls = _count_calls(monkeypatch, surface_mod, "potential_field")
     doc = berger_doc(solver={"truncation": 32},
                      outputs={"series": ["potential", "ground_state", "convergence"]})
     doc["surface"]["kappa"] = {"mean": 4.0, "cos": [0.3]}
@@ -254,6 +260,8 @@ def _product_tau_torus(kappa_mean):
     }
 
 
+LADDER_KAPPA = {"mean": 2.0, "cos": [0.2, 0.0, 0.05]}
+
 # Inline documents that together emit every corollary record in both regimes:
 # constant and varying tau, nonzero |grad tau|, the area-genus consequence
 # and a Gauss-weighted genus-2 slice.  Same contract as the table above.
@@ -279,6 +287,14 @@ PINNED_DOCS = {
         "surface": {"type": "horizontal_slice", "base_area": 4 * math.pi, "genus": 2,
                     "kappa": {"values": [-1.5, -0.5, -1.25, -0.75],
                               "weights": [math.pi] * 4}}},
+    # a non-constant potential, so every rung of the convergence ladder is a
+    # LAPACK eigenvalue and not the diagonal closed form
+    "product_ladder": {
+        "model": {"kind": "product", "fiber_length": TWO_PI, "kappa": LADDER_KAPPA},
+        "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                    "geodesic_curvature": 0.5, "kappa": LADDER_KAPPA},
+        "solver": {"truncation": 64},
+        "outputs": {"series": ["potential", "ground_state", "convergence"]}},
 }
 PINNED_DOC_SHA256 = {
     "homogeneous_h_equals_tau.report.json":
@@ -287,6 +303,14 @@ PINNED_DOC_SHA256 = {
         "16557d17ec564f7d47c919a5c71d0e426b4fd1af8b759d91c03555e7c55a2bdb",
     "homogeneous_marginal.report.json":
         "5a56fff179c1e4ccb0eace9ab9835173248c62ae165f2c45933a673ece800281",
+    "product_ladder.convergence.csv":
+        "fdf5829ba05b21a135d1097f529e6e062c398fb0516b914fd711b8dc24efbb69",
+    "product_ladder.ground_state.csv":
+        "d6c7a509ff1c88a31dce330535cbb38a9deaa75d5e3b9bcc0993e6491cf4b455",
+    "product_ladder.potential.csv":
+        "dbfc181cfa70a742df8e59ebf3b966002904230b80c3d55241dee3d2d17b62a4",
+    "product_ladder.report.json":
+        "9a6f0414e173b0e1d7d5a74008dab75e53e1b6f539d374d22b14f56c313cc4cf",
     "product_tau_negative.report.json":
         "b2e90dd729578f4941b1adadf0116669593f662e4a791dd166f9b13e95a1ba03",
     "product_tau_positive.report.json":
@@ -304,6 +328,35 @@ def test_bound_and_corollary_reports_are_pinned(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (tmp_path / "out").iterdir()}
     assert digests == PINNED_DOC_SHA256
+
+
+def test_one_galerkin_matrix_per_ladder(monkeypatch):
+    import jacobilab.spectral as spectral_mod
+    assemblies = _count_calls(monkeypatch, spectral_mod, "assemble_fourier")
+    solves = _count_calls(monkeypatch, spectral_mod, "solve")
+    outcome = run_scenario({"version": 1, "name": "product_ladder",
+                            **PINNED_DOCS["product_ladder"]})
+    assert outcome.series["convergence"].count("\n") == 5
+    # one matrix for the main solve and its K/2 estimate, one for the rungs
+    # below K; the top rung is the main solve's lambda_1
+    assert len(assemblies) <= 2
+    assert len(solves) == 1
+
+
+def test_ladder_does_not_need_a_positive_ground_state_at_each_rung():
+    # 40 cos s at truncation 8 has a ground vector that dips below zero; the
+    # ladder reads only lambda_1 there, so the report runs
+    kappa = {"mean": 1.0, "cos": [40.0]}
+    doc = {"version": 1, "name": "deep_well",
+           "model": {"kind": "product", "fiber_length": TWO_PI, "kappa": kappa},
+           "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                       "geodesic_curvature": 0.5, "kappa": kappa},
+           "solver": {"truncation": 128},
+           "outputs": {"series": ["convergence"]}}
+    outcome = run_scenario(doc)
+    rows = [row.split(",") for row in outcome.series["convergence"].split()[1:]]
+    assert [int(t) for t, _ in rows] == [8, 16, 32, 64, 128]
+    assert float(rows[-1][1]) == outcome.report["spectrum"]["lambda1"]
 
 
 def test_bound_violation_maps_to_exit_2(tmp_path, monkeypatch):

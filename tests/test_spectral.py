@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -602,3 +603,60 @@ def test_constant_data_hopf_torus_solves_without_lapack(monkeypatch):
     assert r.lambda1 == -5.0
     assert r.convergence_estimate == 0.0
     assert np.max(np.abs(r.ground_state.samples - 1.0)) <= ulp_tol(2, 1.0)
+
+
+# --- lower truncations: principal submatrices of one Galerkin matrix -----------
+
+LADDER_SAMPLES = {
+    "constant": lambda s: np.full_like(s, 2.5),
+    "one_harmonic": lambda s: 2.0 + 0.3 * np.cos(s),
+    "three_harmonics": lambda s: (1.3 + 0.7 * np.cos(s + 0.4) + 0.2 * np.sin(2 * s)
+                                  - 0.1 * np.cos(3 * s)),
+    # exact zero coefficients below n/4, so low rungs of a non-diagonal matrix
+    # meet LAPACK on a diagonal slice where they used to take the closed form
+    "period_4_of_512": lambda s: np.tile([2.0, 1.5, 2.0, 2.5], s.size // 4),
+    "period_4_of_256": lambda s: np.tile([3.0, 2.0, 1.0, 2.0], s.size // 4),
+}
+LADDER_GRIDS = {"period_4_of_256": 256}
+
+
+def _ladder_by_rung_solves(p):
+    """The convergence series as run_scenario computed it before the ladder
+    sliced one matrix: a full solve per rung, convergence check disabled."""
+    rows, t = [], 8
+    while t <= p.truncation:
+        rows.append([t, solve(replace(p, truncation=t, conv_tol=math.inf), m=1).lambda1])
+        t *= 2
+    return rows
+
+
+def _bits(rows):
+    return [(t, np.float64(v).tobytes()) for t, v in rows]
+
+
+@pytest.mark.parametrize("K", [4, 5, 8, 12, 33, 64, 100, 256])
+@pytest.mark.parametrize("kind", list(LADDER_SAMPLES))
+def test_ladder_and_estimate_match_the_rung_solves_bit_for_bit(kind, K):
+    p = problem(LADDER_SAMPLES[kind], n=LADDER_GRIDS.get(kind, 512), K=K, conv_tol=math.inf)
+    r = solve(p)
+    ladder = spectral._convergence_ladder(p, r.lambda1)
+    assert [t for t, _ in ladder] == [t for t in (8, 16, 32, 64, 128, 256) if t <= K]
+    assert _bits(ladder) == _bits(_ladder_by_rung_solves(p))
+    # the K/2 estimate against a second assembly of the K/2 matrix
+    assert np.float64(r.convergence_estimate).tobytes() == \
+        np.float64(_lapack_solve(p, 1)[2]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["period_4_of_512", "period_4_of_256"])
+def test_period_4_samples_have_a_diagonal_low_rung(kind):
+    p = problem(LADDER_SAMPLES[kind], n=LADDER_GRIDS.get(kind, 512))
+    q = p.potential.samples
+    assert not np.any(spectral._potential_coefficients(q, 8)[1:])
+    assert np.any(spectral._potential_coefficients(q, 64)[1:])
+
+
+def test_galerkin_slice_is_the_lower_truncation_matrix(rng):
+    q = 1.0 + rng.standard_normal(64)
+    H = assemble_fourier(3.0, q, 20)
+    for t in (4, 7, 13, 20):
+        assert np.array_equal(spectral._galerkin_slice(H, t), assemble_fourier(3.0, q, t))

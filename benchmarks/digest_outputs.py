@@ -1,0 +1,90 @@
+"""One SHA-256 over every output file of a fixed set of scenario documents.
+
+Usage (from the repository root):
+
+    python3 benchmarks/digest_outputs.py
+    python3 benchmarks/digest_outputs.py --src OTHER_CHECKOUT/src
+
+Runs ``jacobilab run`` in-process, with the package under ``--src``, on the
+600 ``scenario_batch`` documents of seeds 101-110 (ops 0-59 each, built by
+``perfbench/workloads.py``, which is only imported) and on
+``scenarios/*.json``.  Each document writes into its own directory.  The
+printed line holds the SHA-256 over every file's relative path and bytes,
+in sorted path order, the file count and the tally of exit codes.  Two
+checkouts whose lines are equal wrote the same bytes and exited alike on
+every document.  BLAS is pinned to one thread before numpy loads, as in the
+perfbench harness.
+"""
+
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import collections  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+ROOT = Path(__file__).resolve().parent.parent
+SEEDS = range(101, 111)
+OPS = range(60)
+
+
+def documents(workloads) -> list[tuple[str, dict]]:
+    """(directory name, document) of every digested run, in run order."""
+    docs = [(f"seed{seed}_op{i:02d}", workloads.scenario_input(seed, i)["doc"])
+            for seed in SEEDS for i in OPS]
+    docs += [(f"shipped_{path.stem}", json.loads(path.read_text()))
+             for path in sorted((ROOT / "scenarios").glob("*.json"))]
+    return docs
+
+
+def digest(out: Path) -> tuple[str, int]:
+    """SHA-256 over (relative path, size, bytes) of every file under ``out``."""
+    sha = hashlib.sha256()
+    files = sorted(p for p in out.rglob("*") if p.is_file())
+    for p in files:
+        data = p.read_bytes()
+        sha.update(f"{p.relative_to(out).as_posix()}\0{len(data)}\0".encode())
+        sha.update(data)
+    return sha.hexdigest(), len(files)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the jacobilab package to run")
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True  # leave perfbench/ as it is
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    import workloads
+    from jacobilab import cli
+
+    tally = collections.Counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, doc in documents(workloads):
+            scenario_path = tmp / "in" / f"{name}.json"
+            scenario_path.parent.mkdir(exist_ok=True)
+            scenario_path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["run", str(scenario_path), "--out", str(tmp / "out" / name)])
+            tally[code] += 1
+        sha, count = digest(tmp / "out")
+    codes = " ".join(f"{code}x{n}" for code, n in sorted(tally.items()))
+    print(f"sha256 {sha}  files {count}  documents {sum(tally.values())}  "
+          f"exit codes {codes}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

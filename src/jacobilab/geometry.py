@@ -15,7 +15,9 @@ With w = kappa - 4 tau^2 the three pointwise quantities are
 
 where "sectional" is the ambient sectional curvature of the surface tangent
 plane, "ricci" the ambient Ricci curvature in the normal direction, and
-"combined" equals 2*sectional + ricci.
+"combined" equals 2*sectional + ricci.  The three are rows of one table of
+coefficients on the columns (kappa, tau^2, nu^2 w, 2 nu sqrt(1 - nu^2) x_tau),
+evaluated by one function.
 """
 
 from __future__ import annotations
@@ -63,30 +65,36 @@ def _vertical_root(nu):
     return np.sqrt(np.maximum(0.0, 1.0 - np.asarray(nu) ** 2))
 
 
-def _as_input(result):
-    arr = np.asarray(result)
-    return float(arr) if arr.ndim == 0 else arr
+# Rows of the coefficient table of the module docstring.  Summing left to
+# right from the kappa term keeps sectional and ricci bit for bit the
+# written-out formulas.
+_CURVATURE_ROWS = {"sectional": (0, 1, 1, -1), "ricci": (1, -2, -1, 1),
+                  "combined": (1, 0, 1, -1)}
+
+
+def _curvature_row(d: CurvatureData, row):
+    """sum of row[i] * column i, scalar for scalar inputs."""
+    tau2 = np.square(d.tau)
+    columns = (d.kappa, tau2, np.square(d.nu) * (d.kappa - 4.0 * tau2),
+               2.0 * d.nu * _vertical_root(d.nu) * d.x_tau)
+    terms = [c * x for c, x in zip(row, columns)]
+    total = np.asarray(sum(terms[1:], terms[0]))
+    return float(total) if total.ndim == 0 else total
 
 
 def sectional_curvature(d: CurvatureData):
     """Sectional curvature of the surface tangent plane in the ambient space."""
-    w = d.kappa - 4.0 * np.square(d.tau)
-    return _as_input(np.square(d.tau) + np.square(d.nu) * w
-                     - 2.0 * d.nu * _vertical_root(d.nu) * d.x_tau)
+    return _curvature_row(d, _CURVATURE_ROWS["sectional"])
 
 
 def ricci_normal(d: CurvatureData):
     """Ambient Ricci curvature in the direction of the surface unit normal."""
-    w = d.kappa - 4.0 * np.square(d.tau)
-    return _as_input(d.kappa - 2.0 * np.square(d.tau) - np.square(d.nu) * w
-                     + 2.0 * d.nu * _vertical_root(d.nu) * d.x_tau)
+    return _curvature_row(d, _CURVATURE_ROWS["ricci"])
 
 
 def combined_integrand(d: CurvatureData):
     """Value of 2 * sectional_curvature + ricci_normal, in simplified form."""
-    w = d.kappa - 4.0 * np.square(d.tau)
-    return _as_input(d.kappa + np.square(d.nu) * w
-                     - 2.0 * d.nu * _vertical_root(d.nu) * d.x_tau)
+    return _curvature_row(d, _CURVATURE_ROWS["combined"])
 
 
 def classify_regime(kappa_samples, tau_samples) -> Regime:

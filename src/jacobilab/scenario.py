@@ -363,11 +363,12 @@ def _sweep_grid(sweep: dict):
     return (start + i * step for i in range(_sweep_count(sweep)))
 
 
-def _sweep_series(model: SubmersionModel, sweep: dict, solver: dict) -> list[list]:
+def _sweep_series(run: dict, model: SubmersionModel) -> list[list]:
+    """One row per sweep point: the document's torus moved to parallel u."""
     rows = []
-    for u in _sweep_grid(sweep):
-        torus = parallel_hopf_torus(model, u)
-        lam = _solve_with(torus, solver)[1].lambda1
+    for u in _sweep_grid(run["outputs"]["sweep"]):
+        torus = build_surface({**run["surface"], "parallel": u}, model)
+        lam = _solve_with(torus, run.get("solver", {}))[1].lambda1
         parts = REGIME_PARTS.get(surface_regime(torus))
         if parts is None:
             continue
@@ -394,19 +395,20 @@ def _solve_with(surface, solver: dict) -> tuple[SpectralProblem | None, Spectral
 
 def run_scenario(doc: dict, gradient_mode: str | None = None,
                  truncation: int | None = None) -> ScenarioOutcome:
-    """Validate and execute one scenario document; overrides beat the file
-    and are validated with it.  The report echoes the document as given."""
+    """Validate and execute one scenario document.  The overrides are merged
+    into a copy of the document, which is validated and run; the report
+    echoes the document as given."""
     run = doc
-    if truncation is not None and isinstance(doc, dict) \
-            and isinstance(doc.get("solver", {}), dict):
-        run = {**doc, "solver": {**doc.get("solver", {}), "truncation": truncation}}
+    if isinstance(doc, dict):
+        if gradient_mode is not None:
+            run = {**run, "gradient_mode": gradient_mode}
+        if truncation is not None and isinstance(doc.get("solver", {}), dict):
+            run = {**run, "solver": {**doc.get("solver", {}), "truncation": truncation}}
     errors = validate_scenario(run)
     if errors:
         raise ScenarioError(errors)
     solver = run.get("solver", {})
-    mode_name = gradient_mode or doc.get("gradient_mode",
-                                         GradientMode.INTRINSIC_ON_SURFACE.value)
-    mode = GradientMode(mode_name)
+    mode = GradientMode(run.get("gradient_mode", GradientMode.INTRINSIC_ON_SURFACE.value))
     name = doc.get("name", "scenario")
 
     model = build_model(doc["model"])
@@ -493,9 +495,8 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
         elif kind == "convergence" and torus:
             rows = _convergence_ladder(problem, result.lambda1)
             series["convergence"] = format_csv(["truncation", "lambda1"], rows)
-    sweep = outputs.get("sweep")
-    if sweep is not None:
-        rows = _sweep_series(model, sweep, solver)
+    if outputs.get("sweep") is not None:
+        rows = _sweep_series(run, model)
         series["sweep"] = format_csv(
             ["u", "kappa", "tau", "H", "lambda1", "bound_i_ambient", "bound_ii_ambient",
              "bound_i_intrinsic", "bound_ii_intrinsic"], rows)

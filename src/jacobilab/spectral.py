@@ -463,22 +463,22 @@ def surface_spectral_problem(s: HopfTorus, truncation: int = DEFAULT_TRUNCATION,
                            potential=q, truncation=truncation, conv_tol=conv_tol)
 
 
-def solve_surface(s: SurfaceModel, m: int = 6, truncation: int = DEFAULT_TRUNCATION,
-                  conv_tol: float = DEFAULT_CONV_TOL) -> SpectralResult:
+def solve_surface(s: SurfaceModel, m: int = 6) -> SpectralResult:
     """Spectrum of the stability operator of a surface.
 
     Horizontal slices are totally geodesic with vanishing normal Ricci
     curvature, so their operator is the plain Laplacian: the bottom eigenpair
     (0, constant) is exact on any closed surface and is returned in closed
-    form.  Hopf tori are solved on their reduced circle by the Fourier backend.
+    form.  Hopf tori are solved on their reduced circle by the Fourier backend
+    at the default truncation and tolerance; other settings go through
+    :func:`surface_spectral_problem` and :func:`solve`.
     """
     if s.horizontal:
         rho = ScalarField1D.constant(1.0, period=1.0, n=8)
         return SpectralResult(lambda1=0.0, eigenvalues=np.array([0.0]),
                               ground_state=rho, backend="closed_form",
                               convergence_estimate=0.0, truncation=0)
-    problem = surface_spectral_problem(s, truncation=truncation, conv_tol=conv_tol)
-    return solve(problem, m=m)
+    return solve(surface_spectral_problem(s), m=m)
 
 
 # --- variational quantities -----------------------------------------------------

@@ -13,7 +13,8 @@ Two classes of surfaces carry the whole verification programme:
 
 * ``HorizontalSlice`` -- a surface whose tangent planes are horizontal
   (nu^2 == 1).  Totally geodesic, tau == 0 along it, Gaussian curvature equal
-  to the base curvature kappa.
+  to the base curvature kappa.  Its curvature is always a ``SampledKappa``:
+  a constant kappa is stored as one node weighted by the area.
 
 The stability potential q = |A|^2 + Ric(N, N) reduces to 4 H^2 + kappa(s) on
 a Hopf torus (the tau^2 contributions cancel) and to 0 on a slice.
@@ -131,7 +132,7 @@ class HorizontalSlice:
 
     base_area: float
     genus: int
-    kappa: float | SampledKappa
+    kappa: SampledKappa
     name: str = ""
 
     horizontal = True
@@ -155,12 +156,10 @@ class HorizontalSlice:
         return 2 - 2 * self.genus
 
     def samples(self, mode: GradientMode):
-        """kappa at the quadrature nodes (one value when constant); tau and
+        """kappa at the quadrature nodes (one node when constant); tau and
         |grad tau| vanish on a slice under either reading."""
-        kappa = (self.kappa.values if isinstance(self.kappa, SampledKappa)
-                 else np.array([self.kappa]))
-        zero = np.zeros_like(kappa)
-        return kappa, zero, zero
+        zero = np.zeros_like(self.kappa.values)
+        return self.kappa.values, zero, zero
 
     def mean(self, values) -> float:
         """Weighted area mean; a single value is returned as is, because
@@ -168,11 +167,6 @@ class HorizontalSlice:
         if values.size == 1:
             return float(values[0])
         return float(values @ self.kappa.weights) / self.area
-
-    def kappa_integral(self) -> float:
-        if isinstance(self.kappa, SampledKappa):
-            return self.kappa.integral()
-        return self.kappa * self.base_area
 
 
 # --- constructors ----------------------------------------------------------
@@ -231,9 +225,10 @@ def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
     """Build a horizontal slice of a model whose tau vanishes on the surface.
 
     Constant-curvature slices must satisfy the total-curvature constraint
-    kappa * area = 2 pi chi (validated to 1e-9 relative); sampled-curvature
-    slices carry their own quadrature weights, whose sum must reproduce the
-    area, and their residual is reported by :func:`gauss_bonnet_check`.
+    kappa * area = 2 pi chi (validated to 1e-9 relative) and are stored as
+    one node of weight ``base_area``; sampled-curvature slices carry their
+    own quadrature weights, whose sum must reproduce the area, and their
+    residual is reported by :func:`gauss_bonnet_check`.
     """
     if np.max(np.abs(model.tau_field.samples)) > 1e-12:
         raise SurfaceError("horizontal slices require tau == 0 along the surface")
@@ -254,6 +249,7 @@ def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
             raise SurfaceError(
                 f"total curvature kappa*area = {total:g} incompatible with genus {genus} "
                 f"(needs 2*pi*chi = {chi_term:g})")
+        kappa = SampledKappa(np.array([kappa]), np.array([base_area]))
 
     return HorizontalSlice(base_area=float(base_area), genus=int(genus), kappa=kappa,
                            name=f"slice(genus={genus})")
@@ -277,7 +273,7 @@ def gauss_bonnet_check(s: SurfaceModel) -> float:
     """Residual |integral of K dA - 2 pi chi| of the total-curvature identity."""
     if isinstance(s, HopfTorus):
         return 0.0  # flat, chi = 0, exactly
-    return abs(s.kappa_integral() - 2.0 * math.pi * s.euler_characteristic)
+    return abs(s.kappa.integral() - 2.0 * math.pi * s.euler_characteristic)
 
 
 def surface_regime(s: SurfaceModel) -> Regime:

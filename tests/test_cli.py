@@ -145,6 +145,32 @@ def test_gradient_mode_override():
     assert outcome.report["bounds_theta_form"]["bound_ii"] == pytest.approx(amb, abs=1e-14)
 
 
+def test_invalid_gradient_mode_override_is_a_scenario_error():
+    with pytest.raises(ScenarioError) as excinfo:
+        run_scenario(berger_doc(), gradient_mode="sideways")
+    assert excinfo.value.paths == [
+        "gradient_mode: expected 'intrinsic_on_surface' or 'ambient'"]
+
+
+def test_gradient_mode_override_rescues_an_invalid_file_value():
+    # the override is merged before validation, as --truncation is
+    outcome = run_scenario(berger_doc(gradient_mode="sideways"), gradient_mode="ambient")
+    assert outcome.exit_code == 0
+    assert outcome.report["assumptions"]["gradient_mode"] == "ambient"
+    assert outcome.report["scenario"]["gradient_mode"] == "sideways"  # echoed as given
+
+
+def test_sweep_rows_use_the_surface_samples():
+    scenarios = Path(__file__).parent.parent / "scenarios"
+    doc = load_scenario(scenarios / "warped_parallel_sweep.json")
+    doc["surface"]["samples"] = 500
+    outcome = run_scenario(doc)
+    rows = [row.split(",") for row in outcome.series["sweep"].split()[1:]]
+    # u = 0.5 + 5 * 0.1 is the report's own parallel, 1.0
+    at_parallel = [float(lam) for u, _, _, _, lam, *_ in rows if float(u) == 1.0]
+    assert at_parallel == [outcome.report["spectrum"]["lambda1"]]
+
+
 def test_warped_sweep_series():
     doc = warped_doc(outputs={"sweep": {"start": 0.5, "stop": 1.0, "step": 0.25}})
     outcome = run_scenario(doc)

@@ -123,3 +123,32 @@ def test_regime_input_validation():
         classify_regime([], [])
     with pytest.raises(ValueError):
         classify_regime([1.0], [1.0, 2.0])
+
+
+# --- the coefficient table against the three hand-written formulas -------------
+
+def _oracle_formulas(kappa, tau, nu, x_tau):
+    """sectional, ricci and combined as written out before they became rows
+    of one table, kept here as the oracle."""
+    root = np.sqrt(np.maximum(0.0, 1.0 - np.asarray(nu) ** 2))
+    w = kappa - 4.0 * np.square(tau)
+    return (np.square(tau) + np.square(nu) * w - 2.0 * nu * root * x_tau,
+            kappa - 2.0 * np.square(tau) - np.square(nu) * w + 2.0 * nu * root * x_tau,
+            kappa + np.square(nu) * w - 2.0 * nu * root * x_tau)
+
+
+def test_curvature_table_matches_the_written_formulas():
+    rng = np.random.default_rng(7)
+    n = 100_000
+    kappa, tau, x_tau = (rng.uniform(-10.0, 10.0, n) for _ in range(3))
+    nu = rng.uniform(-1.0, 1.0, n)
+    # signed zeros and the horizontal and vertical angles, in every column
+    special = np.array([0.0, -0.0, 1.0, -1.0])
+    kappa[:64], tau[64:128], x_tau[128:192] = np.resize(special, (3, 64))
+    nu[:n // 4] = np.resize(special, n // 4)
+    d = CurvatureData(kappa=kappa, tau=tau, nu=nu, x_tau=x_tau)
+    sectional, ricci, combined = _oracle_formulas(kappa, tau, nu, x_tau)
+    assert sectional_curvature(d).tobytes() == sectional.tobytes()
+    assert ricci_normal(d).tobytes() == ricci.tobytes()
+    # kappa + 0 tau^2 turns kappa = -0.0 into +0.0, so only the values agree
+    assert np.array_equal(combined_integrand(d), combined)

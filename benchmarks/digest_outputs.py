@@ -1,4 +1,4 @@
-"""One SHA-256 over every output file of a fixed set of scenario documents.
+"""SHA-256 digests of the scenario outputs and of the verify catalog.
 
 Usage (from the repository root):
 
@@ -9,11 +9,15 @@ Runs ``jacobilab run`` in-process, with the package under ``--src``, on the
 600 ``scenario_batch`` documents of seeds 101-110 (ops 0-59 each, built by
 ``perfbench/workloads.py``, which is only imported) and on
 ``scenarios/*.json``.  Each document writes into its own directory.  The
-printed line holds the SHA-256 over every file's relative path and bytes,
-in sorted path order, the file count and the tally of exit codes.  Two
-checkouts whose lines are equal wrote the same bytes and exited alike on
-every document.  BLAS is pinned to one thread before numpy loads, as in the
-perfbench harness.
+first printed line holds the SHA-256 over every file's relative path and
+bytes, in sorted path order, the file count and the tally of exit codes.
+Two checkouts whose lines are equal wrote the same bytes and exited alike
+on every document.
+
+A second line holds one SHA-256 over ``name``, ``passed`` and ``detail`` of
+every ``run_checks(seed=seed)`` result for the seeds in ``VERIFY_SEEDS``, in
+``CATALOG`` order, without the elapsed time, and the pass tally.  BLAS is
+pinned to one thread before numpy loads, as in the perfbench harness.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from pathlib import Path  # noqa: E402
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(101, 111)
 OPS = range(60)
+VERIFY_SEEDS = (20260810, 1, 2, 3)
 
 
 def documents(workloads) -> list[tuple[str, dict]]:
@@ -58,6 +63,19 @@ def digest(out: Path) -> tuple[str, int]:
     return sha.hexdigest(), len(files)
 
 
+def verify_digest(verification) -> str:
+    """The verify line: SHA-256 over every check's name, verdict and detail."""
+    sha = hashlib.sha256()
+    passed = total = 0
+    for seed in VERIFY_SEEDS:
+        for r in verification.run_checks(seed=seed):
+            sha.update(f"{r.name}\0{r.passed}\0{r.detail}\0".encode())
+            passed += r.passed
+            total += 1
+    seeds = " ".join(map(str, VERIFY_SEEDS))
+    return f"verify sha256 {sha.hexdigest()}  seeds {seeds}  checks passed {passed}/{total}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
@@ -66,7 +84,7 @@ def main(argv=None) -> int:
     sys.dont_write_bytecode = True  # leave perfbench/ as it is
     sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
     import workloads
-    from jacobilab import cli
+    from jacobilab import cli, verification
 
     tally = collections.Counter()
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,6 +101,7 @@ def main(argv=None) -> int:
     codes = " ".join(f"{code}x{n}" for code, n in sorted(tally.items()))
     print(f"sha256 {sha}  files {count}  documents {sum(tally.values())}  "
           f"exit codes {codes}")
+    print(verify_digest(verification))
     return 0
 
 

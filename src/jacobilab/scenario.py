@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import REGIME_PARTS, _bound_value, build_bound_report
-from .errors import JacobilabError, ScenarioError
+from .errors import ConvergenceError, FieldError, JacobilabError, ScenarioError
 from .fields import ScalarField1D
 from .geometry import Regime
 from .spectral import (DEFAULT_CONV_TOL, DEFAULT_TRUNCATION, SpectralProblem,
@@ -269,7 +269,17 @@ def validate_scenario(doc) -> list[str]:
 
 # --- building the pipeline objects ----------------------------------------------------
 
+def _degree(spec: dict) -> int:
+    """Highest harmonic with a nonzero coefficient in a field spec (0 if none)."""
+    return max((j for key in ("cos", "sin") for j, a in enumerate(spec.get(key, []), start=1)
+                if a != 0), default=0)
+
+
 def _field_from_spec(spec: dict, period: float, n: int) -> ScalarField1D:
+    degree = _degree(spec)
+    if n <= 2 * degree:
+        raise FieldError(f"{n} samples alias harmonic {degree} of a field: "
+                         f"need more than {2 * degree}")
     if "constant" in spec:
         return ScalarField1D.constant(float(spec["constant"]), period, n)
     mean = float(spec.get("mean", 0.0))
@@ -413,6 +423,14 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
 
     model = build_model(doc["model"])
     surface = build_surface(doc["surface"], model)
+    # a harmonic D of kappa couples the constant mode to mode D, which a
+    # truncation-K basis lacks when D > K: the solve and its K/2 estimate
+    # would both miss it
+    degree = _degree(doc["surface"].get("kappa") or {})
+    K = solver.get("truncation", DEFAULT_TRUNCATION)
+    if degree > K:
+        raise ConvergenceError(f"surface kappa has harmonic {degree} above the truncation "
+                               f"K = {K}; increase the truncation")
     problem, result = _solve_with(surface, solver)
 
     regime = surface_regime(surface)

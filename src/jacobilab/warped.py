@@ -25,6 +25,7 @@ All closed forms carry independent finite-difference oracles.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -72,6 +73,17 @@ def _check_range(theta_values) -> None:
     th = np.asarray(theta_values)
     if np.any(th <= 0.0) or np.any(th >= math.pi / 2):
         raise ModelError("theta must stay strictly inside (0, pi/2)")
+
+
+@contextlib.contextmanager
+def _overflow_is_an_error(where: str):
+    """Evaluate a profile with floating-point overflow raised, as a
+    ModelError that names ``where``."""
+    try:
+        with np.errstate(over="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise ModelError(f"the profile overflows at {where}: {exc}") from exc
 
 
 def half_arctan_profile(offset: float = 0.0) -> ThetaProfile:
@@ -145,12 +157,13 @@ def submersion_from_theta(profile: ThetaProfile,
     if not (lo <= a < b <= hi):
         raise ModelError(f"window {window} must lie inside the profile interval {profile.interval}")
     grid = np.linspace(a, b, n)
-    theta_values = np.asarray(profile.theta(grid), dtype=float)
-    _check_range(theta_values)
-    if np.any(np.sin(2.0 * theta_values) < MIN_PARALLEL_SIN):
-        raise ModelError("window touches a degenerate parallel (sin(2 theta) ~ 0)")
-    kappa = ScalarField1D(np.asarray(profile.kappa(grid), dtype=float), interval=window)
-    tau = ScalarField1D(np.asarray(profile.tau(grid), dtype=float), interval=window)
+    with _overflow_is_an_error(f"the window {window}"):
+        theta_values = np.asarray(profile.theta(grid), dtype=float)
+        _check_range(theta_values)
+        if np.any(np.sin(2.0 * theta_values) < MIN_PARALLEL_SIN):
+            raise ModelError("window touches a degenerate parallel (sin(2 theta) ~ 0)")
+        kappa = ScalarField1D(np.asarray(profile.kappa(grid), dtype=float), interval=window)
+        tau = ScalarField1D(np.asarray(profile.tau(grid), dtype=float), interval=window)
     return SubmersionModel(
         kind=ModelKind.WARPED,
         kappa_field=kappa,
@@ -186,16 +199,17 @@ def parallel_hopf_torus(model: SubmersionModel, u: float, n: int = 512) -> HopfT
     lo, hi = profile.interval
     if not (lo < u < hi):
         raise ModelError(f"u = {u} is outside the profile interval")
-    theta_u = float(np.asarray(profile.theta(u)))
-    _check_range(theta_u)
-    sin2 = math.sin(2.0 * theta_u)
-    if sin2 < MIN_PARALLEL_SIN:
-        raise ModelError(f"degenerate parallel at u = {u}: sin(2 theta) = {sin2:g}")
-    dth = float(np.asarray(profile.theta_prime(u)))
-    ddth = float(np.asarray(profile.theta_second(u)))
+    with _overflow_is_an_error(f"the parallel u = {u}"):
+        theta_u = float(np.asarray(profile.theta(u)))
+        _check_range(theta_u)
+        sin2 = math.sin(2.0 * theta_u)
+        if sin2 < MIN_PARALLEL_SIN:
+            raise ModelError(f"degenerate parallel at u = {u}: sin(2 theta) = {sin2:g}")
+        dth = float(np.asarray(profile.theta_prime(u)))
+        ddth = float(np.asarray(profile.theta_second(u)))
+        kappa_u = float(np.asarray(profile.kappa(u)))
     L = math.pi * sin2
     k_g = 2.0 * dth * (math.cos(2.0 * theta_u) / sin2)
-    kappa_u = float(np.asarray(profile.kappa(u)))
     torus = hopf_torus(
         model, curve_length=L, k_g=k_g,
         kappa_on_curve=ScalarField1D.constant(kappa_u, L, n),

@@ -2,14 +2,17 @@
 
 Each test wraps one catalog check from :mod:`jacobilab.verification`, asserts
 it within its runtime budget and prints one pass/fail line (visible with
-``pytest -s`` or through ``jacobilab verify``).
+``pytest -s`` or through ``jacobilab verify``).  The registry tests at the
+end pin the names, order and functions of ``CATALOG``.
 """
 
 import time
 
 import pytest
 
-from jacobilab.verification import (DEFAULT_SEED, check_alpha_identity,
+from jacobilab import verification
+from jacobilab.verification import (CATALOG, DEFAULT_SEED, CheckResult,
+                                    check_alpha_identity,
                                     check_area_genus_consequence,
                                     check_backend_equivalence,
                                     check_curvature_identities,
@@ -25,7 +28,6 @@ from jacobilab.verification import (DEFAULT_SEED, check_alpha_identity,
 def check_theorem_soundness_both(seed=None):
     plus = check_thm_plus_soundness()
     minus = check_thm_minus_soundness()
-    from jacobilab.verification import CheckResult
     return CheckResult(name="theorem_soundness",
                        passed=plus.passed and minus.passed,
                        detail=f"positive: {plus.detail}; negative: {minus.detail}",
@@ -79,3 +81,28 @@ MINMAX_DETAIL = {
 @pytest.mark.parametrize("seed", list(MINMAX_DETAIL))
 def test_minmax_detail_is_pinned(seed):
     assert check_minmax_property(seed).detail == MINMAX_DETAIL[seed]
+
+
+CATALOG_NAMES = ["hopf_spectrum_closed_form", "slice_spectrum", "curvature_identities",
+                 "thm_plus_soundness", "thm_minus_soundness", "alpha_identity",
+                 "minmax_property", "backend_equivalence", "warped_example",
+                 "gauss_bonnet", "area_genus_consequence"]
+
+
+def test_catalog_registers_each_check_function_in_order():
+    assert [name for name, _ in CATALOG] == CATALOG_NAMES
+    for name, fn in CATALOG:
+        assert fn is getattr(verification, f"check_{name}")
+
+
+@pytest.mark.parametrize("name, check", CATALOG, ids=[name for name, _ in CATALOG])
+def test_a_check_called_alone_returns_its_named_timed_result(name, check):
+    result = check()
+    assert isinstance(result, CheckResult)
+    assert result.name == name and result.elapsed > 0.0
+
+
+def test_run_checks_filter_matches_substrings():
+    results = verification.run_checks(name_filter="spectrum")
+    assert [r.name for r in results] == ["hopf_spectrum_closed_form", "slice_spectrum"]
+    assert verification.run_checks(name_filter="no_such_check") == []

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -397,6 +398,61 @@ def test_bound_violation_maps_to_exit_2(tmp_path, monkeypatch):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(berger_doc()))
     assert main(["run", str(path), "--out", str(tmp_path)]) == 2
+
+
+def harmonic_doc(k, truncation, samples=512):
+    """Product torus with kappa = 1 + 0.5 cos(k s) on L = 2 pi, H = 0."""
+    return {"version": 1, "name": f"harmonic_{k}",
+            "model": {"kind": "product", "fiber_length": TWO_PI, "kappa": {"constant": 1.0}},
+            "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                        "geodesic_curvature": 0.0, "samples": samples,
+                        "kappa": {"mean": 1.0, "cos": [0.0] * (k - 1) + [0.5]}},
+            "solver": {"truncation": truncation}}
+
+
+def _run_file(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return main(["run", str(path), "--out", str(tmp_path / "out")])
+
+
+# each of these once printed lambda1 = -1 to rounding with a zero K/2 estimate
+@pytest.mark.parametrize("k, samples, message", [
+    (100, 512, "surface kappa has harmonic 100 above the truncation K = 64"),
+    (200, 512, "surface kappa has harmonic 200 above the truncation K = 64"),
+    (300, 1024, "surface kappa has harmonic 300 above the truncation K = 64"),
+    (300, 512, "512 samples alias harmonic 300 of a field: need more than 600")],
+    ids=["k100", "k200", "k300", "k300_aliased"])
+def test_harmonic_the_solve_cannot_see_is_an_input_error(tmp_path, capsys, k, samples,
+                                                         message):
+    assert _run_file(tmp_path, harmonic_doc(k, 64, samples)) == 1
+    assert message in capsys.readouterr().err
+
+
+def test_harmonic_below_the_truncation_matches_mathieu(tmp_path):
+    scipy_special = pytest.importorskip("scipy.special")
+    k = 100
+    assert _run_file(tmp_path, harmonic_doc(k, 256)) == 0
+    report = json.loads((tmp_path / "out" / f"harmonic_{k}.report.json").read_text())
+    # -f'' - (1 + 0.5 cos ks) f = lambda f is Mathieu's equation in x = ks/2
+    expected = k**2 * scipy_special.mathieu_a(0, 2 * 0.5 / k**2) / 4 - 1.0
+    assert abs(report["spectrum"]["lambda1"] - expected) <= 1e-10
+
+
+@pytest.mark.parametrize("model, surface, where", [
+    ({"window": [0.25, 1e300]}, {}, "the window (0.25, 1e+300)"),
+    ({"window": [0.25, 1e200]}, {}, "the window (0.25, 1e+200)"),
+    ({}, {"parallel": 1e300}, "the parallel u = 1e+300"),
+    ({}, {"parallel": 1e160}, "the parallel u = 1e+160")],
+    ids=["window_1e300", "window_1e200", "parallel_1e300", "parallel_1e160"])
+def test_profile_overflow_is_a_model_error(tmp_path, capsys, model, surface, where):
+    doc = warped_doc()
+    doc["model"].update(model)
+    doc["surface"].update(surface)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_file(tmp_path, doc) == 1
+    assert f"the profile overflows at {where}" in capsys.readouterr().err
 
 
 # argparse's own usage-error code 2 is EXIT_ANOMALY here

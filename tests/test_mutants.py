@@ -6,6 +6,7 @@ file writes) and names the catalog check that must then fail in
 catalog, not of the program.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -43,6 +44,16 @@ def _tilt_ground_state(monkeypatch):
     monkeypatch.setattr(spectral, "_fourier_ground_state", tilted)
 
 
+def _area_genus_rhs_2_pi_g(monkeypatch):
+    real = bounds._corollary_records
+
+    def shifted(s, *args):
+        return [dataclasses.replace(r, rhs=2.0 * math.pi * s.genus)
+                if r.name == "area_genus_consequence" else r for r in real(s, *args)]
+
+    monkeypatch.setattr(bounds, "_corollary_records", shifted)
+
+
 MUTANTS = {
     "plus_ii_c_k_1.001": (
         lambda mp: _bound_row(mp, TheoremPart.PLUS_II, c_k=1.001), "thm_plus_soundness"),
@@ -65,6 +76,7 @@ MUTANTS = {
     "theta_profile_kappa_scaled_1e-4": (
         lambda mp: _scale_result(mp, ThetaProfile, "kappa", 1.0 + 1e-4), "warped_example"),
     "ground_state_tilted_1e-2_cos": (_tilt_ground_state, "minmax_property"),
+    "area_genus_rhs_2_pi_g": (_area_genus_rhs_2_pi_g, "area_genus_consequence"),
 }
 
 

@@ -1,0 +1,69 @@
+"""Code lines of the jacobilab package: lines that hold code, per module and in total.
+
+Usage (from the repository root):
+
+    python3 benchmarks/code_lines.py
+    python3 benchmarks/code_lines.py --src OTHER_CHECKOUT/src
+
+Counts the lines of ``DIR/jacobilab/*.py`` that carry at least one token of
+code.  Docstrings (the string statements that ``ast.get_docstring`` reads:
+the first statement of a module, class or function), comments and blank
+lines do not count.  Prints one ``module lines`` row per file in name order,
+then ``total lines``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import io
+import sys
+import tokenize
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+             tokenize.DEDENT, tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def docstring_lines(tree: ast.Module) -> set[int]:
+    """Line numbers spanned by the docstrings of the module and of every
+    class and function in it."""
+    lines: set[int] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if (body and isinstance(body[0], ast.Expr)
+                    and isinstance(body[0].value, ast.Constant)
+                    and isinstance(body[0].value.value, str)):
+                lines.update(range(body[0].lineno, body[0].end_lineno + 1))
+    return lines
+
+
+def code_lines(source: str) -> int:
+    """Number of lines holding a code token outside every docstring."""
+    docs = docstring_lines(ast.parse(source))
+    lines: set[int] = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type in _NOT_CODE:
+            continue
+        lines.update(n for n in range(tok.start[0], tok.end[0] + 1) if n not in docs)
+    return len(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the jacobilab package to count")
+    args = parser.parse_args(argv)
+    total = 0
+    for path in sorted((args.src / "jacobilab").glob("*.py")):
+        n = code_lines(path.read_text())
+        total += n
+        print(f"{path.name} {n}")
+    print(f"total {total}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,10 @@ Usage (from the repository root):
 
 Runs ``jacobilab run`` in-process, with the package under ``--src``, on the
 600 ``scenario_batch`` documents of seeds 101-110 (ops 0-59 each, built by
-``perfbench/workloads.py``, which is only imported) and on
-``scenarios/*.json``.  Each document writes into its own directory.  The
+``perfbench/workloads.py``, which is only imported), on
+``scenarios/*.json`` and on the ``EXTRA`` documents below, which reach the
+schema forms that neither of those uses.  Each document writes into its own
+directory.  The
 first printed line holds the SHA-256 over every file's relative path and
 bytes, in sorted path order, the file count and the tally of exit codes.
 Two checkouts whose lines are equal wrote the same bytes and exited alike
@@ -33,6 +35,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -42,6 +45,70 @@ SEEDS = range(101, 111)
 OPS = range(60)
 VERIFY_SEEDS = (20260810, 1, 2, 3)
 
+TWO_PI = 2.0 * math.pi
+FOUR_PI = 4.0 * math.pi
+_ARCTAN_GRID = [0.25 + 3.75 * i / 64 for i in range(65)]
+_SWEEP = {"start": 0.5, "stop": 1.75, "step": 0.25}
+# name -> (model, surface, outputs) of the documents that the scenario_batch
+# workload and the shipped scenarios leave out: sin terms, a surface tau
+# field, 500 samples, sampled and constant profiles, a sweep whose every row
+# is NULL, slices with a kappa document, a positive-regime parallel above
+# pi/4 whose theta-form bounds are refused, and the inputs a model field
+# that varies makes invalid
+EXTRA = {
+    "product_sin_tau": (
+        {"kind": "product", "fiber_length": TWO_PI, "samples": 500,
+         "kappa": {"mean": 1.0, "cos": [0.2], "sin": [0.1, 0.05]}},
+        {"type": "hopf_torus", "curve_length": TWO_PI, "geodesic_curvature": 0.3,
+         "samples": 500, "kappa": {"mean": 1.0, "cos": [0.2], "sin": [0.1, 0.05]},
+         "tau": {"mean": 0.4, "sin": [0.05]}},
+        {"series": ["potential", "ground_state", "convergence"]}),
+    "berger_tau_field": (
+        {"kind": "homogeneous", "kappa": 4.0, "tau": 0.5, "fiber_length": TWO_PI},
+        {"type": "hopf_torus", "curve_length": TWO_PI, "geodesic_curvature": 0.0,
+         "tau": {"constant": 0.5}},
+        {"series": ["convergence"]}),
+    "product_varying_kappa_no_curve_kappa": (
+        {"kind": "product", "fiber_length": TWO_PI, "kappa": {"mean": 1.0, "sin": [0.2]}},
+        {"type": "hopf_torus", "curve_length": TWO_PI, "geodesic_curvature": 0.0},
+        {}),
+    "sampled_profile_sweep": (
+        {"kind": "warped", "window": [0.5, 3.0], "samples": 129,
+         "profile": {"kind": "sampled", "interval": [0.25, 4.0],
+                     "theta": [0.5 * math.atan(x) for x in _ARCTAN_GRID]}},
+        {"type": "hopf_torus", "parallel": 1.0},
+        {"series": ["potential"], "sweep": _SWEEP}),
+    "convex_profile_above_quarter_pi": (
+        {"kind": "warped", "window": [0.25, 1.75],
+         "profile": {"kind": "sampled", "interval": [0.0, 2.0],
+                     "theta": [math.pi / 4 + 0.1 + 0.05 * (i / 20) ** 2
+                               for i in range(41)]}},
+        {"type": "hopf_torus", "parallel": 1.0},
+        {}),
+    "constant_profile_sweep": (
+        {"kind": "warped", "window": [0.25, 4.0], "profile": {"kind": "constant", "value": 0.5}},
+        {"type": "hopf_torus", "parallel": 1.0},
+        {"sweep": _SWEEP}),
+    "constant_profile_slice": (
+        {"kind": "warped", "window": [0.25, 4.0], "profile": {"kind": "constant", "value": 0.5}},
+        {"type": "horizontal_slice", "base_area": 5.0, "genus": 1},
+        {}),
+    "slice_constant_kappa": (
+        {"kind": "homogeneous", "kappa": -1.0, "tau": 0.0, "fiber_length": TWO_PI},
+        {"type": "horizontal_slice", "base_area": FOUR_PI, "genus": 2,
+         "kappa": {"constant": -1.0}},
+        {"series": ["ground_state"]}),
+    "slice_weighted_kappa": (
+        {"kind": "homogeneous", "kappa": 1.0, "tau": 0.0, "fiber_length": TWO_PI},
+        {"type": "horizontal_slice", "base_area": FOUR_PI, "genus": 0,
+         "kappa": {"values": [0.5, 1.5, 1.0], "weights": [FOUR_PI / 3] * 3}},
+        {}),
+    "slice_varying_kappa_no_descriptor": (
+        {"kind": "product", "fiber_length": None, "kappa": {"mean": 1.0, "cos": [0.3]}},
+        {"type": "horizontal_slice", "base_area": FOUR_PI, "genus": 0},
+        {}),
+}
+
 
 def documents(workloads) -> list[tuple[str, dict]]:
     """(directory name, document) of every digested run, in run order."""
@@ -49,6 +116,9 @@ def documents(workloads) -> list[tuple[str, dict]]:
             for seed in SEEDS for i in OPS]
     docs += [(f"shipped_{path.stem}", json.loads(path.read_text()))
              for path in sorted((ROOT / "scenarios").glob("*.json"))]
+    docs += [(f"extra_{name}", {"version": 1, "name": name, "model": model,
+                                "surface": surface, "outputs": outputs})
+             for name, (model, surface, outputs) in EXTRA.items()]
     return docs
 
 

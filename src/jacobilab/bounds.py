@@ -99,11 +99,9 @@ _BOUND_TABLE = {
         "equality exactly for horizontal surfaces with K = kappa"),
 }
 
-# regime -> (bound (i), bound (ii)) of that regime's theorem
-REGIME_PARTS = {
-    Regime.POSITIVE: (TheoremPart.PLUS_I, TheoremPart.PLUS_II),
-    Regime.NEGATIVE: (TheoremPart.MINUS_I, TheoremPart.MINUS_II),
-}
+# regime -> (bound (i), bound (ii)) of that regime's theorem, in table order
+REGIME_PARTS = {regime: tuple(part for part, row in _BOUND_TABLE.items() if row.regime is regime)
+                for regime in dict.fromkeys(row.regime for row in _BOUND_TABLE.values())}
 
 
 def theorem_bound(s: SurfaceModel, part: TheoremPart,

@@ -138,8 +138,11 @@ class ScalarField1D:
         out = np.zeros(n // 2 + 1, dtype=complex)
         keep = min(c.size, out.size)
         out[:keep] = c[:keep]
-        if self.n % 2 == 0 and keep == c.size and c.size - 1 < out.size:
-            out[c.size - 1] *= 0.5  # split the Nyquist mode when upsampling
+        if n > self.n and self.n % 2 == 0:
+            out[self.n // 2] *= 0.5  # split the source Nyquist mode into +-n/2
+        elif n < self.n and n % 2 == 0:
+            # the target Nyquist bin holds both the +n/2 and the -n/2 mode
+            out[n // 2] = 2.0 * out[n // 2].real
         return ScalarField1D(np.fft.irfft(out * n, n), period=self.period)
 
 

@@ -67,13 +67,13 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, bool):
         return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        return format_float(obj)
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         items = [dumps_deterministic(v, indent + 1) for v in obj]
         if not items:
             return "[]"
@@ -88,11 +88,11 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
 
 
 def format_csv(header: list[str], rows: Iterable[Sequence]) -> str:
-    """CSV text of rows of Python numbers (numpy arrays enter through
-    ``tolist()``): floats in shortest round-trip form, other cells by str."""
+    """CSV text of rows of Python ints and floats (numpy arrays enter through
+    ``tolist()``); ``str`` prints a float in shortest round-trip form."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join([repr(v) if isinstance(v, float) else str(v) for v in row]))
+        lines.append(",".join(map(str, row)))
     return "\n".join(lines) + "\n"
 
 
@@ -283,15 +283,14 @@ def _field_from_spec(spec: dict, period: float, n: int) -> ScalarField1D:
     if "constant" in spec:
         return ScalarField1D.constant(float(spec["constant"]), period, n)
     mean = float(spec.get("mean", 0.0))
-    cos_coeffs = [float(v) for v in spec.get("cos", [])]
-    sin_coeffs = [float(v) for v in spec.get("sin", [])]
+    series = [(wave, [float(v) for v in spec.get(key, [])])
+              for wave, key in ((np.cos, "cos"), (np.sin, "sin"))]
 
     def fn(s):
         out = np.full_like(s, mean)
-        for j, a in enumerate(cos_coeffs, start=1):
-            out += a * np.cos(2 * np.pi * j * s / period)
-        for j, b in enumerate(sin_coeffs, start=1):
-            out += b * np.sin(2 * np.pi * j * s / period)
+        for wave, coeffs in series:
+            for j, a in enumerate(coeffs, start=1):
+                out += a * wave(2 * np.pi * j * s / period)
         return out
 
     return ScalarField1D.from_function(fn, period, n)

@@ -20,7 +20,9 @@ The stability potential q = |A|^2 + Ric(N, N) reduces to 4 H^2 + kappa(s) on
 a Hopf torus (the tau^2 contributions cancel) and to 0 on a slice.
 
 Both implement the :class:`SurfaceModel` protocol, the only view of a surface
-that the other modules take, so only this module dispatches on the class.
+that the other modules take.  Only the constructors here pick a class;
+everything else, the derived quantities below included, tells the two apart
+by the protocol's ``horizontal``.
 """
 
 from __future__ import annotations
@@ -171,6 +173,14 @@ class HorizontalSlice:
 
 # --- constructors ----------------------------------------------------------
 
+def _model_constant(field: ScalarField1D, message: str) -> float:
+    """The value of a model field that is constant to 1e-12; otherwise the
+    surface needs its own data and ``message`` says which."""
+    if not field.is_constant(1e-12):
+        raise SurfaceError(message)
+    return float(field.samples[0])
+
+
 def hopf_torus(model: SubmersionModel, curve_length: float, k_g: float,
                kappa_on_curve: ScalarField1D | None = None,
                tau_on_curve: ScalarField1D | None = None,
@@ -192,15 +202,13 @@ def hopf_torus(model: SubmersionModel, curve_length: float, k_g: float,
         raise SurfaceError(f"curve_length must be positive, got {curve_length}")
 
     if kappa_on_curve is None:
-        if not model.kappa_field.is_constant(1e-12):
-            raise SurfaceError("kappa_on_curve is required when the model kappa varies")
-        kappa_on_curve = ScalarField1D.constant(float(model.kappa_field.samples[0]),
-                                                curve_length, n)
+        kappa_on_curve = ScalarField1D.constant(_model_constant(
+            model.kappa_field, "kappa_on_curve is required when the model kappa varies"),
+            curve_length, n)
     if tau_on_curve is None:
-        if not model.tau_field.is_constant(1e-12):
-            raise SurfaceError("tau_on_curve is required when the model tau varies")
-        tau_on_curve = ScalarField1D.constant(float(model.tau_field.samples[0]),
-                                              curve_length, n)
+        tau_on_curve = ScalarField1D.constant(_model_constant(
+            model.tau_field, "tau_on_curve is required when the model tau varies"),
+            curve_length, n)
 
     grad_intrinsic = tau_on_curve.derivative().map(np.abs)
     if grad_tau_ambient is None:
@@ -233,9 +241,8 @@ def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
     if np.max(np.abs(model.tau_field.samples)) > 1e-12:
         raise SurfaceError("horizontal slices require tau == 0 along the surface")
     if kappa is None:
-        if not model.kappa_field.is_constant(1e-12):
-            raise SurfaceError("kappa descriptor is required when the model kappa varies")
-        kappa = float(model.kappa_field.samples[0])
+        kappa = _model_constant(model.kappa_field,
+                                "kappa descriptor is required when the model kappa varies")
 
     if isinstance(kappa, SampledKappa):
         wsum = float(np.sum(kappa.weights))
@@ -263,7 +270,7 @@ def potential_field(s: SurfaceModel) -> ScalarField1D | float:
     On a Hopf torus this is 4 H^2 + kappa(s) along the curve (independent of
     tau); on a horizontal slice it vanishes identically.
     """
-    if isinstance(s, HorizontalSlice):
+    if s.horizontal:
         return 0.0
     h2 = 4.0 * s.mean_curvature**2
     return s.kappa_on_curve.map(lambda k: h2 + k)
@@ -271,8 +278,8 @@ def potential_field(s: SurfaceModel) -> ScalarField1D | float:
 
 def gauss_bonnet_check(s: SurfaceModel) -> float:
     """Residual |integral of K dA - 2 pi chi| of the total-curvature identity."""
-    if isinstance(s, HopfTorus):
-        return 0.0  # flat, chi = 0, exactly
+    if not s.horizontal:
+        return 0.0  # a Hopf torus: flat, chi = 0, exactly
     return abs(s.kappa.integral() - 2.0 * math.pi * s.euler_characteristic)
 
 

@@ -137,21 +137,14 @@ def sampled_profile(theta_field: ScalarField1D) -> ThetaProfile:
     )
 
 
-def submersion_from_theta(profile: ThetaProfile,
-                          window: tuple[float, float] | None = None,
+def submersion_from_theta(profile: ThetaProfile, window: tuple[float, float],
                           n: int = 257) -> SubmersionModel:
     """Killing submersion of the doubly warped product built on ``profile``.
 
-    ``window`` selects the sampled subinterval for the model's fields (it
-    must be given when the profile interval is unbounded); the profile itself
-    is kept as ``model.profile``.  The fiber has unit speed and closes at
-    2 pi.
+    ``window`` selects the sampled subinterval of the profile interval for
+    the model's fields; the profile itself is kept as ``model.profile``.
+    The fiber has unit speed and closes at 2 pi.
     """
-    if window is None:
-        a, b = profile.interval
-        if not (math.isfinite(a) and math.isfinite(b)):
-            raise ModelError("an unbounded profile needs an explicit sampling window")
-        window = (a, b)
     a, b = window
     lo, hi = profile.interval
     if not (lo <= a < b <= hi):
@@ -200,13 +193,10 @@ def parallel_hopf_torus(model: SubmersionModel, u: float, n: int = 512) -> HopfT
     if not (lo < u < hi):
         raise ModelError(f"u = {u} is outside the profile interval")
     with _overflow_is_an_error(f"the parallel u = {u}"):
-        theta_u = float(np.asarray(profile.theta(u)))
-        _check_range(theta_u)
+        theta_u, dth, ddth = _profile_at(profile, u)
         sin2 = math.sin(2.0 * theta_u)
         if sin2 < MIN_PARALLEL_SIN:
             raise ModelError(f"degenerate parallel at u = {u}: sin(2 theta) = {sin2:g}")
-        dth = float(np.asarray(profile.theta_prime(u)))
-        ddth = float(np.asarray(profile.theta_second(u)))
         kappa_u = float(np.asarray(profile.kappa(u)))
     L = math.pi * sin2
     k_g = 2.0 * dth * (math.cos(2.0 * theta_u) / sin2)
@@ -218,6 +208,15 @@ def parallel_hopf_torus(model: SubmersionModel, u: float, n: int = 512) -> HopfT
         name=f"parallel_torus(u={u:g})",
     )
     return dataclasses.replace(torus, base_point=float(u))
+
+
+def _profile_at(profile: ThetaProfile, u: float) -> tuple[float, float, float]:
+    """theta, theta' and theta'' at the parallel ``u``; theta is checked to lie
+    in (0, pi/2) before its derivatives are read."""
+    theta_u = float(np.asarray(profile.theta(u)))
+    _check_range(theta_u)
+    return (theta_u, float(np.asarray(profile.theta_prime(u))),
+            float(np.asarray(profile.theta_second(u))))
 
 
 def _warped_profile(model: SubmersionModel) -> ThetaProfile:
@@ -239,9 +238,7 @@ def bounds_in_theta_form(model: SubmersionModel, torus: HopfTorus) -> tuple[floa
     if torus.base_point is None:
         raise SurfaceError("torus does not record its base parallel")
     u = torus.base_point
-    theta_u = float(np.asarray(profile.theta(u)))
-    dth = float(np.asarray(profile.theta_prime(u)))
-    ddth = float(np.asarray(profile.theta_second(u)))
+    theta_u, dth, ddth = _profile_at(profile, u)
     if theta_u >= math.pi / 4 or ddth >= 0.0:
         raise RegimeMismatchError(
             f"theta-form bounds need theta < pi/4 and theta'' < 0 at u = {u} "

@@ -6,10 +6,11 @@ import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jacobilab import ScenarioError
 from jacobilab.cli import main
-from jacobilab.scenario import (dumps_deterministic, format_float,
+from jacobilab.scenario import (dumps_deterministic, format_csv, format_float,
                                 load_scenario, run_scenario, validate_scenario,
                                 write_outputs)
 
@@ -543,6 +544,71 @@ def test_dumps_deterministic_is_valid_json():
     obj = {"a": 1, "b": [0.5, None, True, "x"], "c": {"nested": 2.5e-300}}
     text = dumps_deterministic(obj)
     assert json.loads(text) == obj
+
+
+_SWEEP = {"start": 0.5, "stop": 1.5, "step": 0.5}
+_WRITER_DOCS = {
+    "homogeneous": berger_doc(),
+    "product_sin": {
+        "version": 1, "name": "product_sin",
+        "model": {"kind": "product", "fiber_length": TWO_PI,
+                  "kappa": {"mean": 1.0, "cos": [0.2], "sin": [0.1]}},
+        "surface": {"type": "hopf_torus", "curve_length": TWO_PI, "geodesic_curvature": 0.3,
+                    "kappa": {"mean": 1.0, "cos": [0.2], "sin": [0.1]},
+                    "tau": {"mean": 0.4, "sin": [0.05]}}},
+    "weighted_slice": {
+        "version": 1, "name": "weighted_slice",
+        "model": {"kind": "homogeneous", "kappa": 1.0, "tau": 0.0, "fiber_length": TWO_PI},
+        "surface": {"type": "horizontal_slice", "base_area": 4 * math.pi, "genus": 0,
+                    "kappa": {"values": [0.5, 1.5, 1.0], "weights": [4 * math.pi / 3] * 3}}},
+    "warped_sweep": warped_doc(outputs={"sweep": _SWEEP}),
+    "constant_profile_sweep": {
+        "version": 1, "name": "constant_profile_sweep",
+        "model": {"kind": "warped", "window": [0.25, 4.0],
+                  "profile": {"kind": "constant", "value": 0.5}},
+        "surface": {"type": "hopf_torus", "parallel": 1.0},
+        "outputs": {"sweep": _SWEEP}},
+}
+
+
+def _leaves(obj):
+    if isinstance(obj, dict):
+        for value in obj.values():
+            yield from _leaves(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _leaves(value)
+    else:
+        yield obj
+
+
+@pytest.mark.parametrize("doc", _WRITER_DOCS.values(), ids=_WRITER_DOCS.keys())
+def test_report_leaves_are_python_values(doc):
+    """The writer serializes only Python leaves; a numpy scalar in a report
+    is a builder's bug, not a case the writer covers."""
+    outcome = run_scenario(doc)
+    kinds = {type(leaf) for leaf in _leaves(outcome.report)}
+    assert kinds <= {type(None), bool, int, float, str}
+
+
+def _csv_with_repr_floats(header, rows):
+    """The writer's earlier formula, kept as the oracle: repr for floats,
+    str for every other cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join([repr(v) if isinstance(v, float) else str(v) for v in row]))
+    return "\n".join(lines) + "\n"
+
+
+_CELLS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_CELLS, min_size=1, max_size=6), max_size=5))
+@example([[-0.0, 5e-324, 1e16, 0, -7]])
+def test_format_csv_prints_floats_in_shortest_round_trip_form(rows):
+    header = ["a", "b"]
+    assert format_csv(header, rows) == _csv_with_repr_floats(header, rows)
 
 
 def test_load_scenario_reports_paths(tmp_path):

@@ -60,6 +60,17 @@ def test_resample_band_limited_is_exact():
     assert np.max(np.abs(g.samples - expect)) < 1e-13
 
 
+@pytest.mark.parametrize("n, m, fn", [
+    (16, 8, lambda s: 1 + np.cos(4 * s)),
+    (15, 14, lambda s: 1 + np.cos(7 * s) + 0.3 * np.sin(2 * s)),
+    (64, 16, lambda s: 1 + np.cos(8 * s) + np.sin(3 * s))],
+    ids=["16_to_8", "15_to_14", "64_to_16"])
+def test_resample_down_to_an_even_grid_keeps_the_nyquist_cosine(n, m, fn):
+    """The target Nyquist bin carries both the +m/2 and the -m/2 mode."""
+    g = ScalarField1D.from_function(fn, 2 * np.pi, n=n).resampled(m)
+    assert np.max(np.abs(g.samples - fn(g.grid))) < 1e-13
+
+
 def test_is_constant():
     assert ScalarField1D.constant(3.0, 1.0).is_constant()
     assert not ScalarField1D.from_function(np.cos, 2 * np.pi).is_constant()

@@ -11,6 +11,7 @@ from jacobilab import (GradientMode, ModelError, SampledKappa, ScalarField1D,
                        SurfaceError, gauss_bonnet_check, homogeneous_model,
                        hopf_torus, horizontal_slice, potential_field,
                        product_model, surface_regime, Regime)
+from jacobilab.warped import half_arctan_profile, submersion_from_theta
 
 TWO_PI = 2 * math.pi
 
@@ -66,6 +67,21 @@ def test_hopf_torus_variable_kappa_needs_field():
     t = hopf_torus(m, TWO_PI, 0.0, kappa_on_curve=field,
                    tau_on_curve=ScalarField1D.constant(0.0, TWO_PI))
     assert surface_regime(t) is Regime.POSITIVE
+
+
+def test_model_constant_messages_name_the_missing_data():
+    varying = product_model(ScalarField1D.from_function(lambda v: 1 + 0.3 * np.cos(v), TWO_PI),
+                            TWO_PI)
+    with pytest.raises(SurfaceError, match="^kappa_on_curve is required when the model "
+                                           "kappa varies$"):
+        hopf_torus(varying, TWO_PI, 0.0)
+    with pytest.raises(SurfaceError, match="^kappa descriptor is required when the model "
+                                           "kappa varies$"):
+        horizontal_slice(varying, 4 * math.pi, 0)
+    warped = submersion_from_theta(half_arctan_profile(), window=(0.25, 4.0))
+    with pytest.raises(SurfaceError, match="^tau_on_curve is required when the model "
+                                           "tau varies$"):
+        hopf_torus(warped, TWO_PI, 0.0, kappa_on_curve=ScalarField1D.constant(1.0, TWO_PI))
 
 
 def test_potential_field_constant_case():
@@ -172,6 +188,11 @@ def _class_tests(tree):
 @pytest.mark.parametrize("module", ["bounds", "spectral", "scenario", "verification"])
 def test_only_surface_module_dispatches_on_surface_class(module):
     path = Path(jacobilab.__file__).parent / f"{module}.py"
+    assert _class_tests(ast.parse(path.read_text())) == []
+
+
+def test_surface_module_tells_the_classes_apart_by_horizontal():
+    path = Path(jacobilab.__file__).parent / "surface.py"
     assert _class_tests(ast.parse(path.read_text())) == []
 
 

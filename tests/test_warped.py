@@ -159,8 +159,8 @@ def test_profile_validation():
         constant_profile(0.0)
     with pytest.raises(ModelError):
         submersion_from_theta(half_arctan_profile(), window=(0.0, 1.0))  # theta -> 0
-    with pytest.raises(ModelError):
-        submersion_from_theta(half_arctan_profile())  # unbounded interval
+    with pytest.raises(TypeError):
+        submersion_from_theta(half_arctan_profile())  # the window is required
 
 
 def test_sampled_profile_tracks_closed_form():

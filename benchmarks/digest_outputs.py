@@ -20,6 +20,11 @@ A second line holds one SHA-256 over ``name``, ``passed`` and ``detail`` of
 every ``run_checks(seed=seed)`` result for the seeds in ``VERIFY_SEEDS``, in
 ``CATALOG`` order, without the elapsed time, and the pass tally.  BLAS is
 pinned to one thread before numpy loads, as in the perfbench harness.
+
+Then follows one ``name exit_code sha256`` line per document, in run order,
+where the SHA-256 covers that document's own files as above (a document that
+writes nothing digests to the SHA-256 of no bytes).  Two checkouts can then be
+compared document by document with ``diff``.
 """
 
 from __future__ import annotations
@@ -50,11 +55,12 @@ FOUR_PI = 4.0 * math.pi
 _ARCTAN_GRID = [0.25 + 3.75 * i / 64 for i in range(65)]
 _SWEEP = {"start": 0.5, "stop": 1.75, "step": 0.25}
 # name -> (model, surface, outputs) of the documents that the scenario_batch
-# workload and the shipped scenarios leave out: sin terms, a surface tau
-# field, 500 samples, sampled and constant profiles, a sweep whose every row
-# is NULL, slices with a kappa document, a positive-regime parallel above
-# pi/4 whose theta-form bounds are refused, and the inputs a model field
-# that varies makes invalid
+# workload and the shipped scenarios leave out: sin terms, 500 samples, a
+# surface tau that restates the model's, sampled and constant profiles, a
+# sweep whose every row is NULL, slices with a kappa document, a
+# positive-regime parallel above pi/4 whose theta-form bounds are refused,
+# and the inputs that contradict the model or that a model field that varies
+# makes invalid
 EXTRA = {
     "product_sin_tau": (
         {"kind": "product", "fiber_length": TWO_PI, "samples": 500,
@@ -63,6 +69,21 @@ EXTRA = {
          "samples": 500, "kappa": {"mean": 1.0, "cos": [0.2], "sin": [0.1, 0.05]},
          "tau": {"mean": 0.4, "sin": [0.05]}},
         {"series": ["potential", "ground_state", "convergence"]}),
+    "product_sin": (
+        {"kind": "product", "fiber_length": TWO_PI, "samples": 500,
+         "kappa": {"mean": 1.0, "cos": [0.2], "sin": [0.1, 0.05]}},
+        {"type": "hopf_torus", "curve_length": TWO_PI, "geodesic_curvature": 0.3,
+         "samples": 500},
+        {"series": ["potential", "ground_state", "convergence"]}),
+    "berger_contradiction": (
+        {"kind": "homogeneous", "kappa": 4.0, "tau": 0.5, "fiber_length": TWO_PI},
+        {"type": "hopf_torus", "curve_length": TWO_PI, "geodesic_curvature": 0.0,
+         "kappa": {"mean": 1.0, "cos": [0.3]}, "tau": {"constant": 0.0}},
+        {}),
+    "product_curve_not_base_circle": (
+        {"kind": "product", "fiber_length": TWO_PI, "kappa": {"mean": 1.0, "cos": [0.3]}},
+        {"type": "hopf_torus", "curve_length": 3.0, "geodesic_curvature": 0.0},
+        {}),
     "berger_tau_field": (
         {"kind": "homogeneous", "kappa": 4.0, "tau": 0.5, "fiber_length": TWO_PI},
         {"type": "hopf_torus", "curve_length": TWO_PI, "geodesic_curvature": 0.0,
@@ -156,7 +177,7 @@ def main(argv=None) -> int:
     import workloads
     from jacobilab import cli, verification
 
-    tally = collections.Counter()
+    runs = []
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, doc in documents(workloads):
@@ -166,12 +187,14 @@ def main(argv=None) -> int:
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main(["run", str(scenario_path), "--out", str(tmp / "out" / name)])
-            tally[code] += 1
+            runs.append((name, code, digest(tmp / "out" / name)[0]))
         sha, count = digest(tmp / "out")
+    tally = collections.Counter(code for _, code, _ in runs)
     codes = " ".join(f"{code}x{n}" for code, n in sorted(tally.items()))
-    print(f"sha256 {sha}  files {count}  documents {sum(tally.values())}  "
-          f"exit codes {codes}")
+    print(f"sha256 {sha}  files {count}  documents {len(runs)}  exit codes {codes}")
     print(verify_digest(verification))
+    for name, code, doc_sha in runs:
+        print(f"{name} {code} {doc_sha}")
     return 0
 
 

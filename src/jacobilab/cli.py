@@ -41,9 +41,16 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="Run the built-in verification catalog")
     verify_cmd.add_argument("--filter", default=None,
                             help="Only run checks whose name contains this substring")
-    verify_cmd.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                            help="Seed for sampled checks")
+    verify_cmd.add_argument("--seed", type=_seed, default=DEFAULT_SEED,
+                            help="Seed for sampled checks (a non-negative integer)")
     return parser
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: numpy's generators take only non-negative integers."""
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _cmd_run(args) -> int:
@@ -51,14 +58,14 @@ def _cmd_run(args) -> int:
         doc = load_scenario(args.scenario)
         outcome = run_scenario(doc, gradient_mode=args.gradient_mode,
                                truncation=args.truncation)
+        paths = write_outputs(outcome, args.out)
     except ScenarioError as exc:
         for path in exc.paths:
             print(f"error: {path}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    except JacobilabError as exc:
+    except (JacobilabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
-    paths = write_outputs(outcome, args.out)
     for p in paths:
         print(p)
     for note in outcome.report["anomalies"]:

@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import REGIME_PARTS, _bound_value, build_bound_report
-from .errors import ConvergenceError, FieldError, JacobilabError, ScenarioError
+from .errors import (ConvergenceError, FieldError, JacobilabError, ScenarioError,
+                     SurfaceError)
 from .fields import ScalarField1D
 from .geometry import Regime
 from .spectral import (DEFAULT_CONV_TOL, DEFAULT_TRUNCATION, SpectralProblem,
@@ -329,11 +330,15 @@ def build_surface(doc: dict, model: SubmersionModel):
     if doc["type"] == "hopf_torus":
         if "parallel" in doc:
             return parallel_hopf_torus(model, float(doc["parallel"]), n=n)
-        L = float(doc["curve_length"])
-        kappa = _field_from_spec(doc["kappa"], L, n) if "kappa" in doc else None
-        tau = _field_from_spec(doc["tau"], L, n) if "tau" in doc else None
-        return hopf_torus(model, L, float(doc["geodesic_curvature"]),
-                          kappa_on_curve=kappa, tau_on_curve=tau, n=n)
+        # schema v1 keeps the surface kappa and tau keys as restatements of
+        # the model's fields, which the torus reads
+        for key, owned in (("kappa", model.kappa_field), ("tau", model.tau_field)):
+            if key in doc and not np.array_equal(
+                    _field_from_spec(doc[key], owned.period, owned.n).samples, owned.samples):
+                raise SurfaceError(f"surface.{key} is not the model's {key}: a Hopf torus "
+                                   f"reads its {key} from the model")
+        return hopf_torus(model, float(doc["curve_length"]),
+                          float(doc["geodesic_curvature"]), n=n)
     kappa_doc = doc.get("kappa")
     if kappa_doc is None:
         kappa = None
@@ -422,10 +427,11 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
 
     model = build_model(doc["model"])
     surface = build_surface(doc["surface"], model)
-    # a harmonic D of kappa couples the constant mode to mode D, which a
-    # truncation-K basis lacks when D > K: the solve and its K/2 estimate
-    # would both miss it
-    degree = _degree(doc["surface"].get("kappa") or {})
+    # a harmonic D of a product model's kappa, which a Hopf torus reads,
+    # couples the constant mode to mode D, which a truncation-K basis lacks
+    # when D > K: the solve and its K/2 estimate would both miss it
+    product_torus = doc["model"]["kind"] == "product" and not surface.horizontal
+    degree = _degree(doc["model"]["kappa"]) if product_torus else 0
     K = solver.get("truncation", DEFAULT_TRUNCATION)
     if degree > K:
         raise ConvergenceError(f"surface kappa has harmonic {degree} above the truncation "

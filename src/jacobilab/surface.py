@@ -5,7 +5,10 @@ Two classes of surfaces carry the whole verification programme:
 * ``HopfTorus`` -- the total lift of a closed base curve through a submersion
   with compact fibers.  Flat, genus one, angle function nu == 0, mean
   curvature H = k_g / 2 where k_g is the (constant) geodesic curvature of the
-  curve, and |A|^2 = 4 H^2 + 2 tau^2 pointwise.  Its intrinsic metric is
+  curve, and |A|^2 = 4 H^2 + 2 tau^2 pointwise.  Its kappa and tau are the
+  model's values along the curve, read by ``hopf_torus`` and not given by
+  the caller, and its intrinsic |grad tau| is derived from that tau, so a
+  torus cannot restate a fact its model owns.  Its intrinsic metric is
   modelled as the rectangular lattice L x fiber_length (zero holonomy shear);
   for potentials constant along fibers the lowest eigenvalue does not depend
   on the lattice shear, so none of the verified quantities are affected.
@@ -28,7 +31,7 @@ by the protocol's ``horizontal``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Protocol
 
 import numpy as np
@@ -62,21 +65,29 @@ class SurfaceModel(Protocol):
 
 @dataclass(frozen=True)
 class HopfTorus:
-    """Lift of a closed curve of length ``curve_length``; see module docs."""
+    """Lift of a closed curve of length ``curve_length``; see module docs.
+
+    ``grad_tau_intrinsic`` is derived, |d tau/ds| along the curve;
+    ``grad_tau_ambient`` defaults to it.
+    """
 
     curve_length: float
     fiber_length: float
     mean_curvature: float
     kappa_on_curve: ScalarField1D
     tau_on_curve: ScalarField1D
-    grad_tau_intrinsic: ScalarField1D
-    grad_tau_ambient: ScalarField1D
+    grad_tau_ambient: ScalarField1D | None = None
     base_point: float | None = None
     name: str = ""
+    grad_tau_intrinsic: ScalarField1D = field(init=False)
 
     horizontal = False
 
     def __post_init__(self):
+        object.__setattr__(self, "grad_tau_intrinsic",
+                           self.tau_on_curve.derivative().map(np.abs))
+        if self.grad_tau_ambient is None:
+            object.__setattr__(self, "grad_tau_ambient", self.grad_tau_intrinsic)
         fields = (self.kappa_on_curve, self.tau_on_curve,
                   self.grad_tau_intrinsic, self.grad_tau_ambient)
         for f in fields:
@@ -173,58 +184,43 @@ class HorizontalSlice:
 
 # --- constructors ----------------------------------------------------------
 
-def _model_constant(field: ScalarField1D, message: str) -> float:
-    """The value of a model field that is constant to 1e-12; otherwise the
-    surface needs its own data and ``message`` says which."""
-    if not field.is_constant(1e-12):
-        raise SurfaceError(message)
-    return float(field.samples[0])
+def _on_curve(model_field: ScalarField1D, key: str, curve_length: float,
+              n: int) -> ScalarField1D:
+    """The model's ``key`` field along a closed curve of length ``curve_length``
+    on ``n`` samples: a constant field at any length, a varying one only
+    along the base circle it is periodic on."""
+    if model_field.is_constant(1e-12):
+        return ScalarField1D.constant(float(model_field.samples[0]), curve_length, n)
+    if model_field.is_periodic and math.isclose(curve_length, model_field.period,
+                                                rel_tol=1e-12):
+        return model_field.resampled(n)
+    raise SurfaceError(f"the model {key} varies, so curve_length must equal its period: "
+                       f"got curve_length {curve_length}, period {model_field.period}")
 
 
 def hopf_torus(model: SubmersionModel, curve_length: float, k_g: float,
-               kappa_on_curve: ScalarField1D | None = None,
-               tau_on_curve: ScalarField1D | None = None,
-               grad_tau_ambient: ScalarField1D | None = None,
-               n: int = 512, name: str = "") -> HopfTorus:
+               n: int = 512) -> HopfTorus:
     """Build the lift of a closed curve of length ``curve_length`` and
-    constant geodesic curvature ``k_g``.
+    constant geodesic curvature ``k_g``, sampled at ``n`` points.
 
-    For models with constant curvature data the curve fields default to those
-    constants; otherwise kappa_on_curve / tau_on_curve must be supplied on a
-    grid of period ``curve_length``.  ``grad_tau_ambient`` defaults to the
-    intrinsic derivative |d tau/ds| along the curve, which is exact whenever
-    tau does not vary transversally (all catalog models except the warped
+    The torus reads kappa and tau from the model: a constant model field at
+    any curve length, a varying one along the base circle it is periodic on,
+    so ``curve_length`` must then equal that period.  Its ambient
+    |grad tau| is the intrinsic derivative |d tau/ds| along the curve, exact
+    whenever tau does not vary transversally (all models except the warped
     family, whose parallels supply the transversal value themselves).
     """
     if not model.has_compact_fibers:
         raise ModelError("a Hopf torus needs compact fibers")
     if not (math.isfinite(curve_length) and curve_length > 0):
         raise SurfaceError(f"curve_length must be positive, got {curve_length}")
-
-    if kappa_on_curve is None:
-        kappa_on_curve = ScalarField1D.constant(_model_constant(
-            model.kappa_field, "kappa_on_curve is required when the model kappa varies"),
-            curve_length, n)
-    if tau_on_curve is None:
-        tau_on_curve = ScalarField1D.constant(_model_constant(
-            model.tau_field, "tau_on_curve is required when the model tau varies"),
-            curve_length, n)
-
-    grad_intrinsic = tau_on_curve.derivative().map(np.abs)
-    if grad_tau_ambient is None:
-        grad_tau_ambient = grad_intrinsic
-    elif not grad_tau_ambient.same_grid(tau_on_curve):
-        raise SurfaceError("grad_tau_ambient must share the curve grid")
-
     return HopfTorus(
         curve_length=float(curve_length),
         fiber_length=float(model.fiber_length),
         mean_curvature=k_g / 2.0,
-        kappa_on_curve=kappa_on_curve,
-        tau_on_curve=tau_on_curve,
-        grad_tau_intrinsic=grad_intrinsic,
-        grad_tau_ambient=grad_tau_ambient,
-        name=name or f"hopf_torus(L={curve_length:g}, k_g={k_g:g})",
+        kappa_on_curve=_on_curve(model.kappa_field, "kappa", curve_length, n),
+        tau_on_curve=_on_curve(model.tau_field, "tau", curve_length, n),
+        name=f"hopf_torus(L={curve_length:g}, k_g={k_g:g})",
     )
 
 
@@ -241,8 +237,9 @@ def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
     if np.max(np.abs(model.tau_field.samples)) > 1e-12:
         raise SurfaceError("horizontal slices require tau == 0 along the surface")
     if kappa is None:
-        kappa = _model_constant(model.kappa_field,
-                                "kappa descriptor is required when the model kappa varies")
+        if not model.kappa_field.is_constant(1e-12):
+            raise SurfaceError("kappa descriptor is required when the model kappa varies")
+        kappa = float(model.kappa_field.samples[0])
 
     if isinstance(kappa, SampledKappa):
         wsum = float(np.sum(kappa.weights))

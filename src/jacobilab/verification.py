@@ -225,9 +225,7 @@ def check_alpha_identity(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for c, a, h in cases:
         kappa = ScalarField1D.from_function(lambda v: c + a * np.cos(v), TWO_PI)
-        m = product_model(ScalarField1D.constant(c, TWO_PI), TWO_PI)
-        torus = hopf_torus(m, TWO_PI, 2.0 * h, kappa_on_curve=kappa,
-                           tau_on_curve=ScalarField1D.constant(0.0, TWO_PI))
+        torus = hopf_torus(product_model(kappa, TWO_PI), TWO_PI, 2.0 * h)
         expected_regime = Regime.POSITIVE if c > 0 else Regime.NEGATIVE
         if surface_regime(torus) is not expected_regime:
             return False, f"case (c={c}, a={a}) landed in {surface_regime(torus)}"

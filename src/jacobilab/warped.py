@@ -26,7 +26,6 @@ All closed forms carry independent finite-difference oracles.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -36,7 +35,7 @@ import numpy as np
 from .errors import ModelError, RegimeMismatchError, SurfaceError
 from .fields import ScalarField1D
 from .submersion import ModelKind, SubmersionModel
-from .surface import HopfTorus, hopf_torus
+from .surface import HopfTorus
 
 MIN_PARALLEL_SIN = 1e-6
 
@@ -185,8 +184,11 @@ def base_curvature_oracle(profile: ThetaProfile, x: float) -> float:
 def parallel_hopf_torus(model: SubmersionModel, u: float, n: int = 512) -> HopfTorus:
     """Hopf torus over the base parallel at ``u``; curvature data constant.
 
-    The torus stores the ambient |grad tau| = |theta''(u)| alongside the
-    (vanishing) intrinsic derivative, and keeps ``u`` as its base point.
+    The torus is built from the profile at ``u``: the model's fields vary
+    across the parallels, and along this one they are the constants
+    kappa(u) and tau(u).  It stores the ambient |grad tau| = |theta''(u)|
+    alongside the (vanishing) intrinsic derivative, and keeps ``u`` as its
+    base point.
     """
     profile = _warped_profile(model)
     lo, hi = profile.interval
@@ -199,15 +201,14 @@ def parallel_hopf_torus(model: SubmersionModel, u: float, n: int = 512) -> HopfT
             raise ModelError(f"degenerate parallel at u = {u}: sin(2 theta) = {sin2:g}")
         kappa_u = float(np.asarray(profile.kappa(u)))
     L = math.pi * sin2
-    k_g = 2.0 * dth * (math.cos(2.0 * theta_u) / sin2)
-    torus = hopf_torus(
-        model, curve_length=L, k_g=k_g,
+    return HopfTorus(
+        curve_length=L, fiber_length=float(model.fiber_length),
+        mean_curvature=dth * (math.cos(2.0 * theta_u) / sin2),
         kappa_on_curve=ScalarField1D.constant(kappa_u, L, n),
         tau_on_curve=ScalarField1D.constant(-dth, L, n),
         grad_tau_ambient=ScalarField1D.constant(abs(ddth), L, n),
-        name=f"parallel_torus(u={u:g})",
+        base_point=float(u), name=f"parallel_torus(u={u:g})",
     )
-    return dataclasses.replace(torus, base_point=float(u))
 
 
 def _profile_at(profile: ThetaProfile, u: float) -> tuple[float, float, float]:

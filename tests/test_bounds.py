@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from jacobilab import (EqualityStatus, GradientMode, Regime, RegimeMismatchError,
+from jacobilab import (EqualityStatus, GradientMode, HopfTorus, Regime, RegimeMismatchError,
                        SampledKappa, ScalarField1D, TheoremPart, Verdict,
                        alpha_invariant, build_bound_report, corollary_checks,
                        equality_classify, homogeneous_model, hopf_torus,
@@ -218,6 +218,44 @@ def test_constant_tau_specializations():
     assert records["thm_minus_cor_const_tau_ii"].satisfied
 
 
+def varying_tau_torus(kappa_mean):
+    """kappa = kappa_mean + 0.3 cos s, tau = 0.2 + 0.1 cos s and H = 0.25 on a
+    2 pi x 2 pi torus.  No model that a document builds has a tau that varies
+    along a closed curve, so this torus is built directly."""
+    return HopfTorus(
+        TWO_PI, TWO_PI, 0.25,
+        kappa_on_curve=ScalarField1D.from_function(lambda s: kappa_mean + 0.3 * np.cos(s),
+                                                   TWO_PI),
+        tau_on_curve=ScalarField1D.from_function(lambda s: 0.2 + 0.1 * np.cos(s), TWO_PI))
+
+
+@pytest.mark.parametrize("kappa_mean, theorem", [(-1.0, "thm_minus"), (2.0, "thm_plus")],
+                         ids=["negative", "positive"])
+def test_corollaries_with_varying_tau(kappa_mean, theorem):
+    t = varying_tau_torus(kappa_mean)
+    lam = solve_surface(t).lambda1
+    records = corollary_checks(t, lam, GradientMode.AMBIENT)
+    # a varying tau emits no constant-tau specialization and no area-genus record
+    assert [r.name for r in records] == [f"{theorem}_cor_i", f"{theorem}_cor_ii"]
+    s = t.tau_on_curve.grid
+    kappa = kappa_mean + 0.3 * np.cos(s)
+    tau = 0.2 + 0.1 * np.cos(s)
+    grad = 0.1 * np.abs(np.sin(s))
+    # the bound at lambda1 = 0 solved for H^2; genus 1 has no genus term
+    if theorem == "thm_plus":
+        rhs = [np.mean(grad / 2 - tau**2), np.mean(grad - kappa) / 4]
+    else:
+        rhs = [np.mean(2 * tau**2 + grad - kappa) / 2,
+               np.mean(4 * tau**2 + grad - 2 * kappa) / 4]
+    for record, expected in zip(records, rhs):
+        assert record.lhs == 0.0625
+        assert record.rhs == pytest.approx(expected, abs=1e-14)
+        assert record.applicable is (lam >= 0.0)
+    report = build_bound_report(t, lam, GradientMode.AMBIENT)
+    assert report.corollaries == records
+    assert report.violations == []
+
+
 # --- consolidated report -----------------------------------------------------------------
 
 def test_report_round_trip():
@@ -340,10 +378,9 @@ def band_limited_tori(draw, sign):
             out += coef[j] * np.cos(arg) + coef[3 + j] * np.sin(arg)
         return out
 
-    model = product_model(ScalarField1D.constant(c, L, 256), draw(st.floats(1.0, 10.0)))
-    return hopf_torus(model, L, 2.0 * draw(st.floats(-1.5, 1.5)),
-                      kappa_on_curve=ScalarField1D.from_function(kappa_fn, L, 256),
-                      tau_on_curve=ScalarField1D.constant(0.0, L, 256))
+    model = product_model(ScalarField1D.from_function(kappa_fn, L, 256),
+                          draw(st.floats(1.0, 10.0)))
+    return hopf_torus(model, L, 2.0 * draw(st.floats(-1.5, 1.5)), n=256)
 
 
 def _gap_and_identity(torus, result):

@@ -236,7 +236,8 @@ def test_one_potential_field_per_torus_report(monkeypatch):
     calls = _count_calls(monkeypatch, surface_mod, "potential_field")
     doc = berger_doc(solver={"truncation": 32},
                      outputs={"series": ["potential", "ground_state", "convergence"]})
-    doc["surface"]["kappa"] = {"mean": 4.0, "cos": [0.3]}
+    doc["model"] = {"kind": "product", "fiber_length": TWO_PI,
+                    "kappa": {"mean": 4.0, "cos": [0.3]}}
     outcome = run_scenario(doc)
     assert set(outcome.series) == {"potential", "ground_state", "convergence"}
     rungs = outcome.series["convergence"].split()[1:]
@@ -276,23 +277,15 @@ def test_shipped_scenario_outputs_are_pinned(tmp_path):
     assert digests == SHIPPED_OUTPUT_SHA256
 
 
-def _product_tau_torus(kappa_mean):
-    return {
-        "model": {"kind": "product", "fiber_length": TWO_PI,
-                  "kappa": {"mean": kappa_mean, "cos": [0.3]}},
-        "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
-                    "geodesic_curvature": 0.5,
-                    "kappa": {"mean": kappa_mean, "cos": [0.3]},
-                    "tau": {"mean": 0.2, "cos": [0.1]}},
-        "gradient_mode": "ambient",
-    }
-
-
 LADDER_KAPPA = {"mean": 2.0, "cos": [0.2, 0.0, 0.05]}
 
-# Inline documents that together emit every corollary record in both regimes:
-# constant and varying tau, nonzero |grad tau|, the area-genus consequence
-# and a Gauss-weighted genus-2 slice.  Same contract as the table above.
+# Inline documents that together emit every corollary record in both regimes
+# that a document can reach: constant tau, the area-genus consequence and a
+# Gauss-weighted genus-2 slice.  A document's torus reads its tau from the
+# model, and no model a document builds has a varying tau on a closed curve,
+# so the varying-tau records are covered by
+# tests/test_bounds.py::test_corollaries_with_varying_tau.  Same contract as
+# the table above.
 PINNED_DOCS = {
     "homogeneous_negative": {
         "model": {"kind": "homogeneous", "kappa": 0.5, "tau": 0.5, "fiber_length": TWO_PI},
@@ -307,8 +300,6 @@ PINNED_DOCS = {
         "model": {"kind": "homogeneous", "kappa": 0.0, "tau": 0.5, "fiber_length": TWO_PI},
         "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
                     "geodesic_curvature": 1.0}},
-    "product_tau_negative": _product_tau_torus(-1.0),
-    "product_tau_positive": _product_tau_torus(2.0),
     "weighted_genus2_slice": {
         "model": {"kind": "product", "fiber_length": TWO_PI,
                   "kappa": {"constant": -1.0}},
@@ -339,10 +330,6 @@ PINNED_DOC_SHA256 = {
         "dbfc181cfa70a742df8e59ebf3b966002904230b80c3d55241dee3d2d17b62a4",
     "product_ladder.report.json":
         "9a6f0414e173b0e1d7d5a74008dab75e53e1b6f539d374d22b14f56c313cc4cf",
-    "product_tau_negative.report.json":
-        "b2e90dd729578f4941b1adadf0116669593f662e4a791dd166f9b13e95a1ba03",
-    "product_tau_positive.report.json":
-        "c0f737660dbf907a7822e484a7a739946c549c34494bd88e05059e0a352d1a1c",
     "weighted_genus2_slice.report.json":
         "3027e4a2e2528d166cc5d56bc0b66c48f4f63abe3083e957696d55af9c2d8002",
 }
@@ -404,10 +391,10 @@ def test_bound_violation_maps_to_exit_2(tmp_path, monkeypatch):
 def harmonic_doc(k, truncation, samples=512):
     """Product torus with kappa = 1 + 0.5 cos(k s) on L = 2 pi, H = 0."""
     return {"version": 1, "name": f"harmonic_{k}",
-            "model": {"kind": "product", "fiber_length": TWO_PI, "kappa": {"constant": 1.0}},
+            "model": {"kind": "product", "fiber_length": TWO_PI, "samples": samples,
+                      "kappa": {"mean": 1.0, "cos": [0.0] * (k - 1) + [0.5]}},
             "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
-                        "geodesic_curvature": 0.0, "samples": samples,
-                        "kappa": {"mean": 1.0, "cos": [0.0] * (k - 1) + [0.5]}},
+                        "geodesic_curvature": 0.0},
             "solver": {"truncation": truncation}}
 
 
@@ -440,6 +427,68 @@ def test_harmonic_below_the_truncation_matches_mathieu(tmp_path):
     assert abs(report["spectrum"]["lambda1"] - expected) <= 1e-10
 
 
+# --- a Hopf torus reads its curvature from its model ----------------------------
+
+ALL_SERIES = {"series": ["potential", "ground_state", "convergence"]}
+VARYING_KAPPA = {"mean": 1.5, "cos": [0.2], "sin": [0.1]}
+
+
+def product_kappa_doc(**surface):
+    """Product torus whose kappa varies along the base circle; ``surface``
+    keys are added to its surface."""
+    return {"version": 1, "name": "product_kappa",
+            "model": {"kind": "product", "fiber_length": TWO_PI, "kappa": VARYING_KAPPA},
+            "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                        "geodesic_curvature": 0.5, **surface},
+            "outputs": ALL_SERIES}
+
+
+def test_surface_kappa_that_contradicts_the_model_is_an_input_error(tmp_path, capsys):
+    # the Berger torus has lambda1 = -4; this document once ran with exit 0
+    # and lambda1 = -1.0434 from the surface's own kappa
+    doc = berger_doc()
+    doc["surface"].update(kappa={"mean": 1.0, "cos": [0.3]}, tau={"constant": 0.0})
+    assert _run_file(tmp_path, doc) == 1
+    assert "error: surface.kappa is not the model's kappa" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _outputs_without_echo(tmp_path, doc, name):
+    """Every file a run writes, with the report's echo of its document left out."""
+    out = tmp_path / name
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(doc))
+    assert main(["run", str(path), "--out", str(out)]) == 0
+    files = {p.name: p.read_bytes() for p in out.iterdir()}
+    report = json.loads(files.pop(f"{doc['name']}.report.json"))
+    del report["scenario"]
+    return report, files
+
+
+def test_restated_model_tau_writes_the_same_bytes(tmp_path):
+    plain = berger_doc(outputs=ALL_SERIES)
+    restated = berger_doc(outputs=ALL_SERIES)
+    restated["surface"]["tau"] = {"constant": 0.5}
+    assert (_outputs_without_echo(tmp_path, restated, "restated")
+            == _outputs_without_echo(tmp_path, plain, "plain"))
+
+
+def test_varying_kappa_needs_stating_once():
+    once = run_scenario(product_kappa_doc())
+    twice = run_scenario(product_kappa_doc(kappa=VARYING_KAPPA))
+    assert once.report["spectrum"]["lambda1"] == twice.report["spectrum"]["lambda1"]
+    assert once.report["bounds"] == twice.report["bounds"]
+    assert once.series == twice.series and set(once.series) == set(ALL_SERIES["series"])
+
+
+def test_varying_kappa_off_its_period_is_an_input_error(tmp_path, capsys):
+    doc = product_kappa_doc()
+    doc["surface"]["curve_length"] = 3.0
+    assert _run_file(tmp_path, doc) == 1
+    assert ("error: the model kappa varies, so curve_length must equal its period: "
+            "got curve_length 3.0" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("model, surface, where", [
     ({"window": [0.25, 1e300]}, {}, "the window (0.25, 1e+300)"),
     ({"window": [0.25, 1e200]}, {}, "the window (0.25, 1e+200)"),
@@ -463,6 +512,21 @@ def test_profile_overflow_is_a_model_error(tmp_path, capsys, model, surface, whe
 def test_cli_usage_error_is_input_error(argv, capsys):
     assert main(argv) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_out_that_is_not_a_directory_is_input_error(tmp_path, capsys):
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(berger_doc()))
+    assert main(["run", str(path), "--out", str(blocker / "sub")]) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_verify_negative_seed_is_input_error(capsys):
+    assert main(["verify", "--seed", "-1"]) == 1
+    assert ("error: argument --seed: expected a non-negative integer, got '-1'"
+            in capsys.readouterr().err)
 
 
 def test_cli_help_exits_0(capsys):
@@ -554,8 +618,7 @@ _WRITER_DOCS = {
         "model": {"kind": "product", "fiber_length": TWO_PI,
                   "kappa": {"mean": 1.0, "cos": [0.2], "sin": [0.1]}},
         "surface": {"type": "hopf_torus", "curve_length": TWO_PI, "geodesic_curvature": 0.3,
-                    "kappa": {"mean": 1.0, "cos": [0.2], "sin": [0.1]},
-                    "tau": {"mean": 0.4, "sin": [0.05]}}},
+                    "kappa": {"mean": 1.0, "cos": [0.2], "sin": [0.1]}}},
     "weighted_slice": {
         "version": 1, "name": "weighted_slice",
         "model": {"kind": "homogeneous", "kappa": 1.0, "tau": 0.0, "fiber_length": TWO_PI},

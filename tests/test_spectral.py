@@ -513,9 +513,7 @@ def test_slice_spectrum_is_exact_zero():
 
 def test_identity_check_nonconstant_potential():
     kappa = ScalarField1D.from_function(lambda sarr: 1 + 0.3 * np.cos(sarr), TWO_PI)
-    m = product_model(ScalarField1D.constant(1.0, TWO_PI), TWO_PI)
-    t = hopf_torus(m, TWO_PI, 1.0, kappa_on_curve=kappa,
-                   tau_on_curve=ScalarField1D.constant(0.0, TWO_PI))
+    t = hopf_torus(product_model(kappa, TWO_PI), TWO_PI, 1.0)
     r = solve_surface(t)
     assert lambda1_identity_check(t, r) < 1e-6
 

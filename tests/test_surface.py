@@ -7,7 +7,7 @@ import pytest
 
 import jacobilab
 
-from jacobilab import (GradientMode, ModelError, SampledKappa, ScalarField1D,
+from jacobilab import (GradientMode, HopfTorus, ModelError, SampledKappa, ScalarField1D,
                        SurfaceError, gauss_bonnet_check, homogeneous_model,
                        hopf_torus, horizontal_slice, potential_field,
                        product_model, surface_regime, Regime)
@@ -42,46 +42,60 @@ def test_hopf_torus_requires_compact_fibers():
         hopf_torus(m, TWO_PI, 0.0)
 
 
+def berger_curve(**fields):
+    """Keyword arguments of a HopfTorus with the Berger torus's curve fields,
+    64 samples on a 2 pi curve, with ``fields`` replacing some of them."""
+    return {"curve_length": TWO_PI, "fiber_length": TWO_PI, "mean_curvature": 0.0,
+            "kappa_on_curve": ScalarField1D.constant(4.0, TWO_PI, 64),
+            "tau_on_curve": ScalarField1D.constant(0.5, TWO_PI, 64), **fields}
+
+
 def test_hopf_torus_period_mismatch_rejected():
     bad = ScalarField1D.constant(4.0, 1.0, 64)
     with pytest.raises(SurfaceError):
-        hopf_torus(berger_like(), TWO_PI, 0.0, kappa_on_curve=bad)
+        HopfTorus(**berger_curve(kappa_on_curve=bad))
 
 
 @pytest.mark.parametrize("curve_fields", [
     {"tau_on_curve": ScalarField1D.constant(0.5, 1.0, 64)},
-    {"kappa_on_curve": ScalarField1D.constant(4.0, TWO_PI, 64)},
+    {"kappa_on_curve": ScalarField1D.constant(4.0, TWO_PI, 128)},
     {"tau_on_curve": ScalarField1D.on_interval(np.full(64, 0.5), (0.0, TWO_PI))},
 ], ids=["tau_period", "grid_mismatch", "tau_on_interval"])
 def test_hopf_torus_curve_fields_rejected(curve_fields):
     with pytest.raises(SurfaceError):
-        hopf_torus(berger_like(), TWO_PI, 0.0, **curve_fields)
+        HopfTorus(**berger_curve(**curve_fields))
 
 
 def test_hopf_torus_variable_kappa_needs_field():
+    # a varying model kappa is carried onto the curve only along its period
     kappa = ScalarField1D.from_function(lambda v: 1 + 0.3 * np.cos(v), TWO_PI)
     m = product_model(kappa, TWO_PI)
     with pytest.raises(SurfaceError):
-        hopf_torus(m, TWO_PI, 0.0)
-    field = ScalarField1D.from_function(lambda sarr: 1 + 0.3 * np.cos(sarr), TWO_PI)
-    t = hopf_torus(m, TWO_PI, 0.0, kappa_on_curve=field,
-                   tau_on_curve=ScalarField1D.constant(0.0, TWO_PI))
+        hopf_torus(m, 3.0, 0.0)
+    t = hopf_torus(m, TWO_PI, 0.0)
+    assert t.kappa_on_curve is kappa
     assert surface_regime(t) is Regime.POSITIVE
 
 
 def test_model_constant_messages_name_the_missing_data():
     varying = product_model(ScalarField1D.from_function(lambda v: 1 + 0.3 * np.cos(v), TWO_PI),
                             TWO_PI)
-    with pytest.raises(SurfaceError, match="^kappa_on_curve is required when the model "
-                                           "kappa varies$"):
-        hopf_torus(varying, TWO_PI, 0.0)
+    with pytest.raises(SurfaceError, match="^the model kappa varies, so curve_length must "
+                                           "equal its period: got curve_length 3.0, period "
+                                           f"{TWO_PI}$"):
+        hopf_torus(varying, 3.0, 0.0)
     with pytest.raises(SurfaceError, match="^kappa descriptor is required when the model "
                                            "kappa varies$"):
         horizontal_slice(varying, 4 * math.pi, 0)
     warped = submersion_from_theta(half_arctan_profile(), window=(0.25, 4.0))
-    with pytest.raises(SurfaceError, match="^tau_on_curve is required when the model "
-                                           "tau varies$"):
-        hopf_torus(warped, TWO_PI, 0.0, kappa_on_curve=ScalarField1D.constant(1.0, TWO_PI))
+    with pytest.raises(SurfaceError, match="^the model kappa varies, so curve_length must "
+                                           "equal its period: got curve_length "
+                                           f"{TWO_PI}, period None$"):
+        hopf_torus(warped, TWO_PI, 0.0)
+    with pytest.raises(SurfaceError, match="^the model tau varies, so curve_length must "
+                                           "equal its period: got curve_length 3.0, period "
+                                           f"{TWO_PI}$"):
+        hopf_torus(varying_tau_model(), 3.0, 0.0)
 
 
 def test_potential_field_constant_case():
@@ -95,9 +109,7 @@ def test_potential_field_constant_case():
 
 def test_potential_field_variable_kappa():
     kappa = ScalarField1D.from_function(lambda sarr: 1 + 0.3 * np.cos(sarr), TWO_PI)
-    m = product_model(ScalarField1D.constant(1.0, TWO_PI), TWO_PI)
-    t = hopf_torus(m, TWO_PI, 1.0, kappa_on_curve=kappa,
-                   tau_on_curve=ScalarField1D.constant(0.0, TWO_PI))
+    t = hopf_torus(product_model(kappa, TWO_PI), TWO_PI, 1.0)
     q = potential_field(t)
     expect = 1.0 + 1 + 0.3 * np.cos(q.grid)
     assert np.max(np.abs(q.samples - expect)) < 1e-14
@@ -150,17 +162,33 @@ def test_sampled_kappa_weights_must_match_area():
         horizontal_slice(flat, base_area=5.0, genus=1, kappa=kappa)
 
 
-def test_grad_tau_modes_on_torus():
+def varying_tau_model():
+    """A model with kappa 3 and tau = 0.2 sin v on a 2 pi base circle."""
     prof_tau = ScalarField1D.from_function(lambda sarr: 0.2 * np.sin(sarr), TWO_PI)
     kappa = ScalarField1D.constant(3.0, TWO_PI)
     from jacobilab import SubmersionModel, ModelKind
-    m = SubmersionModel(kind=ModelKind.WARPED, kappa_field=kappa, tau_field=prof_tau,
-                        fiber_length=TWO_PI)
-    t = hopf_torus(m, TWO_PI, 0.0, kappa_on_curve=kappa, tau_on_curve=prof_tau)
+    return SubmersionModel(kind=ModelKind.WARPED, kappa_field=kappa, tau_field=prof_tau,
+                           fiber_length=TWO_PI)
+
+
+def test_grad_tau_modes_on_torus():
+    t = hopf_torus(varying_tau_model(), TWO_PI, 0.0)
     g = t.grad_tau(GradientMode.INTRINSIC_ON_SURFACE)
     assert np.max(np.abs(g.samples - np.abs(0.2 * np.cos(g.grid)))) < 1e-10
     # ambient defaults to the intrinsic derivative when not supplied
     assert np.all(t.grad_tau(GradientMode.AMBIENT).samples == g.samples)
+
+
+def test_grad_tau_intrinsic_is_derived_from_tau():
+    tau = ScalarField1D.from_function(lambda sarr: 0.2 + 0.1 * np.cos(2 * sarr), TWO_PI, 64)
+    fields = berger_curve(tau_on_curve=tau)
+    with pytest.raises(TypeError):
+        HopfTorus(**fields, grad_tau_intrinsic=ScalarField1D.constant(0.0, TWO_PI, 64))
+    t = HopfTorus(**fields)
+    assert np.array_equal(t.grad_tau_intrinsic.samples, np.abs(tau.derivative().samples))
+    assert t.grad_tau_ambient is t.grad_tau_intrinsic
+    assert np.max(np.abs(t.grad_tau_intrinsic.samples
+                         - np.abs(0.2 * np.sin(2 * tau.grid)))) < 1e-13
 
 
 # --- the surface class is decided in jacobilab.surface only ------------------------------

@@ -211,46 +211,18 @@ def _convergence_ladder(problem: SpectralProblem, lambda1: float) -> list[list]:
 
     The top rung t = K is ``lambda1`` itself.  A lower rung is the lowest
     eigenvalue of a slice of one truncation-K matrix, assembled only when
-    such a rung exists; it is refined from ``eigh`` by
-    :func:`_refined_ground`, as a solve of that truncation is, so each rung
-    keeps that solve's bits (on a diagonal slice the refined value is the
-    closed form's bits).  When the matrix is diagonal (the gate of
-    :func:`solve`), every rung reads the same c_0 and zeros, so every rung
-    is ``lambda1``.  No rung builds a ground state.
+    such a rung exists; it is taken from ``eigh``, the routine a solve of
+    that truncation runs, so each rung keeps that solve's bits (on a
+    diagonal slice ``eigh`` returns the closed form's bits).  When the
+    matrix is diagonal (the gate of :func:`solve`), every rung reads the
+    same c_0 and zeros, so every rung is ``lambda1``.  No rung builds a
+    ground state.
     """
     K, q = problem.truncation, problem.potential.samples
     dense = K > 8 and np.any(_potential_coefficients(q, K)[1:])
     H = assemble_fourier(problem.circle_length, q, K) if dense else None
-    return [[t, _refined_ground(S := _galerkin_slice(H, t), *np.linalg.eigh(S))[0]
-             if dense and t < K else lambda1]
-            for t in (8 << i for i in range((K // 8).bit_length()))]
-
-
-def _refined_ground(H: np.ndarray, w: np.ndarray, V: np.ndarray) -> tuple[float, np.ndarray]:
-    """lambda_1 and the ground vector of a Galerkin matrix ``H`` from its
-    ``eigh`` eigenpairs ``w``, ``V``, refined by one correction step.
-
-    ``eigh`` is exact to eps ||H||, and ||H|| grows with the kinetic entries
-    (2 pi K / L)^2: lambda_1 was seen 2e-12 off at K = 64 on a circle of
-    length 3.5, and on a deep well the ground vector's rounding, amplified
-    by alpha where rho is small, moved alpha / area by 4e-12.  The residual
-    r = H v - theta v of the ground vector, theta its Rayleigh quotient, is
-    computed at the scale of q, since v is small where H is large.  The step
-    v - sum_j V_j (V_j . r) / (w_j - theta) over j >= 1 removes the
-    rounding along the other eigenvectors, and lambda_1 is the Rayleigh
-    quotient of the result.  When a computed w_j does not lie above theta
-    the ground pair is not resolved and is returned unrefined.  On a
-    diagonal matrix r is exactly zero, so the pair is the diagonal entry
-    and its unit vector, bit for bit.
-    """
-    v = V[:, 0]
-    theta = float(v @ (H @ v) / (v @ v))
-    gaps = w[1:] - theta
-    if np.all(gaps > 0.0):
-        r = H @ v - theta * v
-        v = v - V[:, 1:] @ ((V[:, 1:].T @ r) / gaps)
-        theta = float(v @ (H @ v) / (v @ v))
-    return theta, v
+    return [[t, float(np.linalg.eigh(_galerkin_slice(H, t))[0][0]) if dense and t < K
+             else lambda1] for t in (8 << i for i in range((K // 8).bit_length()))]
 
 
 def _normalize_ground_state(values: np.ndarray, length: float) -> np.ndarray:
@@ -401,10 +373,6 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
     tolerance), the matrix is diag(0, k^2, k^2) - c_0 and the fourier backend
     returns its sorted diagonal, the constant ground state and an estimate of
     0 without calling LAPACK: the values ``eigh`` returns for that matrix.
-    Otherwise the ground pair is ``eigh``'s refined by one correction step
-    (:func:`_refined_ground`), exact to the scale of q where ``eigh`` is
-    exact only to eps ||H||; the estimate and the higher eigenvalues are
-    ``eigh``'s own.
     ``richardson`` applies h^2 extrapolation to the fd eigenvalues (the
     fourier backend ignores it).  The fd backend returns at most N eigenvalues
     on its N-point grid, N/2 with ``richardson``.
@@ -419,8 +387,8 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
         c = _potential_coefficients(q_field.samples, K)
         if np.any(c[1:]):
             w, vecs = np.linalg.eigh(H := assemble_fourier(L, q_field.samples, K))
+            ground = vecs[:, 0]
             estimate = abs(w[0] - np.linalg.eigvalsh(_galerkin_slice(H, max(4, K // 2)))[0])
-            w[0], ground = _refined_ground(H, w, vecs)
         else:
             # kinetic terms are positive, so the stable sort keeps the
             # constant mode first; the K/2 matrix reads a subset of c

@@ -323,13 +323,13 @@ PINNED_DOC_SHA256 = {
     "homogeneous_marginal.report.json":
         "5a56fff179c1e4ccb0eace9ab9835173248c62ae165f2c45933a673ece800281",
     "product_ladder.convergence.csv":
-        "1aa92fca32dbaf59dc66e5e69d96d579cf32acf391b90405f2ed483c7de3383a",
+        "fdf5829ba05b21a135d1097f529e6e062c398fb0516b914fd711b8dc24efbb69",
     "product_ladder.ground_state.csv":
-        "1e094dee7ebc9b6ba784a36f90e4b5bf804d9a0587d613032dd7ae4ee44e7552",
+        "d6c7a509ff1c88a31dce330535cbb38a9deaa75d5e3b9bcc0993e6491cf4b455",
     "product_ladder.potential.csv":
         "dbfc181cfa70a742df8e59ebf3b966002904230b80c3d55241dee3d2d17b62a4",
     "product_ladder.report.json":
-        "4eff08635ce49c595010fd42a319af52e856910f5694ba98c0ba9ee5f89055e2",
+        "9a6f0414e173b0e1d7d5a74008dab75e53e1b6f539d374d22b14f56c313cc4cf",
     "weighted_genus2_slice.report.json":
         "3027e4a2e2528d166cc5d56bc0b66c48f4f63abe3083e957696d55af9c2d8002",
 }

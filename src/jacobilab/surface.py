@@ -88,9 +88,8 @@ class HopfTorus:
                            self.tau_on_curve.derivative().map(np.abs))
         if self.grad_tau_ambient is None:
             object.__setattr__(self, "grad_tau_ambient", self.grad_tau_intrinsic)
-        fields = (self.kappa_on_curve, self.tau_on_curve,
-                  self.grad_tau_intrinsic, self.grad_tau_ambient)
-        for f in fields:
+        # grad_tau_intrinsic shares tau_on_curve's grid by construction
+        for f in (self.kappa_on_curve, self.tau_on_curve, self.grad_tau_ambient):
             if not f.is_periodic or not math.isclose(f.period, self.curve_length, rel_tol=1e-12):
                 raise SurfaceError("curve fields must be periodic with period == curve_length")
             if not f.same_grid(self.kappa_on_curve):
@@ -188,12 +187,20 @@ def _on_curve(model_field: ScalarField1D, key: str, curve_length: float,
               n: int) -> ScalarField1D:
     """The model's ``key`` field along a closed curve of length ``curve_length``
     on ``n`` samples: a constant field at any length, a varying one only
-    along the base circle it is periodic on."""
+    along the base circle it is periodic on, and only on ``n`` samples that
+    carry every harmonic of it."""
     if model_field.is_constant(1e-12):
         return ScalarField1D.constant(float(model_field.samples[0]), curve_length, n)
     if model_field.is_periodic and math.isclose(curve_length, model_field.period,
                                                 rel_tol=1e-12):
-        return model_field.resampled(n)
+        on_curve = model_field.resampled(n)
+        # resampling down drops every harmonic at or above n/2: refuse that
+        # unless resampling back returns the model's samples
+        lost = on_curve.resampled(model_field.n).samples - model_field.samples
+        if np.max(np.abs(lost)) > 1e-12 * max(1.0, np.max(np.abs(model_field.samples))):
+            raise SurfaceError(f"{n} samples cannot carry every harmonic of the model "
+                               f"{key}, which has {model_field.n} samples: raise n")
+        return on_curve
     raise SurfaceError(f"the model {key} varies, so curve_length must equal its period: "
                        f"got curve_length {curve_length}, period {model_field.period}")
 

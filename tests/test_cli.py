@@ -394,7 +394,7 @@ def harmonic_doc(k, truncation, samples=512):
             "model": {"kind": "product", "fiber_length": TWO_PI, "samples": samples,
                       "kappa": {"mean": 1.0, "cos": [0.0] * (k - 1) + [0.5]}},
             "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
-                        "geodesic_curvature": 0.0},
+                        "geodesic_curvature": 0.0, "samples": samples},
             "solver": {"truncation": truncation}}
 
 
@@ -415,6 +415,17 @@ def test_harmonic_the_solve_cannot_see_is_an_input_error(tmp_path, capsys, k, sa
                                                          message):
     assert _run_file(tmp_path, harmonic_doc(k, 64, samples)) == 1
     assert message in capsys.readouterr().err
+
+
+def test_surface_samples_that_drop_a_model_harmonic_are_an_input_error(tmp_path, capsys):
+    # kappa = 1 + 0.5 cos 300s is valid on the model's 2048 samples; carried
+    # onto 512 it once lost the harmonic and ran as kappa = 1 with exit 0
+    doc = harmonic_doc(300, 512, samples=2048)
+    doc["surface"]["samples"] = 512
+    assert _run_file(tmp_path, doc) == 1
+    assert ("error: 512 samples cannot carry every harmonic of the model kappa, "
+            "which has 2048 samples" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_harmonic_below_the_truncation_matches_mathieu(tmp_path):

@@ -77,6 +77,20 @@ def test_hopf_torus_variable_kappa_needs_field():
     assert surface_regime(t) is Regime.POSITIVE
 
 
+def test_hopf_torus_resamples_a_varying_kappa_only_without_loss():
+    kappa = ScalarField1D.from_function(lambda v: 1 + 0.3 * np.cos(v) + 0.1 * np.sin(20 * v),
+                                        TWO_PI, 2048)
+    m = product_model(kappa, TWO_PI)
+    t = hopf_torus(m, TWO_PI, 0.0, n=64)
+    s = t.kappa_on_curve.grid
+    np.testing.assert_allclose(t.kappa_on_curve.samples,
+                               1 + 0.3 * np.cos(s) + 0.1 * np.sin(20 * s), rtol=0, atol=1e-13)
+    # 40 samples alias harmonic 20: resampling would drop it
+    with pytest.raises(SurfaceError, match="^40 samples cannot carry every harmonic of "
+                                           "the model kappa, which has 2048 samples"):
+        hopf_torus(m, TWO_PI, 0.0, n=40)
+
+
 def test_model_constant_messages_name_the_missing_data():
     varying = product_model(ScalarField1D.from_function(lambda v: 1 + 0.3 * np.cos(v), TWO_PI),
                             TWO_PI)

@@ -5,8 +5,16 @@ one surface on it, solver options and requested outputs.  Unknown keys are
 rejected everywhere (schema drift protection) and every offending path is
 reported.  Reports are emitted with a fixed field order and floats printed
 with 17 significant digits, so identical scenarios produce byte-identical
-files; CSV series use '.' decimals, comma separators and shortest
-round-trip floats.
+files.
+
+A CSV series is one header row, then its data rows, with ',' between
+cells and a newline after every row; each value is printed by ``str``, so a
+float in shortest round-trip form with '.' decimals.  The ``s`` column of
+``potential`` and ``ground_state`` is the sample grid of the printed field,
+the torus's own curve grid up to the 1e-12 by which a varying model's period
+may differ from the curve length.  The writer formats column by column:
+each grid once per report, a column whose values are one float bit for bit
+once in all.  Its bytes are those of the row-wise writer of 0.4.4.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from collections.abc import Iterable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -88,13 +96,25 @@ def dumps_deterministic(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def format_csv(header: list[str], rows: Iterable[Sequence]) -> str:
-    """CSV text of rows of Python ints and floats (numpy arrays enter through
-    ``tolist()``); ``str`` prints a float in shortest round-trip form."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(map(str, row)))
-    return "\n".join(lines) + "\n"
+def format_column(values) -> list[str]:
+    """Cell text of one column of 64-bit floats or ints: ``str`` of each
+    value, which prints a float in shortest round-trip form.  A column whose
+    values share one bit pattern (so 0.0 and -0.0 differ) is formatted once."""
+    values = np.asarray(values)
+    bits = values.view(np.int64)
+    if bits.size and (bits == bits[0]).all():
+        return [str(values[0].item())] * bits.size
+    return list(map(str, values.tolist()))
+
+
+def format_csv(header: list[str], columns: Sequence[Sequence[str]]) -> str:
+    """CSV text of one header row and the rows of ``columns``, which hold
+    cell text and have one length; no columns give the header alone."""
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+
+
+def _table_csv(header: list[str], rows: list[list]) -> str:
+    return format_csv(header, [format_column(column) for column in zip(*rows)])
 
 
 # --- schema validation ----------------------------------------------------------------
@@ -507,22 +527,26 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
 
     series = {}
     outputs = doc.get("outputs", {})
+    fields = {"potential": ("q", q if torus else None),
+              "ground_state": ("rho", result.ground_state)}
+    # (period, n) -> cell text of that sample grid, formatted once per report;
+    # a varying q keeps the model's period, which the curve length only
+    # approximates to 1e-12, while rho lives on the curve
+    grids = {}
     for kind in outputs.get("series") or []:
-        if kind == "potential" and torus:
-            series["potential"] = format_csv(
-                ["s", "q"], zip(q.grid.tolist(), q.samples.tolist()))
-        elif kind == "ground_state":
-            rho = result.ground_state
-            series["ground_state"] = format_csv(
-                ["s", "rho"], zip(rho.grid.tolist(), rho.samples.tolist()))
+        column, f = fields.get(kind, (None, None))
+        if f is not None:
+            if (f.period, f.n) not in grids:
+                grids[f.period, f.n] = format_column(f.grid)
+            series[kind] = format_csv(["s", column],
+                                      [grids[f.period, f.n], format_column(f.samples)])
         elif kind == "convergence" and torus:
-            rows = _convergence_ladder(problem, result.lambda1)
-            series["convergence"] = format_csv(["truncation", "lambda1"], rows)
+            series["convergence"] = _table_csv(["truncation", "lambda1"],
+                                               _convergence_ladder(problem, result.lambda1))
     if outputs.get("sweep") is not None:
-        rows = _sweep_series(run, model)
-        series["sweep"] = format_csv(
+        series["sweep"] = _table_csv(
             ["u", "kappa", "tau", "H", "lambda1", "bound_i_ambient", "bound_ii_ambient",
-             "bound_i_intrinsic", "bound_ii_intrinsic"], rows)
+             "bound_i_intrinsic", "bound_ii_intrinsic"], _sweep_series(run, model))
 
     return ScenarioOutcome(name=name, report=report, series=series,
                            exit_code=EXIT_ANOMALY if violations else EXIT_OK)

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from jacobilab import ScenarioError
 from jacobilab.cli import main
-from jacobilab.scenario import (dumps_deterministic, format_csv, format_float,
-                                load_scenario, run_scenario, validate_scenario,
-                                write_outputs)
+from jacobilab.scenario import (dumps_deterministic, format_column, format_csv,
+                                format_float, load_scenario, run_scenario,
+                                validate_scenario, write_outputs)
 
 TWO_PI = 2 * math.pi
 
@@ -278,14 +278,18 @@ def test_shipped_scenario_outputs_are_pinned(tmp_path):
 
 
 LADDER_KAPPA = {"mean": 2.0, "cos": [0.2, 0.0, 0.05]}
+SIN_KAPPA = {"mean": 1.0, "cos": [0.2], "sin": [0.1, 0.05]}
 
 # Inline documents that together emit every corollary record in both regimes
 # that a document can reach: constant tau, the area-genus consequence and a
 # Gauss-weighted genus-2 slice.  A document's torus reads its tau from the
 # model, and no model a document builds has a varying tau on a closed curve,
 # so the varying-tau records are covered by
-# tests/test_bounds.py::test_corollaries_with_varying_tau.  Same contract as
-# the table above.
+# tests/test_bounds.py::test_corollaries_with_varying_tau.  The last five
+# documents pin the CSV shapes that the shipped scenarios leave out: a series
+# of the header alone, a grid that is not a power of two, a slice's 8-point
+# ground state and two series on grids that differ.  Same contract as the
+# table above.
 PINNED_DOCS = {
     "homogeneous_negative": {
         "model": {"kind": "homogeneous", "kappa": 0.5, "tau": 0.5, "fiber_length": TWO_PI},
@@ -314,8 +318,47 @@ PINNED_DOCS = {
                     "geodesic_curvature": 0.5, "kappa": LADDER_KAPPA},
         "solver": {"truncation": 64},
         "outputs": {"series": ["potential", "ground_state", "convergence"]}},
+    # no rung below K = 4: the convergence series is the header alone
+    "product_truncation4": {
+        "model": {"kind": "product", "fiber_length": TWO_PI,
+                  "kappa": {"mean": 2.0, "cos": [0.01]}},
+        "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                    "geodesic_curvature": 0.5},
+        "solver": {"truncation": 4},
+        "outputs": {"series": ["potential", "ground_state", "convergence"]}},
+    # 500 samples, and both q and rho vary
+    "product_sin_500": {
+        "model": {"kind": "product", "fiber_length": TWO_PI, "samples": 500,
+                  "kappa": SIN_KAPPA},
+        "surface": {"type": "hopf_torus", "curve_length": TWO_PI,
+                    "geodesic_curvature": 0.3, "samples": 500},
+        "outputs": {"series": ["potential", "ground_state", "convergence"]}},
+    # the closed-form ground state: 8 points on a circle of period 1
+    "slice_ground_state": {
+        "model": {"kind": "homogeneous", "kappa": -1.0, "tau": 0.0, "fiber_length": TWO_PI},
+        "surface": {"type": "horizontal_slice", "base_area": 4 * math.pi, "genus": 2},
+        "outputs": {"series": ["ground_state"]}},
+    # a curve one ulp longer than the model's period: kappa, so q, keeps the
+    # model's grid, the ground state lives on the curve's, and the two s
+    # columns differ in the last digit
+    "product_curve_ulp_long": {
+        "model": {"kind": "product", "fiber_length": TWO_PI,
+                  "kappa": {"mean": 2.0, "cos": [0.2]}},
+        "surface": {"type": "hopf_torus", "curve_length": 6.283185307179587,
+                    "geodesic_curvature": 0.5},
+        "outputs": {"series": ["potential", "ground_state"]}},
+    # every sweep point is outside both bound regimes: the header alone
+    "constant_profile_null_sweep": {
+        "model": {"kind": "warped", "window": [0.25, 4.0],
+                  "profile": {"kind": "constant", "value": 0.5}},
+        "surface": {"type": "hopf_torus", "parallel": 1.0},
+        "outputs": {"sweep": {"start": 0.5, "stop": 1.5, "step": 0.5}}},
 }
 PINNED_DOC_SHA256 = {
+    "constant_profile_null_sweep.report.json":
+        "ca2543a78f721b5dfd81fb4e14b46f023a6d861c69fd1014d48f79e0b0ef7f7b",
+    "constant_profile_null_sweep.sweep.csv":
+        "19e680887d1d65217d9821e911c5cc179b97c4053d519509dd2293a1010a2aea",
     "homogeneous_h_equals_tau.report.json":
         "5b461ca138e97e1635d16fcd392be69388350337acbfd9d9c7b40f31aa3ec94d",
     "homogeneous_negative.report.json":
@@ -332,6 +375,32 @@ PINNED_DOC_SHA256 = {
         "9a6f0414e173b0e1d7d5a74008dab75e53e1b6f539d374d22b14f56c313cc4cf",
     "weighted_genus2_slice.report.json":
         "3027e4a2e2528d166cc5d56bc0b66c48f4f63abe3083e957696d55af9c2d8002",
+    "product_curve_ulp_long.ground_state.csv":
+        "335991ec54e0b243588d339f7b33fc90ffba04c183580b9e12f8e75d3df26fd3",
+    "product_curve_ulp_long.potential.csv":
+        "95d0ed0c3cd9837085aa2160e9d9dfbab1b4e7c3776ebdd2069a4ae4d9b87c0c",
+    "product_curve_ulp_long.report.json":
+        "6e0cd18c5bfe271f6e7d05eb0f4d74fb3e10911135f900abd062c8f71ec3b01c",
+    "product_sin_500.convergence.csv":
+        "614e30e80b74576f89ef5e4de0f3712f273a531aef5b70ad18ba813cb68b619d",
+    "product_sin_500.ground_state.csv":
+        "cfd41280532e610d1ec1695f30d149722a40c794aabdcca3ddf8876e996c526d",
+    "product_sin_500.potential.csv":
+        "44e8dbd3b124d8ee49b5c65d3a22eebb86d01b29a27ab9f8b40234b3810ce2a8",
+    "product_sin_500.report.json":
+        "0ac7fdaf3fcddf4ea63cb1ac5750338c9ad34413fca7b2a725c48ef2a1d570af",
+    "product_truncation4.convergence.csv":
+        "6e36006f36e38c2cfd697f79788f3b66c4eddffa28c4a3567c16c8e813cf9f54",
+    "product_truncation4.ground_state.csv":
+        "db9f13fbd54c97c64bc98158281cee9c534a1e4bbe61b366451feb9b1c99f08b",
+    "product_truncation4.potential.csv":
+        "5a1e3a2bb045380b46049f8fd64b12cc7204833010582247ccfb48e3e02a46a1",
+    "product_truncation4.report.json":
+        "d769d490535d26586b180fc81ef92d1e8e67ed0f802601a97afa4d686f6af61f",
+    "slice_ground_state.ground_state.csv":
+        "524538a2b357edc2e922503e212d5cd2f6c560cd07abc344033de1ecc7c991e1",
+    "slice_ground_state.report.json":
+        "fd990066be74282d71e6915d03238cbfc1025e2e3c46c66a8f2ec403a61f6b3e",
 }
 
 
@@ -674,15 +743,30 @@ def _csv_with_repr_floats(header, rows):
     return "\n".join(lines) + "\n"
 
 
-_CELLS = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+# a report's column holds one kind of 64-bit number
+_COLUMN_CELLS = (st.integers(min_value=-2**63, max_value=2**63 - 1),
+                 st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _tables(draw):
+    """Rows of one length, each column all ints or all floats."""
+    cells = draw(st.lists(st.sampled_from(_COLUMN_CELLS), min_size=1, max_size=6))
+    n = draw(st.integers(min_value=0, max_value=5))
+    columns = [draw(st.lists(kind, min_size=n, max_size=n)) for kind in cells]
+    return [list(row) for row in zip(*columns)]
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.lists(st.lists(_CELLS, min_size=1, max_size=6), max_size=5))
+@given(_tables())
 @example([[-0.0, 5e-324, 1e16, 0, -7]])
+# a column that mixes 0.0 and -0.0 is not bit-constant; an all-equal one is
+@example([[0.0, 2.5, -0.0], [-0.0, 2.5, -0.0], [0.0, 2.5, -0.0]])
+@example([[-0.0, 7], [0.0, 7]])
 def test_format_csv_prints_floats_in_shortest_round_trip_form(rows):
     header = ["a", "b"]
-    assert format_csv(header, rows) == _csv_with_repr_floats(header, rows)
+    columns = [format_column(column) for column in zip(*rows)]
+    assert format_csv(header, columns) == _csv_with_repr_floats(header, rows)
 
 
 def test_load_scenario_reports_paths(tmp_path):

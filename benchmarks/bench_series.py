@@ -11,9 +11,11 @@ document of ``tests/test_cli.py`` (kappa = 2 + 0.2 cos s + 0.05 cos 3s at
 K = 64, the same three series); and a warped half-arctan torus with its
 ``ground_state`` series and a sweep of 24 rows.  For each it records the time
 of ``scenario.run_scenario`` followed by ``scenario.write_outputs`` into a
-temporary directory, and, in separate rounds, the time per report spent
-inside the series writer: the scenario module's ``format_csv`` and, where
-the checkout has it, ``format_column``, each wrapped by a timer.  Results
+temporary directory (``<doc>_report``); in separate rounds, the time per
+report spent inside the series writer: the scenario module's ``format_csv``
+and, where the checkout has it, ``format_column``, each wrapped by a timer
+(``<doc>_writer``); and the time of ``scenario.dumps_deterministic`` on the
+document's report, the JSON text of one report (``<doc>_json``).  Results
 (median and quartiles of timed rounds, in ms per report) go into
 BENCH_series.json under ``runs[label]``, next to the numpy, BLAS and thread
 settings, as ``benchmarks/_harness.py`` files every layer harness.
@@ -101,6 +103,9 @@ def measure() -> dict:
                 lambda: scenario.write_outputs(scenario.run_scenario(doc), out),
                 rounds, per_round, 1e3, "ms")
             results[f"{name}_writer"] = writer_ms(scenario, doc, rounds, per_round)
+            report = scenario.run_scenario(doc).report
+            results[f"{name}_json"] = _harness.timed(
+                lambda: scenario.dumps_deterministic(report), rounds, per_round, 1e3, "ms")
         rows = (Path(tmp) / "warped_sweep24" / "warped_sweep24.sweep.csv").read_text().count("\n")
     if rows != SWEEP_ROWS + 1:
         raise SystemExit(f"the warped sweep wrote {rows - 1} rows, not {SWEEP_ROWS}")
@@ -109,10 +114,11 @@ def measure() -> dict:
 
 def main(argv=None) -> int:
     label, results = _harness.main(
-        __doc__, OUT, "scenario.run_scenario + write_outputs per report, and the time per "
-        "report inside the series writer (format_csv, format_column), for the Berger torus, "
-        "the product_ladder document and a 24-row warped sweep: median and quartiles of "
-        "timed rounds", measure, argv)
+        __doc__, OUT, "scenario.run_scenario + write_outputs per report, the time per "
+        "report inside the series writer (format_csv, format_column) and the time of "
+        "dumps_deterministic on one report, for the Berger torus, the product_ladder "
+        "document and a 24-row warped sweep: median and quartiles of timed rounds",
+        measure, argv)
     _harness.print_summaries(label, list(results.items()))
     return 0
 

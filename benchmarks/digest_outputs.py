@@ -14,9 +14,11 @@ directory.  The
 first printed line holds the SHA-256 over every file's relative path and
 bytes, in sorted path order, the file count and the tally of exit codes.
 Two checkouts whose lines are equal wrote the same bytes and exited alike
-on every document.
+on every document.  The second line holds the same SHA-256 and count over
+the CSV files alone, so that a change to the report format can show that no
+series moved.
 
-A second line holds one SHA-256 over ``name``, ``passed`` and ``detail`` of
+A third line holds one SHA-256 over ``name``, ``passed`` and ``detail`` of
 every ``run_checks(seed=seed)`` result for the seeds in ``VERIFY_SEEDS``, in
 ``CATALOG`` order, without the elapsed time, and the pass tally.  BLAS is
 pinned to one thread before numpy loads, as in the perfbench harness.
@@ -143,10 +145,11 @@ def documents(workloads) -> list[tuple[str, dict]]:
     return docs
 
 
-def digest(out: Path) -> tuple[str, int]:
-    """SHA-256 over (relative path, size, bytes) of every file under ``out``."""
+def digest(out: Path, pattern: str = "*") -> tuple[str, int]:
+    """SHA-256 over (relative path, size, bytes) of every file under ``out``
+    whose name matches ``pattern``."""
     sha = hashlib.sha256()
-    files = sorted(p for p in out.rglob("*") if p.is_file())
+    files = sorted(p for p in out.rglob(pattern) if p.is_file())
     for p in files:
         data = p.read_bytes()
         sha.update(f"{p.relative_to(out).as_posix()}\0{len(data)}\0".encode())
@@ -189,9 +192,11 @@ def main(argv=None) -> int:
                 code = cli.main(["run", str(scenario_path), "--out", str(tmp / "out" / name)])
             runs.append((name, code, digest(tmp / "out" / name)[0]))
         sha, count = digest(tmp / "out")
+        csv_sha, csv_count = digest(tmp / "out", "*.csv")
     tally = collections.Counter(code for _, code, _ in runs)
     codes = " ".join(f"{code}x{n}" for code, n in sorted(tally.items()))
     print(f"sha256 {sha}  files {count}  documents {len(runs)}  exit codes {codes}")
+    print(f"csv sha256 {csv_sha}  files {csv_count}")
     print(verify_digest(verification))
     for name, code, doc_sha in runs:
         print(f"{name} {code} {doc_sha}")

@@ -3,18 +3,18 @@
 A scenario is a JSON document with a ``version`` field describing one model,
 one surface on it, solver options and requested outputs.  Unknown keys are
 rejected everywhere (schema drift protection) and every offending path is
-reported.  Reports are emitted with a fixed field order and floats printed
-with 17 significant digits, so identical scenarios produce byte-identical
-files.
+reported.  A report is written by ``json.dumps`` with a fixed field order,
+so identical scenarios produce byte-identical files.  Every float, in the
+report and in the CSVs alike, is printed in shortest round-trip form: an
+integral float as ``4.0``, negative zero as ``-0.0``.
 
 A CSV series is one header row, then its data rows, with ',' between
 cells and a newline after every row; each value is printed by ``str``, so a
 float in shortest round-trip form with '.' decimals.  The ``s`` column of
-``potential`` and ``ground_state`` is the sample grid of the printed field,
-the torus's own curve grid up to the 1e-12 by which a varying model's period
-may differ from the curve length.  The writer formats column by column:
-each grid once per report, a column whose values are one float bit for bit
-once in all.  Its bytes are those of the row-wise writer of 0.4.4.
+``potential`` and ``ground_state`` is the torus's curve grid, or the
+closed-form ground state's grid on a slice; one report has one grid.  The
+writer formats column by column: the grid once per report, a column whose
+values are one float bit for bit once in all.
 """
 
 from __future__ import annotations
@@ -61,39 +61,10 @@ MAX_TRUNCATION = 1024
 
 # --- deterministic serialization --------------------------------------------------
 
-def format_float(x: float) -> str:
-    """Fixed 17-significant-digit decimal form, valid as a JSON number."""
-    if not math.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite float {x}")
-    text = f"{x:.17g}"
-    return text
-
-
-def dumps_deterministic(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return format_float(obj)
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
-        items = [dumps_deterministic(v, indent + 1) for v in obj]
-        if not items:
-            return "[]"
-        return "[\n" + ",\n".join(inner + it for it in items) + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        parts = [f"{inner}{json.dumps(str(k))}: {dumps_deterministic(v, indent + 1)}"
-                 for k, v in obj.items()]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+def dumps_deterministic(obj) -> str:
+    """JSON text of a report: two-space indent, keys in insertion order,
+    floats in shortest round-trip form; NaN and inf raise ``ValueError``."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def format_column(values) -> list[str]:
@@ -529,17 +500,13 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
     outputs = doc.get("outputs", {})
     fields = {"potential": ("q", q if torus else None),
               "ground_state": ("rho", result.ground_state)}
-    # (period, n) -> cell text of that sample grid, formatted once per report;
-    # a varying q keeps the model's period, which the curve length only
-    # approximates to 1e-12, while rho lives on the curve
-    grids = {}
+    # q and rho both lie on the curve's grid (a slice prints rho alone)
+    grid = None
     for kind in outputs.get("series") or []:
         column, f = fields.get(kind, (None, None))
         if f is not None:
-            if (f.period, f.n) not in grids:
-                grids[f.period, f.n] = format_column(f.grid)
-            series[kind] = format_csv(["s", column],
-                                      [grids[f.period, f.n], format_column(f.samples)])
+            grid = grid or format_column(f.grid)
+            series[kind] = format_csv(["s", column], [grid, format_column(f.samples)])
         elif kind == "convergence" and torus:
             series["convergence"] = _table_csv(["truncation", "lambda1"],
                                                _convergence_ladder(problem, result.lambda1))

@@ -188,7 +188,8 @@ def _on_curve(model_field: ScalarField1D, key: str, curve_length: float,
     """The model's ``key`` field along a closed curve of length ``curve_length``
     on ``n`` samples: a constant field at any length, a varying one only
     along the base circle it is periodic on, and only on ``n`` samples that
-    carry every harmonic of it."""
+    carry every harmonic of it.  Either lies on the curve's own grid, period
+    ``curve_length``, which a varying field's period matches to 1e-12."""
     if model_field.is_constant(1e-12):
         return ScalarField1D.constant(float(model_field.samples[0]), curve_length, n)
     if model_field.is_periodic and math.isclose(curve_length, model_field.period,
@@ -200,7 +201,10 @@ def _on_curve(model_field: ScalarField1D, key: str, curve_length: float,
         if np.max(np.abs(lost)) > 1e-12 * max(1.0, np.max(np.abs(model_field.samples))):
             raise SurfaceError(f"{n} samples cannot carry every harmonic of the model "
                                f"{key}, which has {model_field.n} samples: raise n")
-        return on_curve
+        # the samples stay; only a period off by rounding is relabelled
+        if on_curve.period == curve_length:
+            return on_curve
+        return ScalarField1D.periodic(on_curve.samples, curve_length)
     raise SurfaceError(f"the model {key} varies, so curve_length must equal its period: "
                        f"got curve_length {curve_length}, period {model_field.period}")
 

@@ -11,8 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from jacobilab import ScenarioError
 from jacobilab.cli import main
 from jacobilab.scenario import (dumps_deterministic, format_column, format_csv,
-                                format_float, load_scenario, run_scenario,
-                                validate_scenario, write_outputs)
+                                load_scenario, run_scenario, validate_scenario,
+                                write_outputs)
 
 TWO_PI = 2 * math.pi
 
@@ -255,13 +255,13 @@ SHIPPED_OUTPUT_SHA256 = {
     "berger_minimal_hopf.potential.csv":
         "a5eaef83eef3064307b2544f389c6ada88abc2ae1e95ab07937af04c746607c5",
     "berger_minimal_hopf.report.json":
-        "fd0944a1740beed7d641ea7032a1541c1848124d3dd4af7736ff9effabf8217f",
+        "37b0afb3da084fd0bc993bbe0632610c6da12c864c7422446467434c51230322",
     "sphere_slice.report.json":
-        "99b4db40b1d4ef21943f5df273e72936fe28169f66a5c24c7269862142aabb13",
+        "b77a10e3bda10ae596dcecb8bf195b23d7f76fcf92bb6509b5b49ce5b29932e0",
     "warped_parallel_sweep.ground_state.csv":
         "5ef01ff2e089b54977247563d1acf62587eee7f8b89a770d297421b2362cdfcb",
     "warped_parallel_sweep.report.json":
-        "ae550a4ce208b6c1828128cded8400fd6eaa653203bd455948be8dde146bc797",
+        "1e134310d8651caa8b1267d71b7e9f8e9b9f0ed7ca6709fe5d0f03a57660ad06",
     "warped_parallel_sweep.sweep.csv":
         "cd3e750880c0bbeec32e9a911c8b05994e67a01890a5668f53fb0e938d637611",
 }
@@ -288,8 +288,8 @@ SIN_KAPPA = {"mean": 1.0, "cos": [0.2], "sin": [0.1, 0.05]}
 # tests/test_bounds.py::test_corollaries_with_varying_tau.  The last five
 # documents pin the CSV shapes that the shipped scenarios leave out: a series
 # of the header alone, a grid that is not a power of two, a slice's 8-point
-# ground state and two series on grids that differ.  Same contract as the
-# table above.
+# ground state and a curve whose length is not the model's period bit for
+# bit.  Same contract as the table above.
 PINNED_DOCS = {
     "homogeneous_negative": {
         "model": {"kind": "homogeneous", "kappa": 0.5, "tau": 0.5, "fiber_length": TWO_PI},
@@ -338,9 +338,8 @@ PINNED_DOCS = {
         "model": {"kind": "homogeneous", "kappa": -1.0, "tau": 0.0, "fiber_length": TWO_PI},
         "surface": {"type": "horizontal_slice", "base_area": 4 * math.pi, "genus": 2},
         "outputs": {"series": ["ground_state"]}},
-    # a curve one ulp longer than the model's period: kappa, so q, keeps the
-    # model's grid, the ground state lives on the curve's, and the two s
-    # columns differ in the last digit
+    # a curve one ulp longer than the model's period: q and the ground state
+    # both lie on the curve's grid, so the two s columns are one column
     "product_curve_ulp_long": {
         "model": {"kind": "product", "fiber_length": TWO_PI,
                   "kappa": {"mean": 2.0, "cos": [0.2]}},
@@ -356,15 +355,15 @@ PINNED_DOCS = {
 }
 PINNED_DOC_SHA256 = {
     "constant_profile_null_sweep.report.json":
-        "ca2543a78f721b5dfd81fb4e14b46f023a6d861c69fd1014d48f79e0b0ef7f7b",
+        "af4563b0b803e01a4cec02fcd7132b1474684beebf2d882c465ab7f1d257d1b7",
     "constant_profile_null_sweep.sweep.csv":
         "19e680887d1d65217d9821e911c5cc179b97c4053d519509dd2293a1010a2aea",
     "homogeneous_h_equals_tau.report.json":
-        "5b461ca138e97e1635d16fcd392be69388350337acbfd9d9c7b40f31aa3ec94d",
+        "13c0fd5de7e33126fd19591f7c0c54e5790d51b29a8e4e81d2d62dd7a30952b8",
     "homogeneous_negative.report.json":
-        "16557d17ec564f7d47c919a5c71d0e426b4fd1af8b759d91c03555e7c55a2bdb",
+        "8e6d9c35765b57e2be16ebee55cf076cdc9e9ae9b654a3c1dba8b70f1cab249b",
     "homogeneous_marginal.report.json":
-        "5a56fff179c1e4ccb0eace9ab9835173248c62ae165f2c45933a673ece800281",
+        "2ee5d842b4e22d740d0847417ce752e64778b2a1230c5572ba8fa34f7f7dd9dc",
     "product_ladder.convergence.csv":
         "fdf5829ba05b21a135d1097f529e6e062c398fb0516b914fd711b8dc24efbb69",
     "product_ladder.ground_state.csv":
@@ -372,15 +371,15 @@ PINNED_DOC_SHA256 = {
     "product_ladder.potential.csv":
         "dbfc181cfa70a742df8e59ebf3b966002904230b80c3d55241dee3d2d17b62a4",
     "product_ladder.report.json":
-        "9a6f0414e173b0e1d7d5a74008dab75e53e1b6f539d374d22b14f56c313cc4cf",
+        "a644017715f37ff309f65e66d723579cc3d7fd9f93331c72840fc8efcc1bf5d7",
     "weighted_genus2_slice.report.json":
-        "3027e4a2e2528d166cc5d56bc0b66c48f4f63abe3083e957696d55af9c2d8002",
+        "885aa0119f3f152d9f25ccff41302d6c4f9cad6b3f24bbfefdaa68e5df756d92",
     "product_curve_ulp_long.ground_state.csv":
         "335991ec54e0b243588d339f7b33fc90ffba04c183580b9e12f8e75d3df26fd3",
     "product_curve_ulp_long.potential.csv":
-        "95d0ed0c3cd9837085aa2160e9d9dfbab1b4e7c3776ebdd2069a4ae4d9b87c0c",
+        "2a6825c498e38fe95a8ef6ae38d3ace615780616f46b2c8d6c3618d38630a86d",
     "product_curve_ulp_long.report.json":
-        "6e0cd18c5bfe271f6e7d05eb0f4d74fb3e10911135f900abd062c8f71ec3b01c",
+        "8aa07be9d963966b3fd97f364802684a3ce830b07d9b8a1ecf48ec65aa3a789d",
     "product_sin_500.convergence.csv":
         "614e30e80b74576f89ef5e4de0f3712f273a531aef5b70ad18ba813cb68b619d",
     "product_sin_500.ground_state.csv":
@@ -388,7 +387,7 @@ PINNED_DOC_SHA256 = {
     "product_sin_500.potential.csv":
         "44e8dbd3b124d8ee49b5c65d3a22eebb86d01b29a27ab9f8b40234b3810ce2a8",
     "product_sin_500.report.json":
-        "0ac7fdaf3fcddf4ea63cb1ac5750338c9ad34413fca7b2a725c48ef2a1d570af",
+        "79948082df875fe138dfa605a9118398aa062c570363bcb9bb3ef3d22c68689b",
     "product_truncation4.convergence.csv":
         "6e36006f36e38c2cfd697f79788f3b66c4eddffa28c4a3567c16c8e813cf9f54",
     "product_truncation4.ground_state.csv":
@@ -396,11 +395,11 @@ PINNED_DOC_SHA256 = {
     "product_truncation4.potential.csv":
         "5a1e3a2bb045380b46049f8fd64b12cc7204833010582247ccfb48e3e02a46a1",
     "product_truncation4.report.json":
-        "d769d490535d26586b180fc81ef92d1e8e67ed0f802601a97afa4d686f6af61f",
+        "0f3cd931967e26f5ee051ed9bc9470dbea6313cf157d77008e5e60aff1bee020",
     "slice_ground_state.ground_state.csv":
         "524538a2b357edc2e922503e212d5cd2f6c560cd07abc344033de1ecc7c991e1",
     "slice_ground_state.report.json":
-        "fd990066be74282d71e6915d03238cbfc1025e2e3c46c66a8f2ec403a61f6b3e",
+        "ef82d2e808ef8407348f60ffc643e1643910fa38d0e84f8af9e314e20784df80",
 }
 
 
@@ -412,6 +411,16 @@ def test_bound_and_corollary_reports_are_pinned(tmp_path):
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                for p in (tmp_path / "out").iterdir()}
     assert digests == PINNED_DOC_SHA256
+
+
+def test_pinned_series_share_one_s_column():
+    both = {"potential", "ground_state"}
+    for name, body in PINNED_DOCS.items():
+        if both <= set(body.get("outputs", {}).get("series", [])):
+            series = run_scenario({"version": 1, "name": name, **body}).series
+            potential, ground = ([row.split(",")[0] for row in series[kind].splitlines()]
+                                 for kind in ("potential", "ground_state"))
+            assert potential == ground, name
 
 
 def test_one_galerkin_matrix_per_ladder(monkeypatch):
@@ -676,18 +685,37 @@ def test_env_output_dir(tmp_path, monkeypatch):
 
 # --- serialization ---------------------------------------------------------------
 
-def test_format_float_17_digits():
-    assert format_float(0.1) == "0.10000000000000001"
-    assert format_float(1.0) == "1"
-    assert format_float(-4.0) == "-4"
+def _typed(obj):
+    """``obj`` with every leaf tagged by its type and every float spelled by
+    ``float.hex``, so that ``==`` tells 4 from 4.0, 0.0 from -0.0 and one key
+    order from another; a tuple reads back from JSON as a list."""
+    if isinstance(obj, dict):
+        return "dict", [(key, _typed(value)) for key, value in obj.items()]
+    if isinstance(obj, (list, tuple)):
+        return "list", [_typed(value) for value in obj]
+    return type(obj).__name__, obj.hex() if isinstance(obj, float) else obj
+
+
+_JSON_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+_JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _JSON_FLOATS | st.text(),
+    lambda tree: st.lists(tree, max_size=4) | st.dictionaries(st.text(), tree, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_JSON_TREES)
+@example({"lambda1": -4.0, "bound_i": -0.0, "tiny": 5e-324, "big": 1e16,
+          "eigenvalues": [-4.0, 0.0, 5.0], "genus": 1, "bounds": None,
+          "anomalies": [], "assumptions": {}, "ok": True, "name": "x\u00e9"})
+def test_dumps_deterministic_round_trips_every_value(obj):
+    assert _typed(json.loads(dumps_deterministic(obj))) == _typed(obj)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_dumps_deterministic_refuses_non_finite_floats(bad):
     with pytest.raises(ValueError):
-        format_float(float("inf"))
-
-
-def test_dumps_deterministic_is_valid_json():
-    obj = {"a": 1, "b": [0.5, None, True, "x"], "c": {"nested": 2.5e-300}}
-    text = dumps_deterministic(obj)
-    assert json.loads(text) == obj
+        dumps_deterministic({"lambda1": [bad]})
 
 
 _SWEEP = {"start": 0.5, "stop": 1.5, "step": 0.5}
@@ -712,6 +740,15 @@ _WRITER_DOCS = {
         "surface": {"type": "hopf_torus", "parallel": 1.0},
         "outputs": {"sweep": _SWEEP}},
 }
+
+
+@pytest.mark.parametrize("doc", _WRITER_DOCS.values(), ids=_WRITER_DOCS.keys())
+def test_written_report_reads_back_bit_for_bit(doc, tmp_path):
+    outcome = run_scenario(doc)
+    write_outputs(outcome, tmp_path)
+    report = json.loads((tmp_path / f"{outcome.name}.report.json").read_text())
+    assert _typed(report) == _typed(outcome.report)
+    assert _typed(report["scenario"]) == _typed(doc)
 
 
 def _leaves(obj):

@@ -14,7 +14,10 @@ of ``scenario.run_scenario`` followed by ``scenario.write_outputs`` into a
 temporary directory (``<doc>_report``); in separate rounds, the time per
 report spent inside the series writer: the scenario module's ``format_csv``
 and, where the checkout has it, ``format_column``, each wrapped by a timer
-(``<doc>_writer``); and the time of ``scenario.dumps_deterministic`` on the
+(``<doc>_writer``); in the same way, the time per report spent inside the
+bounds: the scenario module's ``build_bound_report`` and its sweep bound
+function, ``theorem_bound`` or, in older checkouts, ``_bound_value``
+(``<doc>_bounds``); and the time of ``scenario.dumps_deterministic`` on the
 document's report, the JSON text of one report (``<doc>_json``).  Results
 (median and quartiles of timed rounds, in ms per report) go into
 BENCH_series.json under ``runs[label]``, next to the numpy, BLAS and thread
@@ -58,10 +61,12 @@ SWEEP_ROWS = 24
 # document -> (rounds, reports per round)
 ROUNDS = {"berger": (21, 20), "product_ladder": (21, 10), "warped_sweep24": (21, 3)}
 WRITERS = ("format_column", "format_csv")
+BOUNDS = ("build_bound_report", "theorem_bound", "_bound_value")
 
 
-def writer_ms(scenario, doc: dict, rounds: int, per_round: int) -> dict:
-    """Summary over rounds of the ms per report spent inside ``WRITERS``."""
+def inside_ms(scenario, names, doc: dict, rounds: int, per_round: int) -> dict:
+    """Summary over rounds of the ms per report spent inside those of the
+    scenario module's functions ``names`` that the checkout has."""
     spent = [0.0]
 
     def timer(fn):
@@ -74,7 +79,7 @@ def writer_ms(scenario, doc: dict, rounds: int, per_round: int) -> dict:
                 spent[0] += time.perf_counter() - started
         return wrapper
 
-    originals = {name: getattr(scenario, name) for name in WRITERS if hasattr(scenario, name)}
+    originals = {name: getattr(scenario, name) for name in names if hasattr(scenario, name)}
     for name, fn in originals.items():
         setattr(scenario, name, timer(fn))
     try:
@@ -102,7 +107,8 @@ def measure() -> dict:
             results[f"{name}_report"] = _harness.timed(
                 lambda: scenario.write_outputs(scenario.run_scenario(doc), out),
                 rounds, per_round, 1e3, "ms")
-            results[f"{name}_writer"] = writer_ms(scenario, doc, rounds, per_round)
+            results[f"{name}_writer"] = inside_ms(scenario, WRITERS, doc, rounds, per_round)
+            results[f"{name}_bounds"] = inside_ms(scenario, BOUNDS, doc, rounds, per_round)
             report = scenario.run_scenario(doc).report
             results[f"{name}_json"] = _harness.timed(
                 lambda: scenario.dumps_deterministic(report), rounds, per_round, 1e3, "ms")
@@ -115,8 +121,9 @@ def measure() -> dict:
 def main(argv=None) -> int:
     label, results = _harness.main(
         __doc__, OUT, "scenario.run_scenario + write_outputs per report, the time per "
-        "report inside the series writer (format_csv, format_column) and the time of "
-        "dumps_deterministic on one report, for the Berger torus, the product_ladder "
+        "report inside the series writer (format_csv, format_column), the time per report "
+        "inside the bounds (build_bound_report and theorem_bound or _bound_value) and the "
+        "time of dumps_deterministic on one report, for the Berger torus, the product_ladder "
         "document and a 24-row warped sweep: median and quartiles of timed rounds",
         measure, argv)
     _harness.print_summaries(label, list(results.items()))

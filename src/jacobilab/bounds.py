@@ -21,9 +21,13 @@ Each strong-stability corollary is its bound at lambda1 >= 0, solved for
 H^2.  ``_BOUND_TABLE`` holds the coefficients, the equality predicates and the
 corollary text of all four bounds.
 
-Every bound evaluator refuses NULL/MIXED regimes with a typed error, and a
-report records which |grad tau| interpretation was used (both are evaluated
-side by side since they can disagree on warped models).
+Each fact has one public function: ``theorem_bound`` a bound,
+``equality_classify`` its equality verdict and ``corollary_checks`` the
+corollaries; ``build_bound_report`` calls these three per gradient mode.
+They read the regime from the surface (``SurfaceModel.regime``, classified
+once when the surface is built); a bound refuses NULL/MIXED regimes with a
+typed error.  A report records which |grad tau| interpretation was used
+(both are evaluated side by side since they can disagree on warped models).
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from .errors import RegimeMismatchError
 from .fields import is_constant
 from .geometry import Regime
 from .submersion import GradientMode
-from .surface import SurfaceModel, surface_regime
+from .surface import SurfaceModel
 
 STABILITY_TOL = 1e-8
 PREDICATE_TOL = 1e-9
@@ -108,16 +112,9 @@ def theorem_bound(s: SurfaceModel, part: TheoremPart,
                   gradient_mode: GradientMode = GradientMode.INTRINSIC_ON_SURFACE) -> float:
     """Upper bound ``part`` on lambda1; see module docstring."""
     row = _BOUND_TABLE[part]
-    actual = surface_regime(s)
-    if actual is not row.regime:
+    if s.regime is not row.regime:
         raise RegimeMismatchError(
-            f"bound requires regime {row.regime.value}, surface has {actual.value}")
-    return _bound_value(s, part, gradient_mode)
-
-
-def _bound_value(s: SurfaceModel, part: TheoremPart, gradient_mode: GradientMode) -> float:
-    """The formula of ``theorem_bound``, for callers that already checked the regime."""
-    row = _BOUND_TABLE[part]
+            f"bound requires regime {row.regime.value}, surface has {s.regime.value}")
     kappa, tau, grad = s.samples(gradient_mode)
     mean = s.mean(row.c_k * kappa + row.c_t * tau**2 - grad)
     bound = -row.c_h * s.mean_curvature**2
@@ -175,12 +172,6 @@ _PREDICATES = {
 }
 
 
-def equality_predicates(s: SurfaceModel, part: TheoremPart) -> dict:
-    """Predicates of the equality characterization for one bound."""
-    kappa, tau, _ = s.samples(GradientMode.INTRINSIC_ON_SURFACE)
-    return {name: _PREDICATES[name](s, kappa, tau) for name in _BOUND_TABLE[part].predicates}
-
-
 def equality_classify(s: SurfaceModel, lambda1: float, bound: float,
                       part: TheoremPart) -> EqualityClassification:
     """Compare numeric equality in a bound with its characterization.
@@ -188,12 +179,8 @@ def equality_classify(s: SurfaceModel, lambda1: float, bound: float,
     Agreement yields EQUALITY / NO_EQUALITY; any mismatch between the numbers
     and the predicates is flagged ANOMALY rather than silently accepted.
     """
-    return _classify(part, lambda1, bound, equality_predicates(s, part))
-
-
-def _classify(part: TheoremPart, lambda1: float, bound: float,
-              predicates: dict) -> EqualityClassification:
-    """``equality_classify`` with the predicates of ``part`` already evaluated."""
+    kappa, tau, _ = s.samples(GradientMode.INTRINSIC_ON_SURFACE)
+    predicates = {name: _PREDICATES[name](s, kappa, tau) for name in _BOUND_TABLE[part].predicates}
     tol = default_equality_tol(lambda1)
     gap = lambda1 - bound
     numeric = abs(gap) <= tol
@@ -229,14 +216,8 @@ def corollary_checks(s: SurfaceModel, lambda1: float,
     Strict inequalities are verified up to the numerical tolerance; exact
     strictness is not decidable in floating point and the records say so.
     """
-    return _corollary_records(s, lambda1, gradient_mode, surface_regime(s))
-
-
-def _corollary_records(s: SurfaceModel, lambda1: float, gradient_mode: GradientMode,
-                       regime: Regime) -> list[CorollaryRecord]:
-    """``corollary_checks`` for a surface in the given ``regime``."""
     records: list[CorollaryRecord] = []
-    parts = REGIME_PARTS.get(regime, ())
+    parts = REGIME_PARTS.get(s.regime, ())
     kappa, tau, grad = s.samples(gradient_mode)
     area = s.area
     genus = s.genus
@@ -258,7 +239,7 @@ def _corollary_records(s: SurfaceModel, lambda1: float, gradient_mode: GradientM
             f"{theorem}_cor_{numeral}", applicable=stable,
             satisfied=(h2 <= rhs + tol) if stable else None,
             lhs=h2, rhs=rhs, detail=row.corollary))
-        if tau_const and regime is Regime.NEGATIVE:
+        if tau_const and s.regime is Regime.NEGATIVE:
             # the bound with tau == tau0 on the surface, grouped so that
             # H^2 = tau0^2 still gives -c_h * 0.0 = -0.0
             rhs = -row.c_h * (h2 + row.c_t / row.c_h * float(tau[0]) ** 2)
@@ -269,7 +250,7 @@ def _corollary_records(s: SurfaceModel, lambda1: float, gradient_mode: GradientM
                 f"{theorem}_cor_const_tau_{numeral}", applicable=True,
                 satisfied=lambda1 <= rhs + tol, lhs=lambda1, rhs=rhs,
                 detail=f"constant-tau specialization of the negative-regime bound ({numeral})"))
-    if tau_const and regime is Regime.POSITIVE:
+    if tau_const and s.regime is Regime.POSITIVE:
         specialized.append(CorollaryRecord(
             "thm_plus_cor_const_tau", applicable=stable,
             satisfied=s.horizontal if stable else None,
@@ -342,21 +323,18 @@ def build_bound_report(s: SurfaceModel, lambda1: float,
     ambient-mode mismatches are kept visible in the per-mode records (the two
     modes legitimately disagree on warped models).
     """
-    regime = surface_regime(s)
+    regime = s.regime
     if regime not in REGIME_PARTS:
         raise RegimeMismatchError(f"no bounds apply in regime {regime.value}")
     parts = REGIME_PARTS[regime]
     theorem = f"{regime.value}_regime"
-    # the predicates read intrinsic samples only, so both modes share them
-    pred_i, pred_ii = (equality_predicates(s, part) for part in parts)
 
     per_mode = {}
     violations = []
     for mode in (GradientMode.INTRINSIC_ON_SURFACE, GradientMode.AMBIENT):
-        b_i = _bound_value(s, parts[0], mode)
-        b_ii = _bound_value(s, parts[1], mode)
-        eq_i = _classify(parts[0], lambda1, b_i, dict(pred_i))
-        eq_ii = _classify(parts[1], lambda1, b_ii, dict(pred_ii))
+        b_i, b_ii = (theorem_bound(s, part, mode) for part in parts)
+        eq_i = equality_classify(s, lambda1, b_i, parts[0])
+        eq_ii = equality_classify(s, lambda1, b_ii, parts[1])
         per_mode[mode] = ModeBounds(b_i, b_ii, eq_i, eq_ii)
         for label, bound in (("bound_i", b_i), ("bound_ii", b_ii)):
             if lambda1 > bound + STABILITY_TOL:
@@ -373,6 +351,6 @@ def build_bound_report(s: SurfaceModel, lambda1: float,
         regime=regime, theorem=theorem, lambda1=float(lambda1),
         gradient_mode=gradient_mode, per_mode=per_mode,
         stability=stability_verdict(lambda1),
-        corollaries=_corollary_records(s, lambda1, gradient_mode, regime),
+        corollaries=corollary_checks(s, lambda1, gradient_mode),
         violations=violations,
     )

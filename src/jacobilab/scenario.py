@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import REGIME_PARTS, _bound_value, build_bound_report
+from .bounds import REGIME_PARTS, build_bound_report, theorem_bound
 from .errors import (ConvergenceError, FieldError, JacobilabError, ScenarioError,
                      SurfaceError)
 from .fields import ScalarField1D
@@ -38,8 +38,7 @@ from .spectral import (DEFAULT_CONV_TOL, DEFAULT_TRUNCATION, SpectralProblem,
                        alpha_invariant, solve, solve_surface, surface_spectral_problem)
 from .submersion import GradientMode, SubmersionModel, \
     homogeneous_model, product_model
-from .surface import (SampledKappa, gauss_bonnet_check, hopf_torus,
-                      horizontal_slice, surface_regime)
+from .surface import SampledKappa, gauss_bonnet_check, hopf_torus, horizontal_slice
 from .warped import (bounds_in_theta_form, constant_profile,
                      half_arctan_profile, parallel_hopf_torus, sampled_profile,
                      submersion_from_theta)
@@ -374,7 +373,7 @@ def _sweep_series(run: dict, model: SubmersionModel) -> list[list]:
     for u in _sweep_grid(run["outputs"]["sweep"]):
         torus = build_surface({**run["surface"], "parallel": u}, model)
         lam = _solve_with(torus, run.get("solver", {}))[1].lambda1
-        parts = REGIME_PARTS.get(surface_regime(torus))
+        parts = REGIME_PARTS.get(torus.regime)
         if parts is None:
             continue
         row = [float(u),
@@ -382,7 +381,7 @@ def _sweep_series(run: dict, model: SubmersionModel) -> list[list]:
                float(torus.tau_on_curve.samples[0]),
                float(torus.mean_curvature), float(lam)]
         for mode in (GradientMode.AMBIENT, GradientMode.INTRINSIC_ON_SURFACE):
-            row.extend([float(_bound_value(torus, part, mode)) for part in parts])
+            row.extend([float(theorem_bound(torus, part, mode)) for part in parts])
         rows.append(row)
     return rows
 
@@ -429,7 +428,7 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
                                f"K = {K}; increase the truncation")
     problem, result = _solve_with(surface, solver)
 
-    regime = surface_regime(surface)
+    regime = surface.regime
     torus = problem is not None
     q = problem.potential if torus else 0.0
     alpha = alpha_invariant(result.ground_state, surface.area)

@@ -48,6 +48,7 @@ its own.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,8 +92,9 @@ class SpectralProblem:
         if not self.potential.is_periodic or \
                 not math.isclose(self.potential.period, self.circle_length, rel_tol=1e-12):
             raise FieldError("potential period must equal circle_length")
-        if self.truncation < 4:
-            raise FieldError("truncation must be >= 4")
+        # numpy registers its integer types as Integral
+        if not isinstance(self.truncation, numbers.Integral) or self.truncation < 4:
+            raise FieldError(f"truncation must be an integer >= 4, got {self.truncation!r}")
 
     @property
     def area(self) -> float:

@@ -25,12 +25,14 @@ a Hopf torus (the tau^2 contributions cancel) and to 0 on a slice.
 Both implement the :class:`SurfaceModel` protocol, the only view of a surface
 that the other modules take.  Only the constructors here pick a class;
 everything else, the derived quantities below included, tells the two apart
-by the protocol's ``horizontal``.
+by the protocol's ``horizontal``.  Each class classifies its regime once, when
+it is built, by :func:`surface_regime`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -48,8 +50,10 @@ class SurfaceModel(Protocol):
     """A compact orientable CMC surface as the bounds on lambda1 read it.
 
     ``horizontal`` is nu^2 == 1 (a surface that is not horizontal is a Hopf
-    torus); ``samples(mode)`` gives (kappa, tau, |grad tau|) at the surface's
-    quadrature nodes and ``mean`` the area mean of values at those nodes.
+    torus); ``regime`` is the sign of kappa - 4 tau^2 over the surface, which
+    picks the theorem that bounds lambda1; ``samples(mode)`` gives (kappa,
+    tau, |grad tau|) at the surface's quadrature nodes and ``mean`` the area
+    mean of values at those nodes.
     """
 
     name: str
@@ -57,6 +61,7 @@ class SurfaceModel(Protocol):
     genus: int
     mean_curvature: float
     horizontal: bool
+    regime: Regime
 
     def samples(self, mode: GradientMode) -> tuple[np.ndarray, np.ndarray, np.ndarray]: ...
 
@@ -68,7 +73,8 @@ class HopfTorus:
     """Lift of a closed curve of length ``curve_length``; see module docs.
 
     ``grad_tau_intrinsic`` is derived, |d tau/ds| along the curve;
-    ``grad_tau_ambient`` defaults to it.
+    ``grad_tau_ambient`` defaults to it.  ``regime`` is derived from the
+    curve fields.
     """
 
     curve_length: float
@@ -80,10 +86,13 @@ class HopfTorus:
     base_point: float | None = None
     name: str = ""
     grad_tau_intrinsic: ScalarField1D = field(init=False)
+    regime: Regime = field(init=False)
 
     horizontal = False
 
     def __post_init__(self):
+        if not math.isfinite(self.mean_curvature):
+            raise SurfaceError(f"mean_curvature must be finite, got {self.mean_curvature}")
         object.__setattr__(self, "grad_tau_intrinsic",
                            self.tau_on_curve.derivative().map(np.abs))
         if self.grad_tau_ambient is None:
@@ -94,6 +103,7 @@ class HopfTorus:
                 raise SurfaceError("curve fields must be periodic with period == curve_length")
             if not f.same_grid(self.kappa_on_curve):
                 raise SurfaceError("curve fields must share one grid")
+        object.__setattr__(self, "regime", surface_regime(self))
 
     @property
     def area(self) -> float:
@@ -146,14 +156,16 @@ class HorizontalSlice:
     genus: int
     kappa: SampledKappa
     name: str = ""
+    regime: Regime = field(init=False)
 
     horizontal = True
 
     def __post_init__(self):
         if not (math.isfinite(self.base_area) and self.base_area > 0):
             raise SurfaceError(f"base_area must be positive, got {self.base_area}")
-        if self.genus < 0:
-            raise SurfaceError("genus must be nonnegative")
+        if not isinstance(self.genus, numbers.Integral) or self.genus < 0:
+            raise SurfaceError(f"genus must be a nonnegative integer, got {self.genus!r}")
+        object.__setattr__(self, "regime", surface_regime(self))
 
     @property
     def area(self) -> float:
@@ -266,7 +278,7 @@ def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
                 f"(needs 2*pi*chi = {chi_term:g})")
         kappa = SampledKappa(np.array([kappa]), np.array([base_area]))
 
-    return HorizontalSlice(base_area=float(base_area), genus=int(genus), kappa=kappa,
+    return HorizontalSlice(base_area=float(base_area), genus=genus, kappa=kappa,
                            name=f"slice(genus={genus})")
 
 

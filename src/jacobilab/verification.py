@@ -32,8 +32,7 @@ from .spectral import (SpectralProblem, _rayleigh_quotients,
                        lambda1_identity_check, rayleigh_quotient, solve,
                        solve_surface)
 from .submersion import GradientMode, homogeneous_model, product_model
-from .surface import (SampledKappa, gauss_bonnet_check, hopf_torus,
-                      horizontal_slice, surface_regime)
+from .surface import SampledKappa, gauss_bonnet_check, hopf_torus, horizontal_slice
 from .warped import (base_curvature_oracle, bounds_in_theta_form,
                      half_arctan_profile, parallel_hopf_torus,
                      submersion_from_theta)
@@ -227,8 +226,8 @@ def check_alpha_identity(seed: int) -> tuple[bool, str]:
         kappa = ScalarField1D.from_function(lambda v: c + a * np.cos(v), TWO_PI)
         torus = hopf_torus(product_model(kappa, TWO_PI), TWO_PI, 2.0 * h)
         expected_regime = Regime.POSITIVE if c > 0 else Regime.NEGATIVE
-        if surface_regime(torus) is not expected_regime:
-            return False, f"case (c={c}, a={a}) landed in {surface_regime(torus)}"
+        if torus.regime is not expected_regime:
+            return False, f"case (c={c}, a={a}) landed in {torus.regime}"
         r = solve_surface(torus)
         worst = max(worst, lambda1_identity_check(torus, r))
     return worst <= 1e-6, f"6 potentials, worst residual {worst:.3e} (tol 1e-6)"

@@ -32,6 +32,23 @@ def genus2_slice():
     return horizontal_slice(m, base_area=4 * math.pi, genus=2)
 
 
+def test_report_evaluates_through_the_public_functions(monkeypatch):
+    import jacobilab.bounds as bounds_mod
+    calls = {}
+    for name in ("theorem_bound", "equality_classify", "corollary_checks"):
+        real = getattr(bounds_mod, name)
+
+        def counted(*args, real=real, name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(bounds_mod, name, counted)
+    t = torus(4.0, 0.5, 0.5)
+    build_bound_report(t, solve_surface(t).lambda1)
+    # both bounds of the regime under both gradient modes, one corollary pass
+    assert calls == {"theorem_bound": 4, "equality_classify": 4, "corollary_checks": 1}
+
+
 # --- positive regime -------------------------------------------------------------
 
 def test_plus_i_slice_equality():

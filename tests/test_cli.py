@@ -173,6 +173,22 @@ def test_sweep_rows_use_the_surface_samples():
     assert at_parallel == [outcome.report["spectrum"]["lambda1"]]
 
 
+def test_sweep_rows_read_theorem_bound(monkeypatch):
+    import jacobilab.scenario as scenario_mod
+    calls = []
+    real = scenario_mod.theorem_bound
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scenario_mod, "theorem_bound", counted)
+    scenarios = Path(__file__).parent.parent / "scenarios"
+    outcome = run_scenario(load_scenario(scenarios / "warped_parallel_sweep.json"))
+    rows = outcome.series["sweep"].split()[1:]
+    assert rows and len(calls) == 4 * len(rows)
+
+
 def test_warped_sweep_series():
     doc = warped_doc(outputs={"sweep": {"start": 0.5, "stop": 1.0, "step": 0.25}})
     outcome = run_scenario(doc)

@@ -194,6 +194,13 @@ def test_truncation_validation():
         solve(problem(lambda s: np.zeros_like(s), K=8), backend="fd")
 
 
+def test_truncation_must_be_an_integer():
+    with pytest.raises(FieldError, match="integer"):
+        problem(lambda s: np.zeros_like(s), K=6.5)
+    p = problem(lambda s: np.full_like(s, 1.0), K=np.int64(16))
+    assert solve(p, m=1).lambda1 == pytest.approx(-1.0, abs=1e-12)
+
+
 def test_period_mismatch_rejected():
     q = ScalarField1D.constant(1.0, period=1.0)
     with pytest.raises(FieldError):

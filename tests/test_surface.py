@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -11,7 +12,7 @@ from jacobilab import (GradientMode, HopfTorus, ModelError, SampledKappa, Scalar
                        SurfaceError, gauss_bonnet_check, homogeneous_model,
                        hopf_torus, horizontal_slice, potential_field,
                        product_model, surface_regime, Regime)
-from jacobilab.warped import half_arctan_profile, submersion_from_theta
+from jacobilab.warped import half_arctan_profile, parallel_hopf_torus, submersion_from_theta
 
 TWO_PI = 2 * math.pi
 
@@ -148,6 +149,20 @@ def test_flat_torus_slice_any_area():
     assert surface_regime(s) is Regime.NULL
 
 
+def test_slice_genus_must_be_an_integer():
+    # kappa * area = -2 pi = 2 pi (2 - 2 * 1.5): Gauss-Bonnet alone would pass
+    hyper = product_model(ScalarField1D.constant(-1.0, TWO_PI), TWO_PI)
+    with pytest.raises(SurfaceError, match="integer"):
+        horizontal_slice(hyper, base_area=TWO_PI, genus=1.5)
+    assert horizontal_slice(hyper, base_area=4 * math.pi, genus=np.int64(2)).genus == 2
+
+
+@pytest.mark.parametrize("k_g", [math.nan, math.inf])
+def test_hopf_torus_mean_curvature_must_be_finite(k_g):
+    with pytest.raises(SurfaceError, match="finite"):
+        hopf_torus(berger_like(), TWO_PI, k_g)
+
+
 def test_slice_rejects_nonzero_tau():
     with pytest.raises(SurfaceError):
         horizontal_slice(berger_like(), base_area=4 * math.pi, genus=0)
@@ -203,6 +218,46 @@ def test_grad_tau_intrinsic_is_derived_from_tau():
     assert t.grad_tau_ambient is t.grad_tau_intrinsic
     assert np.max(np.abs(t.grad_tau_intrinsic.samples
                          - np.abs(0.2 * np.sin(2 * tau.grid)))) < 1e-13
+
+
+def test_regime_is_derived_from_the_curve_fields():
+    fields = berger_curve()
+    with pytest.raises(TypeError):
+        HopfTorus(**fields, regime=Regime.NEGATIVE)
+    t = HopfTorus(**fields)
+    assert t.regime is Regime.POSITIVE
+    # kappa 4 -> -4 flips kappa - 4 tau^2 = 3 to -5
+    flipped = dataclasses.replace(t, kappa_on_curve=ScalarField1D.constant(-4.0, TWO_PI, 64))
+    assert flipped.regime is Regime.NEGATIVE
+
+
+def _sampled_slice():
+    n = 64
+    kappa = SampledKappa(values=0.4 * np.cos(np.arange(n) * (TWO_PI / n)),
+                         weights=np.full(n, TWO_PI / n))
+    flat = product_model(ScalarField1D.constant(0.0, TWO_PI), TWO_PI)
+    return horizontal_slice(flat, base_area=TWO_PI, genus=1, kappa=kappa)
+
+
+REGIME_SURFACES = {
+    "homogeneous_torus": (lambda: hopf_torus(berger_like(), TWO_PI, 1.0), Regime.POSITIVE),
+    "varying_product_torus": (lambda: hopf_torus(product_model(ScalarField1D.from_function(
+        lambda v: -2.0 + 0.5 * np.cos(v), TWO_PI), TWO_PI), TWO_PI, 0.4), Regime.NEGATIVE),
+    "warped_parallel": (lambda: parallel_hopf_torus(
+        submersion_from_theta(half_arctan_profile(), window=(0.25, 4.0)), 1.0),
+        Regime.POSITIVE),
+    "constant_slice": (lambda: horizontal_slice(product_model(
+        ScalarField1D.constant(1.0, TWO_PI), TWO_PI), base_area=4 * math.pi, genus=0),
+        Regime.POSITIVE),
+    "sampled_kappa_slice": (_sampled_slice, Regime.MIXED),
+}
+
+
+@pytest.mark.parametrize("build, expected", list(REGIME_SURFACES.values()),
+                         ids=list(REGIME_SURFACES))
+def test_surface_carries_its_regime(build, expected):
+    s = build()
+    assert s.regime is surface_regime(s) is expected
 
 
 # --- the surface class is decided in jacobilab.surface only ------------------------------

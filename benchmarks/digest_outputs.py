@@ -25,8 +25,10 @@ pinned to one thread before numpy loads, as in the perfbench harness.
 
 Then follows one ``name exit_code sha256`` line per document, in run order,
 where the SHA-256 covers that document's own files as above (a document that
-writes nothing digests to the SHA-256 of no bytes).  Two checkouts can then be
-compared document by document with ``diff``.
+writes nothing digests to the SHA-256 of no bytes).  Last comes one
+``verify seed name passed detail`` line per check of the third line, in the
+same order.  Two checkouts can then be compared document by document and
+check by check with ``diff``.
 """
 
 from __future__ import annotations
@@ -157,17 +159,20 @@ def digest(out: Path, pattern: str = "*") -> tuple[str, int]:
     return sha.hexdigest(), len(files)
 
 
-def verify_digest(verification) -> str:
-    """The verify line: SHA-256 over every check's name, verdict and detail."""
+def verify_digest(verification) -> tuple[str, list[str]]:
+    """The verify line, a SHA-256 over every check's name, verdict and
+    detail, and one ``verify seed name passed detail`` line per check."""
     sha = hashlib.sha256()
-    passed = total = 0
+    lines = []
+    passed = 0
     for seed in VERIFY_SEEDS:
         for r in verification.run_checks(seed=seed):
             sha.update(f"{r.name}\0{r.passed}\0{r.detail}\0".encode())
+            lines.append(f"verify {seed} {r.name} {r.passed} {r.detail}")
             passed += r.passed
-            total += 1
     seeds = " ".join(map(str, VERIFY_SEEDS))
-    return f"verify sha256 {sha.hexdigest()}  seeds {seeds}  checks passed {passed}/{total}"
+    return (f"verify sha256 {sha.hexdigest()}  seeds {seeds}  "
+            f"checks passed {passed}/{len(lines)}"), lines
 
 
 def main(argv=None) -> int:
@@ -197,9 +202,11 @@ def main(argv=None) -> int:
     codes = " ".join(f"{code}x{n}" for code, n in sorted(tally.items()))
     print(f"sha256 {sha}  files {count}  documents {len(runs)}  exit codes {codes}")
     print(f"csv sha256 {csv_sha}  files {csv_count}")
-    print(verify_digest(verification))
+    verify_line, check_lines = verify_digest(verification)
+    print(verify_line)
     for name, code, doc_sha in runs:
         print(f"{name} {code} {doc_sha}")
+    print("\n".join(check_lines))
     return 0
 
 

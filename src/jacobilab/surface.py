@@ -22,6 +22,17 @@ Two classes of surfaces carry the whole verification programme:
 The stability potential q = |A|^2 + Ric(N, N) reduces to 4 H^2 + kappa(s) on
 a Hopf torus (the tau^2 contributions cancel) and to 0 on a slice.
 
+Range rule: a Hopf torus of area A on n samples is refused, with a
+:class:`SurfaceError` when it is built, unless its curvature c = H^2 +
+max(|kappa| + tau^2 + |grad tau|), in units of 1/length^2, is at most the
+largest float over 4 max(n, A).  Per sample, every quantity the package forms
+from a torus -- the potential 4 H^2 + kappa, the regime's kappa - 4 tau^2, a
+bound's integrand c_k kappa + c_t tau^2 - |grad tau| with |c| <= 4 -- is at
+most 4 c, and a gap lambda1 - bound at most 8 c; a grid sum (an area mean, a
+Fourier coefficient) adds n >= 2 samples, and an integral multiplies a mean
+by A.  ``eigh`` scales the Galerkin matrix, whose entries add two
+Fourier coefficients, into its own range.
+
 Both implement the :class:`SurfaceModel` protocol, the only view of a surface
 that the other modules take.  Only the constructors here pick a class;
 everything else, the derived quantities below included, tells the two apart
@@ -91,8 +102,6 @@ class HopfTorus:
     horizontal = False
 
     def __post_init__(self):
-        if not math.isfinite(self.mean_curvature):
-            raise SurfaceError(f"mean_curvature must be finite, got {self.mean_curvature}")
         object.__setattr__(self, "grad_tau_intrinsic",
                            self.tau_on_curve.derivative().map(np.abs))
         if self.grad_tau_ambient is None:
@@ -103,6 +112,17 @@ class HopfTorus:
                 raise SurfaceError("curve fields must be periodic with period == curve_length")
             if not f.same_grid(self.kappa_on_curve):
                 raise SurfaceError("curve fields must share one grid")
+        # the range rule of the module docstring; it refuses a non-finite H too
+        limit = np.finfo(float).max / (4 * max(self.kappa_on_curve.n, self.area))
+        with np.errstate(over="ignore"):  # a square out of range is inf
+            curvature = np.square(self.mean_curvature) + np.max(
+                np.abs(self.kappa_on_curve.samples) + np.square(self.tau_on_curve.samples)
+                + self.grad_tau_intrinsic.samples + self.grad_tau_ambient.samples)
+        if not curvature <= limit:
+            raise SurfaceError(
+                f"curvature out of range: a Hopf torus of area {self.area:g} on "
+                f"{self.kappa_on_curve.n} samples needs a finite H^2 + max(|kappa| + tau^2 "
+                f"+ |grad tau|) <= {limit:g}, got {curvature:g}")
         object.__setattr__(self, "regime", surface_regime(self))
 
     @property

@@ -7,24 +7,32 @@ tolerance.  The catalog backs both the acceptance test module and the
 ``verify`` CLI subcommand; checks draw any randomness from a caller-supplied
 seed so results are reproducible.
 
-One runner names and times every check: ``@_check`` registers a
-``check_<name>`` function in ``CATALOG`` under ``<name>`` and wraps its body,
-which returns ``(passed, detail)``, in the timer that builds its
-:class:`CheckResult`.
+One runner judges every check.  ``@_check`` registers a ``check_<name>``
+function in ``CATALOG`` under ``<name>``.  Its body returns what it sampled
+and a list of criteria ``(label, value, tol)``, each of which holds when
+``value <= tol``: a lower bound or a strict inequality is stated as a
+sign-flipped value, a count as a value with tolerance 0.  The runner times
+the body, passes the check exactly when every criterion holds and writes the
+detail line ``<sampled>; <label> <value> (tol <tol>); ...``, so every line
+shows how close each criterion came to its tolerance.  A check takes its
+worst value with ``np.maximum``, which keeps a NaN where ``max`` can drop
+it, so a NaN fails its criterion.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .bounds import (REGIME_PARTS, TheoremPart, Verdict, corollary_checks,
-                     equality_classify, stability_verdict, theorem_bound)
+from .bounds import (REGIME_PARTS, STABILITY_TOL, TheoremPart, Verdict,
+                     corollary_checks, equality_classify, stability_verdict,
+                     theorem_bound)
 from .fields import ScalarField1D
 from .geometry import CurvatureData, Regime, combined_integrand, ricci_normal, \
     sectional_curvature
@@ -46,6 +54,9 @@ DEFAULT_SEED = 20260810
 # 41.8 to 61.3 MB.
 MINMAX_BLOCK = 50
 
+# (label, value, tol): the criterion holds when value <= tol
+Criterion = tuple[str, float, float]
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -58,16 +69,26 @@ class CheckResult:
 CATALOG: list[tuple[str, Callable]] = []
 
 
-def _check(body: Callable[[int], tuple[bool, str]]) -> Callable[..., CheckResult]:
+def _describe(criterion: Criterion) -> str:
+    """``<label> <value> (tol <tol>)``: a count as an integer, any other value
+    in ``%.3e``, the tolerance in ``%g``."""
+    label, value, tol = criterion
+    shown = value if isinstance(value, numbers.Integral) else f"{value:.3e}"
+    return f"{label} {shown} (tol {tol:g})"
+
+
+def _check(body: Callable[[int], tuple[str, list[Criterion]]]) -> Callable[..., CheckResult]:
     """Register ``check_<name>`` in ``CATALOG`` as ``<name>``; the registered
-    function times ``body(seed)`` and returns its verdict as a CheckResult."""
+    function times ``body(seed)``, judges its criteria and writes its detail
+    line."""
     name = body.__name__.removeprefix("check_")
 
     @functools.wraps(body)
     def check(seed: int = DEFAULT_SEED) -> CheckResult:
         started = time.perf_counter()
-        passed, detail = body(seed)
-        return CheckResult(name=name, passed=bool(passed), detail=detail,
+        sampled, criteria = body(seed)
+        return CheckResult(name=name, passed=all(value <= tol for _, value, tol in criteria),
+                           detail="; ".join([sampled, *map(_describe, criteria)]),
                            elapsed=time.perf_counter() - started)
 
     CATALOG.append((name, check))
@@ -91,7 +112,7 @@ def _constant_slice(kappa: float, genus: int):
 
 
 @_check
-def check_hopf_spectrum_closed_form(seed: int) -> tuple[bool, str]:
+def check_hopf_spectrum_closed_form(seed: int) -> tuple[str, list[Criterion]]:
     """Spectral lambda1 of constant-data Hopf tori equals -4H^2 - kappa."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -99,31 +120,27 @@ def check_hopf_spectrum_closed_form(seed: int) -> tuple[bool, str]:
         for _ in range(28):
             torus, kappa, tau, h = _random_constant_torus(rng, regime)
             lam = solve_surface(torus, m=1).lambda1
-            worst = max(worst, abs(lam - (-4.0 * h**2 - kappa)))
-    return worst <= 1e-8, f"56 tori, worst |lambda1 + 4H^2 + kappa| = {worst:.3e} (tol 1e-8)"
+            worst = np.maximum(worst, abs(lam - (-4.0 * h**2 - kappa)))
+    return "56 tori", [("worst |lambda1 + 4H^2 + kappa|", worst, 1e-8)]
 
 
 @_check
-def check_slice_spectrum(seed: int) -> tuple[bool, str]:
+def check_slice_spectrum(seed: int) -> tuple[str, list[Criterion]]:
     """Every horizontal slice has lambda1 = 0 and a MARGINAL verdict."""
     slices = [_constant_slice(kappa, genus) for kappa, genus in
               ((0.5, 0), (1.0, 0), (2.5, 0), (-1.0, 2), (-0.5, 3), (-2.0, 2))]
     m = product_model(ScalarField1D.constant(0.0, TWO_PI), None)
     slices.append(horizontal_slice(m, base_area=3.7, genus=1))
-    worst = 0.0
-    verdicts_ok = True
-    for s in slices:
-        r = solve_surface(s)
-        worst = max(worst, abs(r.lambda1))
-        verdicts_ok &= stability_verdict(r.lambda1) is Verdict.MARGINAL
-    return (worst <= 1e-10 and verdicts_ok,
-            f"{len(slices)} slices, worst |lambda1| = {worst:.3e} (tol 1e-10), "
-            f"all marginal: {verdicts_ok}")
+    lambdas = [solve_surface(s).lambda1 for s in slices]
+    not_marginal = sum(stability_verdict(lam) is not Verdict.MARGINAL for lam in lambdas)
+    return f"{len(slices)} slices", [("worst |lambda1|", np.max(np.abs(lambdas)), 1e-10),
+                                     ("verdicts not marginal", not_marginal, 0)]
 
 
 @_check
-def check_curvature_identities(seed: int) -> tuple[bool, str]:
-    """2K + Ric identity and nu in {0, +-1} collapses over 10^4 random tuples."""
+def check_curvature_identities(seed: int) -> tuple[str, list[Criterion]]:
+    """2K + Ric identity and nu in {0, +-1} collapses over 10^4 random tuples,
+    each residual in ulps of the tuple's curvature scale."""
     rng = np.random.default_rng(seed)
     n = 10_000
     kappa = rng.uniform(-10, 10, n)
@@ -132,22 +149,23 @@ def check_curvature_identities(seed: int) -> tuple[bool, str]:
     x_tau = rng.uniform(-10, 10, n)
     d = CurvatureData(kappa=kappa, tau=tau, nu=nu, x_tau=x_tau)
     w = kappa - 4 * tau**2
-    scale = np.abs(kappa) + 4 * tau**2 + np.abs(w) + 2 * np.abs(x_tau) + 1e-30
-    tol = 8.0 * np.spacing(scale)
-    ok = True
-    msgs = []
-    resid = np.abs(2.0 * sectional_curvature(d) + ricci_normal(d) - combined_integrand(d))
-    if not np.all(resid <= tol):
-        ok = False
-        msgs.append(f"identity worst {np.max(resid / tol):.2f}x tol")
+    ulp = np.spacing(np.abs(kappa) + 4 * tau**2 + np.abs(w) + 2 * np.abs(x_tau) + 1e-30)
+
+    def ulps(*residuals) -> float:
+        return float(np.max(np.abs(residuals) / ulp))
+
     d0 = CurvatureData(kappa=kappa, tau=tau, nu=np.zeros(n), x_tau=x_tau)
-    ok &= np.all(np.abs(sectional_curvature(d0) - tau**2) <= tol)
-    ok &= np.all(np.abs(ricci_normal(d0) - (kappa - 2 * tau**2)) <= tol)
-    for sign in (1.0, -1.0):
-        d1 = CurvatureData(kappa=kappa, tau=tau, nu=np.full(n, sign), x_tau=x_tau)
-        ok &= np.all(np.abs(sectional_curvature(d1) - (kappa - 3 * tau**2)) <= tol)
-        ok &= np.all(np.abs(ricci_normal(d1) - 2 * tau**2) <= tol)
-    return ok, f"{n} tuples within 8 ulps" + ("; " + "; ".join(msgs) if msgs else "")
+    poles = [CurvatureData(kappa=kappa, tau=tau, nu=np.full(n, sign), x_tau=x_tau)
+             for sign in (1.0, -1.0)]
+    tol = 8
+    return f"{n} tuples", [
+        ("worst |2K + Ric - combined| ulps",
+         ulps(2.0 * sectional_curvature(d) + ricci_normal(d) - combined_integrand(d)), tol),
+        ("worst nu = 0 collapse ulps",
+         ulps(sectional_curvature(d0) - tau**2, ricci_normal(d0) - (kappa - 2 * tau**2)), tol),
+        ("worst nu = +-1 collapse ulps",
+         ulps(*(r for d1 in poles for r in (sectional_curvature(d1) - (kappa - 3 * tau**2),
+                                            ricci_normal(d1) - 2 * tau**2))), tol)]
 
 
 def _expected_equality(part: TheoremPart, s) -> bool:
@@ -180,61 +198,56 @@ def _soundness_catalog(rng, regime: Regime) -> list:
     return surfaces
 
 
-def _check_soundness(regime: Regime, seed: int) -> tuple[bool, str]:
+def _check_soundness(regime: Regime, seed: int) -> tuple[str, list[Criterion]]:
     rng = np.random.default_rng(seed)
     surfaces = _soundness_catalog(rng, regime)
-    parts = REGIME_PARTS[regime]
-    violations = 0
+    worst = -math.inf
     misclassified = 0
     for s in surfaces:
         lam = solve_surface(s, m=1).lambda1
-        for part in parts:
+        for part in REGIME_PARTS[regime]:
             bound = theorem_bound(s, part)
-            if lam > bound + 1e-8:
-                violations += 1
+            worst = np.maximum(worst, lam - bound)
             eq = equality_classify(s, lam, bound, part)
             expected = _expected_equality(part, s)
-            if eq.numeric_equality != expected or \
-                    eq.characterization_holds != expected:
-                misclassified += 1
-    return (violations == 0 and misclassified == 0,
-            f"{len(surfaces)} surfaces, {violations} bound violations, "
-            f"{misclassified} equality misclassifications")
+            misclassified += (eq.numeric_equality != expected
+                              or eq.characterization_holds != expected)
+    return f"{len(surfaces)} surfaces", [("worst lambda1 - bound", worst, 1e-8),
+                                         ("equality misclassifications", misclassified, 0)]
 
 
 @_check
-def check_thm_plus_soundness(seed: int) -> tuple[bool, str]:
+def check_thm_plus_soundness(seed: int) -> tuple[str, list[Criterion]]:
     """lambda1 <= both positive-regime bounds over a constant-data catalog,
     with equality exactly on the characterized surfaces."""
     return _check_soundness(Regime.POSITIVE, seed)
 
 
 @_check
-def check_thm_minus_soundness(seed: int) -> tuple[bool, str]:
+def check_thm_minus_soundness(seed: int) -> tuple[str, list[Criterion]]:
     """lambda1 <= both negative-regime bounds over a constant-data catalog,
     with equality exactly on the characterized surfaces."""
     return _check_soundness(Regime.NEGATIVE, seed)
 
 
 @_check
-def check_alpha_identity(seed: int) -> tuple[bool, str]:
+def check_alpha_identity(seed: int) -> tuple[str, list[Criterion]]:
     """lambda1 = -(alpha + integral of q)/area for non-constant potentials."""
     cases = [(2.0, 0.5, 0.5), (1.0, 0.3, 0.0), (3.0, 1.0, 0.7),     # kappa > 0
              (-2.0, 0.5, 0.5), (-1.0, 0.3, 0.4), (-3.0, 1.0, 0.0)]  # kappa < 0
     worst = 0.0
+    off_regime = 0
     for c, a, h in cases:
         kappa = ScalarField1D.from_function(lambda v: c + a * np.cos(v), TWO_PI)
         torus = hopf_torus(product_model(kappa, TWO_PI), TWO_PI, 2.0 * h)
-        expected_regime = Regime.POSITIVE if c > 0 else Regime.NEGATIVE
-        if torus.regime is not expected_regime:
-            return False, f"case (c={c}, a={a}) landed in {torus.regime}"
-        r = solve_surface(torus)
-        worst = max(worst, lambda1_identity_check(torus, r))
-    return worst <= 1e-6, f"6 potentials, worst residual {worst:.3e} (tol 1e-6)"
+        off_regime += torus.regime is not (Regime.POSITIVE if c > 0 else Regime.NEGATIVE)
+        worst = np.maximum(worst, lambda1_identity_check(torus, solve_surface(torus)))
+    return "6 potentials", [("worst residual", worst, 1e-6),
+                            ("potentials outside their regime", off_regime, 0)]
 
 
 @_check
-def check_minmax_property(seed: int) -> tuple[bool, str]:
+def check_minmax_property(seed: int) -> tuple[str, list[Criterion]]:
     """Rayleigh quotients dominate lambda1; the ground state saturates it."""
     rng = np.random.default_rng(seed)
     problems = [SpectralProblem(TWO_PI, TWO_PI, ScalarField1D.from_function(q, TWO_PI))
@@ -242,7 +255,7 @@ def check_minmax_property(seed: int) -> tuple[bool, str]:
                           lambda s: 1 + 0.3 * np.cos(s),
                           lambda s: -1 + np.cos(s) + 0.5 * np.sin(2 * s))]
     deg = 8
-    worst_slack = math.inf
+    worst_excess = -math.inf
     worst_saturation = 0.0
     for p in problems:
         r = solve(p)
@@ -253,13 +266,13 @@ def check_minmax_property(seed: int) -> tuple[bool, str]:
                          + [np.sin(j * grid) for j in range(1, deg + 1)])
         for _ in range(1000 // MINMAX_BLOCK):
             rows = rng.standard_normal((MINMAX_BLOCK, 2 * deg + 1)) @ table
-            worst_slack = min(worst_slack,
-                              float(np.min(_rayleigh_quotients(p, rows))) - r.lambda1)
-        worst_saturation = max(
+            worst_excess = np.maximum(
+                worst_excess, r.lambda1 - float(np.min(_rayleigh_quotients(p, rows))))
+        worst_saturation = np.maximum(
             worst_saturation, abs(rayleigh_quotient(p, r.ground_state) - r.lambda1))
-    return (worst_slack >= -1e-9 and worst_saturation <= 1e-9,
-            f"3000 test functions, min RQ - lambda1 = {worst_slack:.3e} "
-            f"(>= -1e-9), ground-state gap {worst_saturation:.3e} (tol 1e-9)")
+    tol = 1e-9
+    return "3000 test functions", [("lambda1 - min RQ", worst_excess, tol),
+                                   ("ground-state gap", worst_saturation, tol)]
 
 
 def _equivalence_potentials(seed: int) -> list[Callable]:
@@ -282,7 +295,7 @@ def _equivalence_potentials(seed: int) -> list[Callable]:
 
 
 @_check
-def check_backend_equivalence(seed: int) -> tuple[bool, str]:
+def check_backend_equivalence(seed: int) -> tuple[str, list[Criterion]]:
     """Galerkin and finite-difference lambda1 agree on smooth potentials."""
     worst = 0.0
     for q_fn in _equivalence_potentials(seed):
@@ -291,55 +304,55 @@ def check_backend_equivalence(seed: int) -> tuple[bool, str]:
         p_fd = SpectralProblem(TWO_PI, TWO_PI, qf, truncation=1024, conv_tol=1e-3)
         lam_f = solve(p_fourier, m=1).lambda1
         lam_fd = solve(p_fd, m=1, backend="fd", richardson=True).lambda1
-        worst = max(worst, abs(lam_f - lam_fd))
-    return worst <= 1e-7, f"20 potentials, worst |fourier - fd| = {worst:.3e} (tol 1e-7)"
+        worst = np.maximum(worst, abs(lam_f - lam_fd))
+    return "20 potentials", [("worst |fourier - fd|", worst, 1e-7)]
 
 
 @_check
-def check_warped_example(seed: int) -> tuple[bool, str]:
+def check_warped_example(seed: int) -> tuple[str, list[Criterion]]:
     """Closed forms, oracles and the two gradient readings on the arctan family."""
     profile = half_arctan_profile()
     model = submersion_from_theta(profile, window=(0.25, 4.0))
-    msgs = []
+    rows = []
     for u in (0.5, 1.0, 2.0):
         kappa_u = float(np.asarray(profile.kappa(u)))
         tau_u = float(np.asarray(profile.tau(u)))
         ddth = float(np.asarray(profile.theta_second(u)))
         th = float(np.asarray(profile.theta(u)))
-        # (a) closed form vs -f''/f finite differences
-        oracle = base_curvature_oracle(profile, u)
-        if abs(oracle - kappa_u) > 1e-5:
-            msgs.append(f"u={u}: oracle gap {abs(oracle - kappa_u):.2e}")
-        # (b) kappa - 4 tau^2 identity, relative
-        lhs = kappa_u - 4.0 * tau_u**2
-        rhs = -2.0 * (math.cos(2 * th) / math.sin(2 * th)) * ddth
-        if abs(lhs - rhs) > 1e-10 * abs(rhs):
-            msgs.append(f"u={u}: regime identity off by {abs(lhs - rhs):.2e}")
         torus = parallel_hopf_torus(model, u)
-        # (c) theta-form bounds == ambient bounds, 4 ulps
         b_i, b_ii = bounds_in_theta_form(model, torus)
         g_i = theorem_bound(torus, TheoremPart.PLUS_I, GradientMode.AMBIENT)
         g_ii = theorem_bound(torus, TheoremPart.PLUS_II, GradientMode.AMBIENT)
-        scale = 2 * torus.mean_curvature**2 + abs(kappa_u) + abs(ddth) + 1.0
-        if abs(b_i - g_i) > 4 * np.spacing(scale) or abs(b_ii - g_ii) > 4 * np.spacing(scale):
-            msgs.append(f"u={u}: theta-form mismatch")
-        # (d) intrinsic equality vs strictly larger ambient bound
         lam = solve_surface(torus, m=1).lambda1
         closed = -4.0 * torus.mean_curvature**2 - kappa_u
-        b_intr = theorem_bound(torus, TheoremPart.PLUS_II,
-                               GradientMode.INTRINSIC_ON_SURFACE)
-        if abs(lam - closed) > 1e-8 or abs(b_intr - lam) > 1e-8:
-            msgs.append(f"u={u}: intrinsic equality broken")
-        if abs((g_ii - b_intr) - abs(ddth)) > 1e-8 or not (g_ii > lam + 1e-9):
-            msgs.append(f"u={u}: ambient offset != |theta''|")
-    detail = "u in {0.5, 1, 2}: oracle, identity, theta-form, both gradient readings"
-    return not msgs, detail + (" -- " + "; ".join(msgs) if msgs else "")
+        b_intr = theorem_bound(torus, TheoremPart.PLUS_II, GradientMode.INTRINSIC_ON_SURFACE)
+        rhs = -2.0 * (math.cos(2 * th) / math.sin(2 * th)) * ddth
+        ulp = np.spacing(2 * torus.mean_curvature**2 + abs(kappa_u) + abs(ddth) + 1.0)
+        rows.append([
+            # (a) closed form vs -f''/f finite differences
+            abs(base_curvature_oracle(profile, u) - kappa_u),
+            # (b) kappa - 4 tau^2 identity, relative
+            abs(kappa_u - 4.0 * tau_u**2 - rhs) / abs(rhs),
+            # (c) theta-form bounds == ambient bounds, in ulps
+            np.maximum(abs(b_i - g_i), abs(b_ii - g_ii)) / ulp,
+            # (d) intrinsic equality vs strictly larger ambient bound
+            np.maximum(abs(lam - closed), abs(b_intr - lam)),
+            abs((g_ii - b_intr) - abs(ddth)),
+            lam - g_ii])
+    tol = 1e-8
+    criteria = (("worst |oracle - kappa|", 1e-5),
+                ("worst regime identity relative error", 1e-10),
+                ("worst |theta-form - ambient bound| ulps", 4),
+                ("worst intrinsic equality gap", tol),
+                ("worst |ambient - intrinsic bound - |theta''||", tol),
+                ("worst lambda1 - ambient bound", -1e-9))
+    return "u in {0.5, 1, 2}", [(label, float(worst), t) for (label, t), worst
+                                in zip(criteria, np.max(rows, axis=0))]
 
 
 @_check
-def check_gauss_bonnet(seed: int) -> tuple[bool, str]:
+def check_gauss_bonnet(seed: int) -> tuple[str, list[Criterion]]:
     """Total-curvature residuals: quadrature slices and exact flat tori."""
-    msgs = []
     # genus-1 base with oscillating curvature, 256 periodic-trapezoid points
     n = 256
     v = np.arange(n) * (TWO_PI / n)
@@ -347,7 +360,6 @@ def check_gauss_bonnet(seed: int) -> tuple[bool, str]:
     flat = product_model(ScalarField1D.constant(0.0, TWO_PI), TWO_PI)
     s1 = horizontal_slice(flat, base_area=area, genus=1,
                           kappa=SampledKappa(0.4 * np.cos(v), np.full(n, area / n)))
-    r1 = gauss_bonnet_check(s1)
     # round base of constant curvature 1 in polar-angle samples, 256 Gauss nodes
     nodes, glw = np.polynomial.legendre.leggauss(256)
     phi = 0.5 * math.pi * (nodes + 1.0)
@@ -355,18 +367,15 @@ def check_gauss_bonnet(seed: int) -> tuple[bool, str]:
     sphere = product_model(ScalarField1D.constant(1.0, TWO_PI), TWO_PI)
     s2 = horizontal_slice(sphere, base_area=float(np.sum(weights)), genus=0,
                           kappa=SampledKappa(np.ones(256), weights))
-    r2 = gauss_bonnet_check(s2)
-    if r1 >= 1e-6 or r2 >= 1e-6:
-        msgs.append(f"slice residuals {r1:.2e}, {r2:.2e}")
     torus = hopf_torus(homogeneous_model(4.0, 0.5, TWO_PI), TWO_PI, 1.0)
-    if gauss_bonnet_check(torus) != 0.0:
-        msgs.append("torus residual not exactly zero")
-    detail = f"sampled slices: residuals {r1:.2e}, {r2:.2e} (tol 1e-6); torus exact"
-    return not msgs, detail + (" -- " + "; ".join(msgs) if msgs else "")
+    return "2 sampled slices, 1 torus", [
+        *((f"{label} slice residual", gauss_bonnet_check(s), 1e-6)
+          for label, s in (("oscillating", s1), ("round", s2))),
+        ("torus residual", gauss_bonnet_check(torus), 0)]
 
 
 @_check
-def check_area_genus_consequence(seed: int) -> tuple[bool, str]:
+def check_area_genus_consequence(seed: int) -> tuple[str, list[Criterion]]:
     """Stable tori with 0 <= kappa < 4 tau^2 and |H| <= tau satisfy
     area (tau^2 - H^2) >= 2 pi (g - 1), and the record that reports carry
     for this corollary says so with the same numbers."""
@@ -380,26 +389,25 @@ def check_area_genus_consequence(seed: int) -> tuple[bool, str]:
     for tau in (0.5, 1.0, 1.3):  # lambda1 = 0 witnesses keep the claim non-vacuous
         surfaces.append((homogeneous_model(0.0, tau, TWO_PI), 0.0, tau, 0.0))
     triggered = 0
-    holds = True
+    worst = -math.inf
     disagreements = 0
     for model, kappa, tau, h in surfaces:
         torus = hopf_torus(model, TWO_PI, 2.0 * h)
         lam = solve_surface(torus, m=1).lambda1
-        if lam >= -1e-8:
+        # the tori that a report calls stable, where its record applies
+        if lam >= -STABILITY_TOL:
             triggered += 1
             lhs = torus.area * (tau**2 - h**2)
             record = {r.name: r for r in corollary_checks(torus, lam)}.get(
                 "area_genus_consequence")
-            if record is None or not (record.applicable and record.satisfied
-                                      and record.lhs == lhs and record.rhs == 0.0):
-                disagreements += 1
-            if lhs < -1e-8:  # 2 pi (g - 1) = 0 for tori
-                holds = False
-    detail = (f"{len(surfaces)} tori, inequality checked on {triggered} "
-              f"stable ones, holds: {holds}")
-    if disagreements:
-        detail += f" -- {disagreements} report records disagree"
-    return holds and not disagreements and triggered >= 3, detail
+            disagreements += record is None or not (
+                record.applicable and record.satisfied and record.lhs == lhs
+                and record.rhs == 0.0)
+            worst = np.maximum(worst, -lhs)  # 2 pi (g - 1) = 0 for tori
+    return f"{len(surfaces)} tori, {triggered} stable", [
+        ("3 - stable tori", 3 - triggered, 0),
+        ("worst 2 pi (g - 1) - area (tau^2 - H^2)", worst, 1e-8),
+        ("report records that disagree", disagreements, 0)]
 
 
 def run_checks(name_filter: str | None = None, seed: int = DEFAULT_SEED) -> list[CheckResult]:

@@ -2,10 +2,14 @@
 
 Each test wraps one catalog check from :mod:`jacobilab.verification`, asserts
 it within its runtime budget and prints one pass/fail line (visible with
-``pytest -s`` or through ``jacobilab verify``).  The registry tests at the
-end pin the names, order and functions of ``CATALOG``.
+``pytest -s`` or through ``jacobilab verify``).  The registry tests pin the
+names, order and functions of ``CATALOG``; the runner tests at the end judge
+hand-made criteria through a throwaway catalog and check that every
+criterion of every check shows its tolerance.
 """
 
+import dataclasses
+import math
 import time
 
 import pytest
@@ -66,15 +70,16 @@ def test_acceptance(number, check, budget):
     _run(number, check, budget)
 
 
-# detail lines of the one-function-at-a-time check, before the test functions
-# were drawn in blocks; they pin the order in which the generator is consumed
+# detail lines of the minmax check; their numbers are those of the
+# one-function-at-a-time check, before the test functions were drawn in
+# blocks, so they pin the order in which the generator is consumed
 MINMAX_DETAIL = {
-    DEFAULT_SEED: "3000 test functions, min RQ - lambda1 = 3.970e+00 (>= -1e-9), "
-                  "ground-state gap 2.220e-16 (tol 1e-9)",
-    1: "3000 test functions, min RQ - lambda1 = 4.731e+00 (>= -1e-9), "
-       "ground-state gap 2.220e-16 (tol 1e-9)",
-    2: "3000 test functions, min RQ - lambda1 = 5.206e+00 (>= -1e-9), "
-       "ground-state gap 2.220e-16 (tol 1e-9)",
+    DEFAULT_SEED: "3000 test functions; lambda1 - min RQ -3.970e+00 (tol 1e-09); "
+                  "ground-state gap 2.220e-16 (tol 1e-09)",
+    1: "3000 test functions; lambda1 - min RQ -4.731e+00 (tol 1e-09); "
+       "ground-state gap 2.220e-16 (tol 1e-09)",
+    2: "3000 test functions; lambda1 - min RQ -5.206e+00 (tol 1e-09); "
+       "ground-state gap 2.220e-16 (tol 1e-09)",
 }
 
 
@@ -106,3 +111,68 @@ def test_run_checks_filter_matches_substrings():
     results = verification.run_checks(name_filter="spectrum")
     assert [r.name for r in results] == ["hopf_spectrum_closed_form", "slice_spectrum"]
     assert verification.run_checks(name_filter="no_such_check") == []
+
+
+def _judged(monkeypatch, criteria):
+    """The result of the ``@_check`` runner on a body that returns
+    ``criteria``; the catalog the runner registers into is a throwaway."""
+    monkeypatch.setattr(verification, "CATALOG", [])
+
+    def check_probe(seed):
+        return "2 samples", criteria
+
+    result = verification._check(check_probe)()
+    assert [name for name, _ in verification.CATALOG] == ["probe"]
+    return result
+
+
+def test_a_criterion_at_its_tolerance_holds(monkeypatch):
+    result = _judged(monkeypatch, [("worst gap", 1e-8, 1e-8), ("misses", 0, 0),
+                                   ("lambda1 - bound", -1e-9, -1e-9)])
+    assert result.passed
+    assert result.detail == ("2 samples; worst gap 1.000e-08 (tol 1e-08); misses 0 (tol 0); "
+                             "lambda1 - bound -1.000e-09 (tol -1e-09)")
+
+
+@pytest.mark.parametrize("value, tol, shown", [
+    (1.0000000000000002e-8, 1e-8, "second 1.000e-08 (tol 1e-08)"),  # one ulp above
+    (1, 0, "second 1 (tol 0)"),
+    (float("nan"), 1e-8, "second nan (tol 1e-08)"),
+])
+def test_one_criterion_above_its_tolerance_fails_and_every_criterion_is_shown(
+        monkeypatch, value, tol, shown):
+    result = _judged(monkeypatch, [("first", 0.5e-8, 1e-8), ("second", value, tol),
+                                   ("third", 0.0, 1e-8)])
+    assert not result.passed
+    assert result.detail.split("; ") == ["2 samples", "first 5.000e-09 (tol 1e-08)", shown,
+                                         "third 0.000e+00 (tol 1e-08)"]
+
+
+@pytest.mark.parametrize("name, check", CATALOG, ids=[name for name, _ in CATALOG])
+def test_each_criterion_of_a_check_names_its_tolerance(name, check, monkeypatch):
+    described = []
+    describe = verification._describe
+    monkeypatch.setattr(verification, "_describe",
+                        lambda criterion: described.append(criterion) or describe(criterion))
+    parts = check().detail.split("; ")
+    assert described and len(parts) == 1 + len(described)
+    for part, (label, _, tol) in zip(parts[1:], described):
+        assert part.startswith(f"{label} ") and part.endswith(f" (tol {tol:g})")
+
+
+# every check that reads a solved surface's lambda1; a NaN there once passed
+# hopf_spectrum_closed_form, slice_spectrum and alpha_identity, whose max()
+# dropped it
+@pytest.mark.parametrize("name", ["hopf_spectrum_closed_form", "slice_spectrum",
+                                  "thm_plus_soundness", "thm_minus_soundness",
+                                  "alpha_identity", "warped_example",
+                                  "area_genus_consequence"])
+def test_a_nan_lambda1_fails_the_check(name, monkeypatch):
+    real = verification.solve_surface
+
+    def nan_lambda1(*args, **kwargs):
+        return dataclasses.replace(real(*args, **kwargs), lambda1=math.nan)
+
+    monkeypatch.setattr(verification, "solve_surface", nan_lambda1)
+    result = dict(CATALOG)[name]()
+    assert not result.passed, result.detail

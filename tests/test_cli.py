@@ -15,6 +15,7 @@ from jacobilab.scenario import (dumps_deterministic, format_column, format_csv,
                                 write_outputs)
 
 TWO_PI = 2 * math.pi
+SHIPPED_BERGER = Path(__file__).parent.parent / "scenarios" / "berger_minimal_hopf.json"
 
 
 def berger_doc(**extra):
@@ -121,6 +122,39 @@ def test_slice_scenario():
     assert rep["spectrum"]["lambda1"] == 0.0
     assert rep["bounds"]["stability_verdict"] == "marginal"
     assert rep["bounds"]["bounds"]["intrinsic_on_surface"]["equality_i"]["status"] == "equality"
+
+
+def test_slice_reads_its_own_constant_kappa(tmp_path):
+    # kappa = -1/2 on area 8 pi closes genus 2; the model's kappa -1 would
+    # give bound_i = 1, so the bounds show which curvature the slice carries
+    doc = {"version": 1, "name": "slice_constant_kappa",
+           "model": {"kind": "homogeneous", "kappa": -1.0, "tau": 0.0, "fiber_length": TWO_PI},
+           "surface": {"type": "horizontal_slice", "base_area": 8 * math.pi, "genus": 2,
+                       "kappa": {"constant": -0.5}},
+           "outputs": {"series": ["ground_state"]}}
+    assert _run_file(tmp_path, doc) == 0
+    report = json.loads((tmp_path / "out" / "slice_constant_kappa.report.json").read_text())
+    assert report["spectrum"]["lambda1"] == 0.0
+    assert report["identities"]["gauss_bonnet_residual"] == 0.0
+    bounds = report["bounds"]["bounds"]["intrinsic_on_surface"]
+    assert (bounds["bound_i"], bounds["bound_ii"]) == (0.5, 0.0)
+    assert bounds["equality_ii"]["status"] == "equality"
+
+
+def test_positive_parallel_above_quarter_pi_has_no_theta_form(tmp_path):
+    # theta > pi/4 with theta'' > 0 is the positive regime, but the theta
+    # form of its bounds needs theta < pi/4 and theta'' < 0
+    theta = [math.pi / 4 + 0.1 + 0.05 * (i / 20) ** 2 for i in range(41)]
+    doc = {"version": 1, "name": "convex_profile_above_quarter_pi",
+           "model": {"kind": "warped", "window": [0.25, 1.75],
+                     "profile": {"kind": "sampled", "interval": [0.0, 2.0], "theta": theta}},
+           "surface": {"type": "hopf_torus", "parallel": 1.0}}
+    assert _run_file(tmp_path, doc) == 0
+    report = json.loads(
+        (tmp_path / "out" / "convex_profile_above_quarter_pi.report.json").read_text())
+    assert report["surface"]["regime"] == "positive"
+    assert report["bounds"]["theorem"] == "positive_regime"
+    assert report["bounds_theta_form"] is None
 
 
 def test_gauss_bonnet_inconsistent_slice_is_input_error(tmp_path):
@@ -608,6 +642,25 @@ def test_profile_overflow_is_a_model_error(tmp_path, capsys, model, surface, whe
         warnings.simplefilter("error")
         assert _run_file(tmp_path, doc) == 1
     assert f"the profile overflows at {where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value, got", [
+    ("model", "tau", 1e300, "got inf"),
+    ("surface", "geodesic_curvature", 1e200, "got inf"),
+    ("model", "kappa", 1.7e308, "got 1.7e+308")],
+    ids=["tau_1e300", "geodesic_curvature_1e200", "kappa_1.7e308"])
+def test_curvature_out_of_range_is_an_input_error(tmp_path, capsys, section, key, value, got):
+    # these once ended in a traceback: an OverflowError from tau^2 in the
+    # corollaries or from H^2 in the potential, a LinAlgError from eigh
+    doc = json.loads(SHIPPED_BERGER.read_text())
+    doc[section][key] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_file(tmp_path, doc) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: curvature out of range: a Hopf torus of area ")
+    assert err.endswith(f"{got}\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 # argparse's own usage-error code 2 is EXIT_ANOMALY here

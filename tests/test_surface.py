@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -161,6 +162,20 @@ def test_slice_genus_must_be_an_integer():
 def test_hopf_torus_mean_curvature_must_be_finite(k_g):
     with pytest.raises(SurfaceError, match="finite"):
         hopf_torus(berger_like(), TWO_PI, k_g)
+
+
+def test_curvature_range_rule_admits_its_limit_and_nothing_above():
+    # H = tau = 0: the torus's curvature is kappa; n = 512 exceeds its area 4 pi^2
+    limit = sys.float_info.max / (4 * 512)
+    assert hopf_torus(homogeneous_model(-limit, 0.0, TWO_PI), TWO_PI, 0.0).regime \
+        is Regime.NEGATIVE
+    with pytest.raises(SurfaceError, match="curvature out of range"):
+        hopf_torus(homogeneous_model(-np.nextafter(limit, math.inf), 0.0, TWO_PI),
+                   TWO_PI, 0.0)
+    # an area above n takes n's place
+    wide = homogeneous_model(limit / 2, 0.0, 4096.0)
+    with pytest.raises(SurfaceError, match="of area 25735.9"):
+        hopf_torus(wide, TWO_PI, 0.0)
 
 
 def test_slice_rejects_nonzero_tau():

@@ -97,26 +97,26 @@ def combined_integrand(d: CurvatureData):
     return _curvature_row(d, _CURVATURE_ROWS["combined"])
 
 
-def classify_regime(kappa_samples, tau_samples) -> Regime:
+def classify_regime(kappa_samples, tau_samples):
     """Classify the sign of kappa - 4 tau^2 over paired samples.
 
     With tol = 1e-12 max(1, max |kappa|), NULL means |kappa - 4 tau^2| <= tol
     everywhere (the space-form quotient case, excluded from the eigenvalue
     bounds); POSITIVE/NEGATIVE require the strict sign beyond tol at every
-    sample, anything else is MIXED.
+    sample, anything else is MIXED.  The samples run along the last axis: a
+    stack of rows gives a list of one regime per row, each the regime of
+    that row alone.
     """
-    kappa = np.asarray(kappa_samples, dtype=float)
-    tau = np.asarray(tau_samples, dtype=float)
+    kappa, tau = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (kappa_samples, tau_samples))
     if kappa.size == 0 or tau.size == 0:
         raise ValueError("regime classification needs nonempty samples")
     if kappa.shape != tau.shape:
         raise ValueError(f"sample length mismatch: {kappa.shape} vs {tau.shape}")
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(kappa))))
     w = kappa - 4.0 * tau**2
-    if np.all(np.abs(w) <= tol):
-        return Regime.NULL
-    if np.all(w > tol):
-        return Regime.POSITIVE
-    if np.all(w < -tol):
-        return Regime.NEGATIVE
-    return Regime.MIXED
+    # per row: tol and the extremes of w, which decide each "everywhere"
+    extremes = (1e-12 * np.maximum(1.0, np.abs(kappa).max(axis=-1)),
+                w.min(axis=-1), w.max(axis=-1))
+    regimes = [Regime.NULL if -tol <= lo and hi <= tol else Regime.POSITIVE if lo > tol
+               else Regime.NEGATIVE if hi < -tol else Regime.MIXED
+               for tol, lo, hi in zip(*(np.atleast_1d(x).tolist() for x in extremes))]
+    return regimes if kappa.ndim > 1 else regimes[0]

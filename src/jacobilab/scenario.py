@@ -15,6 +15,18 @@ float in shortest round-trip form with '.' decimals.  The ``s`` column of
 closed-form ground state's grid on a slice; one report has one grid.  The
 writer formats column by column: the grid once per report, a column whose
 values are one float bit for bit once in all.
+
+A sweep row is the Hopf torus over one parallel u, whose kappa, tau and H
+are constant.  The rows are evaluated together: first each parallel's
+closed forms, by ``warped.parallel_closed_forms`` with all of its checks;
+then one pass over (rows, n) arrays gives each row's regime, the range rule
+of the ``surface`` module, the diagonal test of ``spectral.solve`` with its
+closed form lambda1 = -c_0, and the four bounds, from ``theorem_bound``
+applied to a view whose ``mean`` reduces the last axis.  A row whose
+potential has rounding noise in its higher Fourier coefficients (a grid
+that is not a power of two) is solved as its own torus.  Every row keeps
+the bits of ``parallel_hopf_torus``, ``solve`` and ``theorem_bound`` at its
+u, and a refused sweep raises the error of its first failing row.
 """
 
 from __future__ import annotations
@@ -25,22 +37,23 @@ import os
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from .bounds import REGIME_PARTS, build_bound_report, theorem_bound
 from .errors import (ConvergenceError, FieldError, JacobilabError, ScenarioError,
                      SurfaceError)
-from .fields import ScalarField1D
-from .geometry import Regime
+from .fields import ScalarField1D, _spectral_derivative
+from .geometry import Regime, classify_regime
 from .spectral import (DEFAULT_CONV_TOL, DEFAULT_TRUNCATION, SpectralProblem,
-                       SpectralResult, _convergence_ladder, _identity_residual,
+                       SpectralResult, _convergence_ladder, _diagonal_gate, _identity_residual,
                        alpha_invariant, solve, solve_surface, surface_spectral_problem)
 from .submersion import GradientMode, SubmersionModel, \
     homogeneous_model, product_model
-from .surface import SampledKappa, gauss_bonnet_check, hopf_torus, horizontal_slice
-from .warped import (bounds_in_theta_form, constant_profile,
-                     half_arctan_profile, parallel_hopf_torus, sampled_profile,
+from .surface import SampledKappa, gauss_bonnet_check, hopf_torus, horizontal_slice, out_of_range
+from .warped import (bounds_in_theta_form, constant_profile, half_arctan_profile,
+                     parallel_closed_forms, parallel_hopf_torus, sampled_profile,
                      submersion_from_theta)
 
 SCHEMA_VERSION = 1
@@ -56,6 +69,8 @@ MAX_SAMPLES = 65_536
 MAX_SWEEP_POINTS = 10_000
 # largest solver.truncation: a 2049 x 2049 Galerkin matrix
 MAX_TRUNCATION = 1024
+# the bound columns of a sweep row, mode by mode
+SWEEP_MODES = (GradientMode.AMBIENT, GradientMode.INTRINSIC_ON_SURFACE)
 
 
 # --- deterministic serialization --------------------------------------------------
@@ -81,10 +96,6 @@ def format_csv(header: list[str], columns: Sequence[Sequence[str]]) -> str:
     """CSV text of one header row and the rows of ``columns``, which hold
     cell text and have one length; no columns give the header alone."""
     return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
-
-
-def _table_csv(header: list[str], rows: list[list]) -> str:
-    return format_csv(header, [format_column(column) for column in zip(*rows)])
 
 
 # --- schema validation ----------------------------------------------------------------
@@ -367,23 +378,70 @@ def _sweep_grid(sweep: dict):
     return (start + i * step for i in range(_sweep_count(sweep)))
 
 
-def _sweep_series(run: dict, model: SubmersionModel) -> list[list]:
-    """One row per sweep point: the document's torus moved to parallel u."""
-    rows = []
+class _ParallelTori(NamedTuple):
+    """Hopf tori over parallels, one per row, as :func:`theorem_bound` and
+    the range rule read a surface.  The curve fields are (rows, n) stacks,
+    and ``mean`` reduces their last axis, which gives each row the bits of
+    its own mean.  ``mean_curvature`` holds Python floats in an object
+    array, so that the bound squares each H as one torus does: numpy's
+    square can differ from Python's ``H**2`` by an ulp.  ``regime`` is that
+    of every row, or None while the rows may differ."""
+
+    regime: Regime | None
+    mean_curvature: np.ndarray
+    area: np.ndarray
+    kappa: np.ndarray
+    tau: np.ndarray
+    grad_tau_ambient: np.ndarray
+    grad_tau_intrinsic: np.ndarray
+
+    genus = 1
+    horizontal = False
+
+    def samples(self, mode: GradientMode):
+        return self.kappa, self.tau, (self.grad_tau_ambient if mode is GradientMode.AMBIENT
+                                      else self.grad_tau_intrinsic)
+
+    def mean(self, values):
+        return np.mean(values, axis=-1)
+
+
+def _sweep_series(run: dict, model: SubmersionModel) -> list[np.ndarray]:
+    """The sweep's columns: u, kappa, tau, H, lambda1 and the four bounds at
+    each point u whose torus, the document's torus moved to the parallel u,
+    lies in a bound regime.  See the module docstring for how the rows are
+    evaluated; an input error is that of the first row that fails."""
+    solver = run.get("solver", {})
+    n = int(run["surface"].get("samples", 512))
+    parallels, refused = [], None
     for u in _sweep_grid(run["outputs"]["sweep"]):
-        torus = build_surface({**run["surface"], "parallel": u}, model)
-        lam = _solve_with(torus, run.get("solver", {}))[1].lambda1
-        parts = REGIME_PARTS.get(torus.regime)
-        if parts is None:
-            continue
-        row = [float(u),
-               float(torus.kappa_on_curve.samples[0]),
-               float(torus.tau_on_curve.samples[0]),
-               float(torus.mean_curvature), float(lam)]
-        for mode in (GradientMode.AMBIENT, GradientMode.INTRINSIC_ON_SURFACE):
-            row.extend([float(theorem_bound(torus, part, mode)) for part in parts])
-        rows.append(row)
-    return rows
+        try:
+            parallels.append((u, *parallel_closed_forms(model, u)))
+        except JacobilabError as exc:  # raised once the rows before it are solved
+            refused = exc
+            break
+    u, length, h, kappa, tau, _ = columns = np.array(parallels).reshape(-1, 6).T
+    curves = np.repeat(columns[3:, :, None], n, axis=2)  # kappa, tau, |theta''| rows
+    stack = _ParallelTori(None, np.array(h.tolist(), dtype=object), length * model.fiber_length,
+                          *curves, np.abs(_spectral_derivative(curves[1], length[:, None])))
+    stop, refused = out_of_range(stack) or (len(parallels), refused)
+    stack = _ParallelTori(None, *(x[:stop] for x in stack[1:]))
+    # potential_field's 4 H^2 + kappa, with H squared as a Python float
+    potentials = (4.0 * stack.mean_curvature**2).astype(float)[:, None] + stack.kappa
+    diagonal, lam = _diagonal_gate(potentials, solver.get("truncation", DEFAULT_TRUNCATION))
+    for i in np.flatnonzero(~diagonal):
+        lam[i] = _solve_with(parallel_hopf_torus(model, float(u[i]), n=n), solver)[1].lambda1
+    if refused is not None:
+        raise refused
+    regimes = np.array(classify_regime(stack.kappa, stack.tau))
+    bounds = np.empty((stop, 4))
+    for regime, parts in REGIME_PARTS.items():
+        if (rows := regimes == regime).any():
+            group = _ParallelTori(regime, *(x[rows] for x in stack[1:]))
+            bounds[rows] = np.array([theorem_bound(group, part, mode) for mode in SWEEP_MODES
+                                     for part in parts], dtype=float).T
+    keep = np.isin(regimes, list(REGIME_PARTS))
+    return [column[:stop][keep] for column in (u, kappa, tau, h)] + [lam[keep], *bounds[keep].T]
 
 
 def _solve_with(surface, solver: dict) -> tuple[SpectralProblem | None, SpectralResult]:
@@ -507,12 +565,13 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
             grid = grid or format_column(f.grid)
             series[kind] = format_csv(["s", column], [grid, format_column(f.samples)])
         elif kind == "convergence" and torus:
-            series["convergence"] = _table_csv(["truncation", "lambda1"],
-                                               _convergence_ladder(problem, result.lambda1))
+            series["convergence"] = format_csv(["truncation", "lambda1"], [
+                format_column(c) for c in zip(*_convergence_ladder(problem, result.lambda1))])
     if outputs.get("sweep") is not None:
-        series["sweep"] = _table_csv(
+        series["sweep"] = format_csv(
             ["u", "kappa", "tau", "H", "lambda1", "bound_i_ambient", "bound_ii_ambient",
-             "bound_i_intrinsic", "bound_ii_intrinsic"], _sweep_series(run, model))
+             "bound_i_intrinsic", "bound_ii_intrinsic"],
+            [format_column(column) for column in _sweep_series(run, model)])
 
     return ScenarioOutcome(name=name, report=report, series=series,
                            exit_code=EXIT_ANOMALY if violations else EXIT_OK)

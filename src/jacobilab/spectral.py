@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,12 @@ class SpectralProblem:
         # numpy registers its integer types as Integral
         if not isinstance(self.truncation, numbers.Integral) or self.truncation < 4:
             raise FieldError(f"truncation must be an integer >= 4, got {self.truncation!r}")
+        # the top kinetic entry of either backend: the Fourier (2 pi K / L)^2
+        # exceeds the fd 4 / h^2 = (2 N / L)^2
+        wavenumber = 2.0 * math.pi * self.truncation / self.circle_length
+        if not wavenumber < math.sqrt(sys.float_info.max):
+            raise FieldError(f"lengths out of range: a circle of length {self.circle_length:g} "
+                             f"has no finite kinetic term (2 pi K / L)^2 at K = {self.truncation}")
 
     @property
     def area(self) -> float:
@@ -168,11 +175,22 @@ def _potential_block(q_samples: np.ndarray, K: int) -> np.ndarray:
 
 def _potential_coefficients(q_samples: np.ndarray, K: int) -> np.ndarray:
     """The coefficients c_0..c_avail of q that the Galerkin matrix of
-    truncation K reads; it takes the higher ones as zero."""
-    n = q_samples.size
+    truncation K reads; it takes the higher ones as zero.  The samples run
+    along the last axis, and a stack of rows gives, row by row, the bits of
+    each row alone."""
+    n = q_samples.shape[-1]
     # stop below the Nyquist mode of even grids, where cos amplitudes alias
     avail = min(2 * K, (n - 1) // 2)
-    return (np.fft.rfft(q_samples) / n)[:avail + 1]
+    return (np.fft.rfft(q_samples, axis=-1) / n)[..., :avail + 1]
+
+
+def _diagonal_gate(q_samples: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """(diagonal, -c_0) of q, or of each row of a stack: diagonal when every
+    c_n, n >= 1, that the Galerkin matrix of truncation K reads is exactly
+    zero.  That matrix is then diag(0, k^2, k^2) - c_0, and -c_0, computed
+    as 0.0 - Re c_0, is the entry of the constant mode, its lowest: lambda_1."""
+    c = _potential_coefficients(q_samples, K)
+    return ~np.any(c[..., 1:], axis=-1), 0.0 - c[..., 0].real
 
 
 def _kinetic_diagonal(length: float, K: int) -> np.ndarray:
@@ -221,7 +239,7 @@ def _convergence_ladder(problem: SpectralProblem, lambda1: float) -> list[list]:
     ground state.
     """
     K, q = problem.truncation, problem.potential.samples
-    dense = K > 8 and np.any(_potential_coefficients(q, K)[1:])
+    dense = K > 8 and not _diagonal_gate(q, K)[0]
     H = assemble_fourier(problem.circle_length, q, K) if dense else None
     return [[t, float(np.linalg.eigh(_galerkin_slice(H, t))[0][0]) if dense and t < K
              else lambda1] for t in (8 << i for i in range((K // 8).bit_length()))]
@@ -386,15 +404,15 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
 
     if backend == "fourier":
         K = problem.truncation
-        c = _potential_coefficients(q_field.samples, K)
-        if np.any(c[1:]):
+        diagonal, lambda1 = _diagonal_gate(q_field.samples, K)
+        if not diagonal:
             w, vecs = np.linalg.eigh(H := assemble_fourier(L, q_field.samples, K))
             ground = vecs[:, 0]
             estimate = abs(w[0] - np.linalg.eigvalsh(_galerkin_slice(H, max(4, K // 2)))[0])
         else:
             # kinetic terms are positive, so the stable sort keeps the
             # constant mode first; the K/2 matrix reads a subset of c
-            w = np.sort(_kinetic_diagonal(L, K) - c[0].real, kind="stable")
+            w = np.sort(_kinetic_diagonal(L, K) + lambda1, kind="stable")
             ground = np.zeros(2 * K + 1)
             ground[0] = 1.0
             estimate = 0.0

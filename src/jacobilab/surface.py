@@ -22,16 +22,22 @@ Two classes of surfaces carry the whole verification programme:
 The stability potential q = |A|^2 + Ric(N, N) reduces to 4 H^2 + kappa(s) on
 a Hopf torus (the tau^2 contributions cancel) and to 0 on a slice.
 
-Range rule: a Hopf torus of area A on n samples is refused, with a
+Range rule (:func:`out_of_range`): a surface of area A sampled at n nodes
+(a torus's curve samples, a slice's kappa nodes) is refused, with a
 :class:`SurfaceError` when it is built, unless its curvature c = H^2 +
-max(|kappa| + tau^2 + |grad tau|), in units of 1/length^2, is at most the
-largest float over 4 max(n, A).  Per sample, every quantity the package forms
-from a torus -- the potential 4 H^2 + kappa, the regime's kappa - 4 tau^2, a
-bound's integrand c_k kappa + c_t tau^2 - |grad tau| with |c| <= 4 -- is at
-most 4 c, and a gap lambda1 - bound at most 8 c; a grid sum (an area mean, a
-Fourier coefficient) adds n >= 2 samples, and an integral multiplies a mean
-by A.  ``eigh`` scales the Galerkin matrix, whose entries add two
-Fourier coefficients, into its own range.
+2 pi |chi| / A + max(|kappa| + tau^2 + |grad tau|), in units of 1/length^2,
+is at most the largest float over 4 max(n, A); chi = 2 - 2 g vanishes on a
+torus, and H, tau and |grad tau| vanish on a slice.  Per sample, every
+quantity the package forms from a surface -- the potential 4 H^2 + kappa,
+the regime's kappa - 4 tau^2, a bound's integrand c_k kappa + c_t tau^2 -
+|grad tau| with |c| <= 4, its genus term 8 pi (g - 1) / A = -2 (2 pi chi) / A
+-- is at most 4 c, and a gap lambda1 - bound at most 8 c; a grid sum (an
+area mean, a Fourier coefficient, a slice's quadrature with weights that sum
+to A) adds n samples, and an integral multiplies a mean by A.  ``eigh``
+scales the Galerkin matrix, whose entries add two Fourier coefficients, into
+its own range.  Before the rule, a Hopf torus whose area is not a positive
+float is refused by its lengths; :class:`~jacobilab.spectral.SpectralProblem`
+refuses a curve too short for its kinetic term.
 
 Both implement the :class:`SurfaceModel` protocol, the only view of a surface
 that the other modules take.  Only the constructors here pick a class;
@@ -112,17 +118,11 @@ class HopfTorus:
                 raise SurfaceError("curve fields must be periodic with period == curve_length")
             if not f.same_grid(self.kappa_on_curve):
                 raise SurfaceError("curve fields must share one grid")
-        # the range rule of the module docstring; it refuses a non-finite H too
-        limit = np.finfo(float).max / (4 * max(self.kappa_on_curve.n, self.area))
-        with np.errstate(over="ignore"):  # a square out of range is inf
-            curvature = np.square(self.mean_curvature) + np.max(
-                np.abs(self.kappa_on_curve.samples) + np.square(self.tau_on_curve.samples)
-                + self.grad_tau_intrinsic.samples + self.grad_tau_ambient.samples)
-        if not curvature <= limit:
-            raise SurfaceError(
-                f"curvature out of range: a Hopf torus of area {self.area:g} on "
-                f"{self.kappa_on_curve.n} samples needs a finite H^2 + max(|kappa| + tau^2 "
-                f"+ |grad tau|) <= {limit:g}, got {curvature:g}")
+        if not 0.0 < self.area < math.inf:
+            raise SurfaceError(f"lengths out of range: curve length {self.curve_length:g} and "
+                               f"fiber length {self.fiber_length:g} give area {self.area:g}")
+        if outside := out_of_range(self):
+            raise outside[1]
         object.__setattr__(self, "regime", surface_regime(self))
 
     @property
@@ -185,6 +185,8 @@ class HorizontalSlice:
             raise SurfaceError(f"base_area must be positive, got {self.base_area}")
         if not isinstance(self.genus, numbers.Integral) or self.genus < 0:
             raise SurfaceError(f"genus must be a nonnegative integer, got {self.genus!r}")
+        if outside := out_of_range(self):
+            raise outside[1]
         object.__setattr__(self, "regime", surface_regime(self))
 
     @property
@@ -211,6 +213,29 @@ class HorizontalSlice:
         if values.size == 1:
             return float(values[0])
         return float(values @ self.kappa.weights) / self.area
+
+
+def out_of_range(s: SurfaceModel) -> tuple[int, SurfaceError] | None:
+    """The range rule of the module docstring, for one surface or for a
+    stack of Hopf tori whose values and samples hold one row per torus (a
+    view such as the scenario sweep's).  None when every surface keeps the
+    rule (a non-finite value breaks it), else the index of the first that
+    breaks it and the SurfaceError that refuses it."""
+    kappa, tau, grad_intrinsic = s.samples(GradientMode.INTRINSIC_ON_SURFACE)
+    limit = np.finfo(float).max / (4 * np.maximum(kappa.shape[-1], s.area))
+    with np.errstate(over="ignore"):  # a square out of range is inf
+        curvature = (np.square(np.asarray(s.mean_curvature, dtype=float))
+                     + 2.0 * math.pi * abs(2 - 2 * s.genus) / s.area
+                     + (np.abs(kappa) + np.square(tau) + grad_intrinsic
+                        + s.samples(GradientMode.AMBIENT)[2]).max(axis=-1))
+    outside = ~(curvature <= limit)
+    if outside.any():
+        i = int(np.argmax(outside))
+        a, lim, c = (np.broadcast_to(x, outside.shape).flat[i] for x in (s.area, limit, curvature))
+        return i, SurfaceError(
+            f"curvature out of range: a {'horizontal slice' if s.horizontal else 'Hopf torus'} "
+            f"of area {a:g} on {kappa.shape[-1]} samples needs a finite H^2 + 2 pi |chi| / area "
+            f"+ max(|kappa| + tau^2 + |grad tau|) <= {lim:g}, got {c:g}")
 
 
 # --- constructors ----------------------------------------------------------

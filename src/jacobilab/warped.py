@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ModelError, RegimeMismatchError, SurfaceError
+from .errors import FieldError, ModelError, RegimeMismatchError, SurfaceError
 from .fields import ScalarField1D
 from .submersion import ModelKind, SubmersionModel
 from .surface import HopfTorus
@@ -181,15 +181,16 @@ def base_curvature_oracle(profile: ThetaProfile, x: float) -> float:
     return -second / float(f(x))
 
 
-def parallel_hopf_torus(model: SubmersionModel, u: float, n: int = 512) -> HopfTorus:
-    """Hopf torus over the base parallel at ``u``; curvature data constant.
-
-    The torus is built from the profile at ``u``: the model's fields vary
-    across the parallels, and along this one they are the constants
-    kappa(u) and tau(u).  It stores the ambient |grad tau| = |theta''(u)|
-    alongside the (vanishing) intrinsic derivative, and keeps ``u`` as its
-    base point.
-    """
+def parallel_closed_forms(model: SubmersionModel,
+                          u: float) -> tuple[float, float, float, float, float]:
+    """Closed forms of the Hopf torus over the base parallel ``u``, as Python
+    floats: its curve length L = pi sin(2 theta), its mean curvature
+    H = theta' cot(2 theta), and the constants kappa, tau = -theta' and
+    ambient |grad tau| = |theta''| along it.  Every check that a torus over
+    ``u`` needs comes first: ``u`` inside the profile interval, no overflow in
+    the profile, theta in (0, pi/2) and a nondegenerate parallel, each a
+    ModelError, and finite constants, a FieldError as the torus's fields
+    would raise."""
     profile = _warped_profile(model)
     lo, hi = profile.interval
     if not (lo < u < hi):
@@ -200,15 +201,25 @@ def parallel_hopf_torus(model: SubmersionModel, u: float, n: int = 512) -> HopfT
         if sin2 < MIN_PARALLEL_SIN:
             raise ModelError(f"degenerate parallel at u = {u}: sin(2 theta) = {sin2:g}")
         kappa_u = float(np.asarray(profile.kappa(u)))
-    L = math.pi * sin2
-    return HopfTorus(
-        curve_length=L, fiber_length=float(model.fiber_length),
-        mean_curvature=dth * (math.cos(2.0 * theta_u) / sin2),
-        kappa_on_curve=ScalarField1D.constant(kappa_u, L, n),
-        tau_on_curve=ScalarField1D.constant(-dth, L, n),
-        grad_tau_ambient=ScalarField1D.constant(abs(ddth), L, n),
-        base_point=float(u), name=f"parallel_torus(u={u:g})",
-    )
+    if not all(map(math.isfinite, (kappa_u, dth, ddth))):  # the torus's constant fields
+        raise FieldError("field samples must be finite")
+    return math.pi * sin2, dth * (math.cos(2.0 * theta_u) / sin2), kappa_u, -dth, abs(ddth)
+
+
+def parallel_hopf_torus(model: SubmersionModel, u: float, n: int = 512) -> HopfTorus:
+    """Hopf torus over the base parallel at ``u``; curvature data constant.
+
+    The torus is built from :func:`parallel_closed_forms` at ``u``: the
+    model's fields vary across the parallels, and along this one they are
+    the constants kappa(u) and tau(u).  It stores the ambient
+    |grad tau| = |theta''(u)| alongside the (vanishing) intrinsic
+    derivative, and keeps ``u`` as its base point.
+    """
+    L, H, *constants = parallel_closed_forms(model, u)
+    kappa, tau, grad_ambient = (ScalarField1D.constant(v, L, n) for v in constants)
+    return HopfTorus(curve_length=L, fiber_length=float(model.fiber_length), mean_curvature=H,
+                     kappa_on_curve=kappa, tau_on_curve=tau, grad_tau_ambient=grad_ambient,
+                     base_point=float(u), name=f"parallel_torus(u={u:g})")
 
 
 def _profile_at(profile: ThetaProfile, u: float) -> tuple[float, float, float]:

@@ -8,10 +8,12 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from jacobilab import ScenarioError
+from jacobilab import (GradientMode, ScenarioError, parallel_hopf_torus, solve,
+                       surface_spectral_problem, theorem_bound)
+from jacobilab.bounds import REGIME_PARTS
 from jacobilab.cli import main
-from jacobilab.scenario import (dumps_deterministic, format_column, format_csv,
-                                load_scenario, run_scenario, validate_scenario,
+from jacobilab.scenario import (_sweep_grid, build_model, dumps_deterministic, format_column,
+                                format_csv, load_scenario, run_scenario, validate_scenario,
                                 write_outputs)
 
 TWO_PI = 2 * math.pi
@@ -208,19 +210,85 @@ def test_sweep_rows_use_the_surface_samples():
 
 
 def test_sweep_rows_read_theorem_bound(monkeypatch):
+    # every bound cell is theorem_bound's value: a bound moved by 1.0 moves
+    # each of the four cells of every row by exactly 1.0
     import jacobilab.scenario as scenario_mod
-    calls = []
+    doc = load_scenario(Path(__file__).parent.parent / "scenarios" / "warped_parallel_sweep.json")
+    before = run_scenario(doc).series["sweep"].split()[1:]
     real = scenario_mod.theorem_bound
+    monkeypatch.setattr(scenario_mod, "theorem_bound", lambda *args: real(*args) + 1.0)
+    after = run_scenario(doc).series["sweep"].split()[1:]
+    assert before and len(after) == len(before)
+    for old, new in zip(before, after):
+        old, new = [float(v) for v in old.split(",")], [float(v) for v in new.split(",")]
+        assert new[:5] == old[:5]
+        assert new[5:] == [v + 1.0 for v in old[5:]]
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
 
-    monkeypatch.setattr(scenario_mod, "theorem_bound", counted)
-    scenarios = Path(__file__).parent.parent / "scenarios"
-    outcome = run_scenario(load_scenario(scenarios / "warped_parallel_sweep.json"))
-    rows = outcome.series["sweep"].split()[1:]
-    assert rows and len(calls) == 4 * len(rows)
+_ARCTAN_GRID = [0.25 + 3.75 * i / 64 for i in range(65)]
+_PROFILES = {
+    "half_arctan": "half_arctan",
+    # theta crosses pi/4 near u = 1.47: positive rows, then negative ones
+    "half_arctan_offset": {"kind": "half_arctan", "offset": 0.3},
+    "sampled": {"kind": "sampled", "interval": [0.25, 4.0],
+                "theta": [0.5 * math.atan(x) for x in _ARCTAN_GRID]},
+    "constant": {"kind": "constant", "value": 0.5},
+}
+
+
+def _one_torus_rows(doc):
+    """Sweep rows as one torus at a time gives them: parallel_hopf_torus,
+    then solve, then theorem_bound at each u, as CSV text."""
+    model = build_model(doc["model"])
+    rows = []
+    for u in _sweep_grid(doc["outputs"]["sweep"]):
+        torus = parallel_hopf_torus(model, u, n=doc["surface"]["samples"])
+        lam = solve(surface_spectral_problem(torus)).lambda1
+        if torus.regime in REGIME_PARTS:
+            bounds = [theorem_bound(torus, part, mode)
+                      for mode in (GradientMode.AMBIENT, GradientMode.INTRINSIC_ON_SURFACE)
+                      for part in REGIME_PARTS[torus.regime]]
+            rows.append(",".join(str(float(v)) for v in [
+                u, torus.kappa_on_curve.samples[0], torus.tau_on_curve.samples[0],
+                torus.mean_curvature, lam, *bounds]))
+    return rows
+
+
+@pytest.mark.parametrize("samples", [512, 500, 129])
+@pytest.mark.parametrize("profile", _PROFILES.values(), ids=_PROFILES.keys())
+def test_sweep_rows_repeat_the_one_torus_path_bit_for_bit(profile, samples):
+    doc = {"version": 1, "name": "sweep",
+           "model": {"kind": "warped", "profile": profile, "window": [0.5, 3.0]},
+           "surface": {"type": "hopf_torus", "parallel": 1.0, "samples": samples},
+           "outputs": {"sweep": {"start": 0.3, "stop": 3.9, "step": 0.15}}}
+    rows = run_scenario(doc).series["sweep"].split()[1:]
+    assert rows == _one_torus_rows(doc)
+    assert rows or profile == _PROFILES["constant"]
+
+
+def test_sweep_that_leaves_the_profile_interval_is_an_input_error(tmp_path, capsys):
+    # the rows before u = 4.0 are valid; the first row outside refuses the run
+    doc = warped_doc(outputs={"sweep": {"start": 3.0, "stop": 5.0, "step": 0.5}})
+    doc["model"]["profile"] = _PROFILES["sampled"]
+    assert _run_file(tmp_path, doc) == 1
+    assert capsys.readouterr().err == "error: u = 4.0 is outside the profile interval\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_through_an_overflowing_profile_is_an_input_error(tmp_path, capsys):
+    # theta bends only past 3/4 of an interval 1e-110 wide: the window is flat,
+    # but the interpolated derivatives overflow to inf on later parallels
+    doc = {"version": 1, "name": "overflowing_sweep",
+           "model": {"kind": "warped", "window": [0.0, 0.5e-110],
+                     "profile": {"kind": "sampled", "interval": [0.0, 1e-110],
+                                 "theta": [0.5 + 0.3 * (max(0, i - 30) / 10) ** 4
+                                           for i in range(41)]}},
+           "surface": {"type": "hopf_torus", "parallel": 0.25e-110},
+           "outputs": {"sweep": {"start": 0.05e-110, "stop": 0.97e-110, "step": 0.0123e-110}}}
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the profile's own inf and nan
+        assert _run_file(tmp_path, doc) == 1
+    assert capsys.readouterr().err == "error: field samples must be finite\n"
 
 
 def test_warped_sweep_series():
@@ -660,6 +728,38 @@ def test_curvature_out_of_range_is_an_input_error(tmp_path, capsys, section, key
     err = capsys.readouterr().err
     assert err.startswith("error: curvature out of range: a Hopf torus of area ")
     assert err.endswith(f"{got}\n") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+_FOUR_PI = 4 * math.pi
+_SLICE = {"type": "horizontal_slice", "base_area": _FOUR_PI, "genus": 0}
+
+
+@pytest.mark.parametrize("model, surface, err", [
+    ({"kind": "homogeneous", "kappa": 1e308, "tau": 0.0, "fiber_length": 1.0},
+     {**_SLICE, "base_area": _FOUR_PI / 1e308},
+     "error: curvature out of range: a horizontal slice of area 1.25664e-307 on 1 samples "),
+    ({"kind": "homogeneous", "kappa": 1.0, "tau": 0.0, "fiber_length": 1.0},
+     {**_SLICE, "kappa": {"values": [1e308, 1e308], "weights": [TWO_PI, TWO_PI]}},
+     "error: curvature out of range: a horizontal slice of area 12.5664 on 2 samples "),
+    ({}, {"curve_length": 1e-200},
+     "error: lengths out of range: a circle of length 1e-200 has no finite kinetic term "),
+    ({"fiber_length": 1e300}, {"curve_length": 1e300},
+     "error: lengths out of range: curve length 1e+300 and fiber length 1e+300 give area inf")],
+    ids=["slice_kappa_1e308", "slice_values_1e308", "curve_length_1e-200", "lengths_1e300"])
+def test_out_of_range_slices_and_lengths_are_input_errors(tmp_path, capsys, model, surface,
+                                                          err):
+    # these once ended in a traceback (a ValueError from the JSON writer on an
+    # inf bound, an OverflowError from the kinetic diagonal) or, for the
+    # lengths 1e300, blamed the curvature for an infinite area
+    doc = json.loads(SHIPPED_BERGER.read_text())
+    doc["model"] = model if "kind" in model else {**doc["model"], **model}
+    doc["surface"] = surface if "type" in surface else {**doc["surface"], **surface}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _run_file(tmp_path, doc) == 1
+    out = capsys.readouterr().err
+    assert out.startswith(err) and out.count("\n") == 1
     assert not (tmp_path / "out").exists()
 
 

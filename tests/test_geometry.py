@@ -118,6 +118,15 @@ def test_regime_strictness():
     assert classify_regime([4.0, 1e-14], [0.5, 0.0]) is Regime.MIXED
 
 
+def test_regime_of_a_stack_is_that_of_each_row():
+    kappa = np.array([[4.0] * 3, [0.0] * 3, [4.0] * 3, [4.0, -1.0, 4.0], [4.0, 1e-14, 4.0]])
+    tau = np.array([[0.5] * 3, [1.0] * 3, [1.0] * 3, [0.5] * 3, [0.5, 0.0, 0.5]])
+    stacked = classify_regime(kappa, tau)
+    assert list(stacked) == [classify_regime(k, t) for k, t in zip(kappa, tau)] == [
+        Regime.POSITIVE, Regime.NEGATIVE, Regime.NULL, Regime.MIXED, Regime.MIXED]
+    assert classify_regime(4.0, 0.5) is Regime.POSITIVE
+
+
 def test_regime_input_validation():
     with pytest.raises(ValueError):
         classify_regime([], [])

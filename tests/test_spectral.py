@@ -660,6 +660,32 @@ def test_period_4_samples_have_a_diagonal_low_rung(kind):
     assert np.any(spectral._potential_coefficients(q, 64)[1:])
 
 
+@pytest.mark.parametrize("n", [512, 500, 129])
+def test_diagonal_gate_of_a_stack_is_that_of_each_row(rng, n):
+    # constant rows, whose rfft has exact zeros on a power-of-two grid and
+    # often not on the others, and two varying rows: each row keeps the gate
+    # and the bits of lambda_1 = 0.0 - Re c_0 that it has alone, which solve
+    # returns when the gate fires
+    rows = np.vstack([np.ones((6, n)) * 1e3 * rng.standard_normal((6, 1)),
+                      rng.standard_normal((2, n))])
+    diagonal, lam = spectral._diagonal_gate(rows, 64)
+    for row, gate, lam_row in zip(rows, diagonal, lam):
+        alone = spectral._diagonal_gate(row, 64)
+        assert gate == alone[0] and lam_row.tobytes() == alone[1].tobytes()
+        if gate:
+            p = SpectralProblem(TWO_PI, TWO_PI, ScalarField1D.periodic(row, TWO_PI))
+            assert lam_row.tobytes() == np.float64(solve(p).lambda1).tobytes()
+    assert diagonal[:6].all() == (n == 512) and not diagonal[6:].any()
+
+
+def test_a_circle_too_short_for_its_kinetic_term_is_refused():
+    # (2 pi K / L)^2 at K = 64 is about 1.6e307 at L = 1e-151 and beyond the
+    # largest float at 1e-152
+    assert solve(SpectralProblem(1e-151, TWO_PI, ScalarField1D.constant(1.0, 1e-151))).lambda1 == -1
+    with pytest.raises(FieldError, match="lengths out of range: a circle of length 1e-152 "):
+        SpectralProblem(1e-152, TWO_PI, ScalarField1D.constant(1.0, 1e-152))
+
+
 def test_galerkin_slice_is_the_lower_truncation_matrix(rng):
     q = 1.0 + rng.standard_normal(64)
     H = assemble_fourier(3.0, q, 20)

@@ -3,6 +3,7 @@ import dataclasses
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from jacobilab import (GradientMode, HopfTorus, ModelError, SampledKappa, Scalar
                        SurfaceError, gauss_bonnet_check, homogeneous_model,
                        hopf_torus, horizontal_slice, potential_field,
                        product_model, surface_regime, Regime)
+from jacobilab.surface import out_of_range
 from jacobilab.warped import half_arctan_profile, parallel_hopf_torus, submersion_from_theta
 
 TWO_PI = 2 * math.pi
@@ -176,6 +178,34 @@ def test_curvature_range_rule_admits_its_limit_and_nothing_above():
     wide = homogeneous_model(limit / 2, 0.0, 4096.0)
     with pytest.raises(SurfaceError, match="of area 25735.9"):
         hopf_torus(wide, TWO_PI, 0.0)
+
+
+def test_slice_range_rule_counts_the_euler_term():
+    # kappa = 1 on two nodes of a tiny slice: the genus term 8 pi (g - 1)/A
+    # of the bounds, -2 (2 pi chi)/A, overflows unless chi = 0
+    flat = homogeneous_model(1.0, 0.0, TWO_PI)
+    kappa = SampledKappa(np.array([1.0, 1.0]), np.array([0.5e-308, 0.5e-308]))
+    assert horizontal_slice(flat, 1e-308, 1, kappa=kappa).regime is Regime.POSITIVE
+    with pytest.raises(SurfaceError, match="a horizontal slice of area 1e-308 on 2 samples"):
+        horizontal_slice(flat, 1e-308, 0, kappa=kappa)
+
+
+def test_range_rule_names_the_first_torus_of_a_stack_outside_it():
+    # a stack of flat tori, one per row of kappa: inside, at the limit, one
+    # ulp above it, far above; the third is the first one refused
+    limit = sys.float_info.max / (4 * 512)
+    kappa = -np.repeat([[1.0], [limit], [np.nextafter(limit, math.inf)], [1e308]], 512, axis=1)
+
+    def stack(rows):
+        zero = np.zeros_like(kappa[:rows])
+        return SimpleNamespace(area=np.full(rows, 4 * math.pi**2), mean_curvature=np.zeros(rows),
+                               genus=1, horizontal=False,
+                               samples=lambda mode: (kappa[:rows], zero, zero))
+
+    i, error = out_of_range(stack(4))
+    assert i == 2 and str(error).startswith(
+        "curvature out of range: a Hopf torus of area 39.4784 on 512 samples")
+    assert out_of_range(stack(2)) is None
 
 
 def test_slice_rejects_nonzero_tau():

@@ -114,8 +114,7 @@ def classify_regime(kappa_samples, tau_samples):
         raise ValueError(f"sample length mismatch: {kappa.shape} vs {tau.shape}")
     w = kappa - 4.0 * tau**2
     # per row: tol and the extremes of w, which decide each "everywhere"
-    extremes = (1e-12 * np.maximum(1.0, np.abs(kappa).max(axis=-1)),
-                w.min(axis=-1), w.max(axis=-1))
+    extremes = (1e-12 * np.maximum(1.0, np.abs(kappa).max(-1)), w.min(-1), w.max(-1))
     regimes = [Regime.NULL if -tol <= lo and hi <= tol else Regime.POSITIVE if lo > tol
                else Regime.NEGATIVE if hi < -tol else Regime.MIXED
                for tol, lo, hi in zip(*(np.atleast_1d(x).tolist() for x in extremes))]

@@ -17,7 +17,8 @@ writer formats column by column: the grid once per report, a column whose
 values are one float bit for bit once in all.
 
 A sweep row is the Hopf torus over one parallel u, whose kappa, tau and H
-are constant.  The rows are evaluated together: first each parallel's
+are constant.  The rows are evaluated together, in blocks of at most 2^20
+samples per field to bound memory: first each parallel's
 closed forms, by ``warped.parallel_closed_forms`` with all of its checks;
 then one pass over (rows, n) arrays gives each row's regime, the range rule
 of the ``surface`` module, the diagonal test of ``spectral.solve`` with its
@@ -31,6 +32,7 @@ u, and a refused sweep raises the error of its first failing row.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -413,35 +415,39 @@ def _sweep_series(run: dict, model: SubmersionModel) -> list[np.ndarray]:
     evaluated; an input error is that of the first row that fails."""
     solver = run.get("solver", {})
     n = int(run["surface"].get("samples", 512))
-    parallels, refused = [], None
-    for u in _sweep_grid(run["outputs"]["sweep"]):
-        try:
-            parallels.append((u, *parallel_closed_forms(model, u)))
-        except JacobilabError as exc:  # raised once the rows before it are solved
-            refused = exc
-            break
-    u, length, h, kappa, tau, _ = columns = np.array(parallels).reshape(-1, 6).T
-    curves = np.repeat(columns[3:, :, None], n, axis=2)  # kappa, tau, |theta''| rows
-    stack = _ParallelTori(None, np.array(h.tolist(), dtype=object), length * model.fiber_length,
-                          *curves, np.abs(_spectral_derivative(curves[1], length[:, None])))
-    stop, refused = out_of_range(stack) or (len(parallels), refused)
-    stack = _ParallelTori(None, *(x[:stop] for x in stack[1:]))
-    # potential_field's 4 H^2 + kappa, with H squared as a Python float
-    potentials = (4.0 * stack.mean_curvature**2).astype(float)[:, None] + stack.kappa
-    diagonal, lam = _diagonal_gate(potentials, solver.get("truncation", DEFAULT_TRUNCATION))
-    for i in np.flatnonzero(~diagonal):
-        lam[i] = _solve_with(parallel_hopf_torus(model, float(u[i]), n=n), solver)[1].lambda1
-    if refused is not None:
-        raise refused
-    regimes = np.array(classify_regime(stack.kappa, stack.tau))
-    bounds = np.empty((stop, 4))
-    for regime, parts in REGIME_PARTS.items():
-        if (rows := regimes == regime).any():
-            group = _ParallelTori(regime, *(x[rows] for x in stack[1:]))
-            bounds[rows] = np.array([theorem_bound(group, part, mode) for mode in SWEEP_MODES
-                                     for part in parts], dtype=float).T
-    keep = np.isin(regimes, list(REGIME_PARTS))
-    return [column[:stop][keep] for column in (u, kappa, tau, h)] + [lam[keep], *bounds[keep].T]
+    grid, columns = _sweep_grid(run["outputs"]["sweep"]), []
+    # blocks of rows whose (rows, n) curve fields hold at most 2^20 floats, 8 MB each
+    while points := list(itertools.islice(grid, max(1, (1 << 20) // n))):
+        parallels, refused = [], None
+        for u in points:
+            try:
+                parallels.append((u, *parallel_closed_forms(model, u)))
+            except JacobilabError as exc:  # raised once the rows before it are solved
+                refused = exc
+                break
+        u, length, h, kappa, tau, _ = block = np.array(parallels).reshape(-1, 6).T
+        curves = np.repeat(block[3:, :, None], n, axis=2)  # kappa, tau, |theta''| rows
+        stack = _ParallelTori(None, np.array(h.tolist(), dtype=object),
+                              length * model.fiber_length, *curves,
+                              np.abs(_spectral_derivative(curves[1], length[:, None])))
+        stop, refused = out_of_range(stack) or (len(parallels), refused)
+        # potential_field's 4 H^2 + kappa up to the first row the range rule
+        # refuses, with H squared as a Python float
+        q = (4.0 * stack.mean_curvature[:stop]**2).astype(float)[:, None] + stack.kappa[:stop]
+        diagonal, lam = _diagonal_gate(q, solver.get("truncation", DEFAULT_TRUNCATION))
+        for i in np.flatnonzero(~diagonal):
+            lam[i] = _solve_with(parallel_hopf_torus(model, float(u[i]), n=n), solver)[1].lambda1
+        if refused is not None:
+            raise refused
+        regimes, bounds = np.array(classify_regime(stack.kappa, stack.tau)), np.empty((stop, 4))
+        for regime, parts in REGIME_PARTS.items():
+            if (rows := regimes == regime).any():
+                group = _ParallelTori(regime, *(x[rows] for x in stack[1:]))
+                bounds[rows] = np.array([theorem_bound(group, part, mode) for mode in SWEEP_MODES
+                                         for part in parts], dtype=float).T
+        keep = np.isin(regimes, list(REGIME_PARTS))
+        columns.append([c[keep] for c in (u, kappa, tau, h)] + [lam[keep], *bounds[keep].T])
+    return [np.concatenate(column) for column in zip(*columns)]
 
 
 def _solve_with(surface, solver: dict) -> tuple[SpectralProblem | None, SpectralResult]:

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,8 +97,7 @@ class SpectralProblem:
             raise FieldError(f"truncation must be an integer >= 4, got {self.truncation!r}")
         # the top kinetic entry of either backend: the Fourier (2 pi K / L)^2
         # exceeds the fd 4 / h^2 = (2 N / L)^2
-        wavenumber = 2.0 * math.pi * self.truncation / self.circle_length
-        if not wavenumber < math.sqrt(sys.float_info.max):
+        if not 2 * math.pi * self.truncation / self.circle_length < math.sqrt(np.finfo(float).max):
             raise FieldError(f"lengths out of range: a circle of length {self.circle_length:g} "
                              f"has no finite kinetic term (2 pi K / L)^2 at K = {self.truncation}")
 

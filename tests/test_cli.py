@@ -266,10 +266,25 @@ def test_sweep_rows_repeat_the_one_torus_path_bit_for_bit(profile, samples):
     assert rows or profile == _PROFILES["constant"]
 
 
-def test_sweep_that_leaves_the_profile_interval_is_an_input_error(tmp_path, capsys):
-    # the rows before u = 4.0 are valid; the first row outside refuses the run
-    doc = warped_doc(outputs={"sweep": {"start": 3.0, "stop": 5.0, "step": 0.5}})
+def test_sweep_in_blocks_repeats_the_one_torus_path_bit_for_bit():
+    # 65536 samples make blocks of 16 rows: 40 rows run in three blocks
+    doc = {"version": 1, "name": "sweep",
+           "model": {"kind": "warped", "profile": _PROFILES["sampled"], "window": [0.5, 3.0]},
+           "surface": {"type": "hopf_torus", "parallel": 1.0, "samples": 65536},
+           "outputs": {"sweep": {"start": 0.3, "stop": 3.2, "step": 0.075}}}
+    rows = run_scenario(doc).series["sweep"].split()[1:]
+    assert len(rows) == 39 and rows == _one_torus_rows(doc)
+
+
+@pytest.mark.parametrize("samples, step", [(512, 0.5), (65536, 0.0625)],
+                         ids=["one_block", "fourth_block"])
+def test_sweep_that_leaves_the_profile_interval_is_an_input_error(tmp_path, capsys, samples,
+                                                                 step):
+    # the rows before u = 4.0 are valid; the first row outside refuses the run,
+    # in the first block of rows or, at 65536 samples (blocks of 16), the fourth
+    doc = warped_doc(outputs={"sweep": {"start": 0.5, "stop": 5.0, "step": step}})
     doc["model"]["profile"] = _PROFILES["sampled"]
+    doc["surface"]["samples"] = samples
     assert _run_file(tmp_path, doc) == 1
     assert capsys.readouterr().err == "error: u = 4.0 is outside the profile interval\n"
     assert not (tmp_path / "out").exists()

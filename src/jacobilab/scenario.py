@@ -17,15 +17,14 @@ writer formats column by column: the grid once per report, a column whose
 values are one float bit for bit once in all.
 
 A sweep row is the Hopf torus over one parallel u, whose kappa, tau and H
-are constant.  The rows are evaluated together, in blocks of at most 2^20
-samples per field to bound memory: first each parallel's
+are constant, so its potential 4 H^2 + kappa is constant and its lambda1 is
+the closed form 0.0 - (4 H^2 + kappa) that ``spectral.solve`` returns for
+constant samples on any grid.  The rows are evaluated together, in blocks
+of at most 2^20 samples per field to bound memory: first each parallel's
 closed forms, by ``warped.parallel_closed_forms`` with all of its checks;
 then one pass over (rows, n) arrays gives each row's regime, the range rule
-of the ``surface`` module, the diagonal test of ``spectral.solve`` with its
-closed form lambda1 = -c_0, and the four bounds, from ``theorem_bound``
-applied to a view whose ``mean`` reduces the last axis.  A row whose
-potential has rounding noise in its higher Fourier coefficients (a grid
-that is not a power of two) is solved as its own torus.  Every row keeps
+of the ``surface`` module and the four bounds, from ``theorem_bound``
+applied to a view whose ``mean`` reduces the last axis.  Every row keeps
 the bits of ``parallel_hopf_torus``, ``solve`` and ``theorem_bound`` at its
 u, and a refused sweep raises the error of its first failing row.
 """
@@ -48,9 +47,9 @@ from .errors import (ConvergenceError, FieldError, JacobilabError, ScenarioError
                      SurfaceError)
 from .fields import ScalarField1D, _spectral_derivative
 from .geometry import Regime, classify_regime
-from .spectral import (DEFAULT_CONV_TOL, DEFAULT_TRUNCATION, SpectralProblem,
-                       SpectralResult, _convergence_ladder, _diagonal_gate, _identity_residual,
-                       alpha_invariant, solve, solve_surface, surface_spectral_problem)
+from .spectral import (DEFAULT_CONV_TOL, DEFAULT_TRUNCATION, _convergence_ladder,
+                       _identity_residual, alpha_invariant, solve, solve_surface,
+                       surface_spectral_problem)
 from .submersion import GradientMode, SubmersionModel, \
     homogeneous_model, product_model
 from .surface import SampledKappa, gauss_bonnet_check, hopf_torus, horizontal_slice, out_of_range
@@ -413,7 +412,6 @@ def _sweep_series(run: dict, model: SubmersionModel) -> list[np.ndarray]:
     each point u whose torus, the document's torus moved to the parallel u,
     lies in a bound regime.  See the module docstring for how the rows are
     evaluated; an input error is that of the first row that fails."""
-    solver = run.get("solver", {})
     n = int(run["surface"].get("samples", 512))
     grid, columns = _sweep_grid(run["outputs"]["sweep"]), []
     # blocks of rows whose (rows, n) curve fields hold at most 2^20 floats, 8 MB each
@@ -422,7 +420,7 @@ def _sweep_series(run: dict, model: SubmersionModel) -> list[np.ndarray]:
         for u in points:
             try:
                 parallels.append((u, *parallel_closed_forms(model, u)))
-            except JacobilabError as exc:  # raised once the rows before it are solved
+            except JacobilabError as exc:  # raised once the rows before it pass the range rule
                 refused = exc
                 break
         u, length, h, kappa, tau, _ = block = np.array(parallels).reshape(-1, 6).T
@@ -430,16 +428,14 @@ def _sweep_series(run: dict, model: SubmersionModel) -> list[np.ndarray]:
         stack = _ParallelTori(None, np.array(h.tolist(), dtype=object),
                               length * model.fiber_length, *curves,
                               np.abs(_spectral_derivative(curves[1], length[:, None])))
-        stop, refused = out_of_range(stack) or (len(parallels), refused)
-        # potential_field's 4 H^2 + kappa up to the first row the range rule
-        # refuses, with H squared as a Python float
-        q = (4.0 * stack.mean_curvature[:stop]**2).astype(float)[:, None] + stack.kappa[:stop]
-        diagonal, lam = _diagonal_gate(q, solver.get("truncation", DEFAULT_TRUNCATION))
-        for i in np.flatnonzero(~diagonal):
-            lam[i] = _solve_with(parallel_hopf_torus(model, float(u[i]), n=n), solver)[1].lambda1
+        if outside := out_of_range(stack):
+            raise outside[1]
         if refused is not None:
             raise refused
-        regimes, bounds = np.array(classify_regime(stack.kappa, stack.tau)), np.empty((stop, 4))
+        # solve's 0.0 - q for the constant q = 4 H^2 + kappa of potential_field,
+        # with H squared as a Python float
+        lam = 0.0 - ((4.0 * stack.mean_curvature**2).astype(float) + kappa)
+        regimes, bounds = np.array(classify_regime(stack.kappa, stack.tau)), np.empty((u.size, 4))
         for regime, parts in REGIME_PARTS.items():
             if (rows := regimes == regime).any():
                 group = _ParallelTori(regime, *(x[rows] for x in stack[1:]))
@@ -448,17 +444,6 @@ def _sweep_series(run: dict, model: SubmersionModel) -> list[np.ndarray]:
         keep = np.isin(regimes, list(REGIME_PARTS))
         columns.append([c[keep] for c in (u, kappa, tau, h)] + [lam[keep], *bounds[keep].T])
     return [np.concatenate(column) for column in zip(*columns)]
-
-
-def _solve_with(surface, solver: dict) -> tuple[SpectralProblem | None, SpectralResult]:
-    """The Fourier problem of a Hopf torus (None for a slice) and its solve."""
-    m = int(solver.get("eigenvalue_count", 6))
-    if surface.horizontal:
-        return None, solve_surface(surface, m=m)
-    problem = surface_spectral_problem(
-        surface, truncation=solver.get("truncation", DEFAULT_TRUNCATION),
-        conv_tol=float(solver.get("convergence_tol", DEFAULT_CONV_TOL)))
-    return problem, solve(problem, m=m)
 
 
 def run_scenario(doc: dict, gradient_mode: str | None = None,
@@ -490,11 +475,16 @@ def run_scenario(doc: dict, gradient_mode: str | None = None,
     if degree > K:
         raise ConvergenceError(f"surface kappa has harmonic {degree} above the truncation "
                                f"K = {K}; increase the truncation")
-    problem, result = _solve_with(surface, solver)
+    m = int(solver.get("eigenvalue_count", 6))
+    torus = not surface.horizontal
+    if torus:
+        problem = surface_spectral_problem(
+            surface, truncation=K, conv_tol=float(solver.get("convergence_tol", DEFAULT_CONV_TOL)))
+        result, q = solve(problem, m=m), problem.potential
+    else:
+        result, q = solve_surface(surface, m=m), 0.0
 
     regime = surface.regime
-    torus = problem is not None
-    q = problem.potential if torus else 0.0
     alpha = alpha_invariant(result.ground_state, surface.area)
     identities = {
         "lambda1_identity_residual": float(_identity_residual(surface, result.lambda1,

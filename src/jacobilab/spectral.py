@@ -32,10 +32,13 @@ Scenarios and :func:`solve_surface` run the Fourier path; the fd path is
 reached only through ``solve(problem, backend="fd")``.
 
 The Fourier backend diagonalizes its (2K + 1)-square matrix with dense
-LAPACK, unless the matrix is diagonal: when every coefficient c_n, n >= 1,
-that the assembly reads is exactly zero (a constant potential, such as that
-of a Hopf torus with constant data), the spectrum is the sorted diagonal,
-the ground vector is the constant mode and the K/2 estimate is 0.  The
+LAPACK, unless every sample of the potential is equal (a constant potential,
+such as that of a Hopf torus with constant data, on any grid): the matrix
+is then diag(0, k^2, k^2) - q, its spectrum the sorted diagonal with
+lambda_1 = 0.0 - q, the ground vector the constant mode and the K/2
+estimate 0.  Any other potential goes to ``eigh``, which returns the closed
+form's bits on a matrix that is diagonal only because its read coefficients
+vanish (samples that repeat every 4 points, at K = 8).  The
 matrix of a lower truncation t is the principal submatrix of the
 truncation-K matrix on rows 0..t and K+1..K+t, entry for entry, so the K/2
 estimate and the convergence ladder slice one assembled matrix, and the
@@ -173,22 +176,11 @@ def _potential_block(q_samples: np.ndarray, K: int) -> np.ndarray:
 
 def _potential_coefficients(q_samples: np.ndarray, K: int) -> np.ndarray:
     """The coefficients c_0..c_avail of q that the Galerkin matrix of
-    truncation K reads; it takes the higher ones as zero.  The samples run
-    along the last axis, and a stack of rows gives, row by row, the bits of
-    each row alone."""
-    n = q_samples.shape[-1]
+    truncation K reads; it takes the higher ones as zero."""
+    n = q_samples.size
     # stop below the Nyquist mode of even grids, where cos amplitudes alias
     avail = min(2 * K, (n - 1) // 2)
-    return (np.fft.rfft(q_samples, axis=-1) / n)[..., :avail + 1]
-
-
-def _diagonal_gate(q_samples: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
-    """(diagonal, -c_0) of q, or of each row of a stack: diagonal when every
-    c_n, n >= 1, that the Galerkin matrix of truncation K reads is exactly
-    zero.  That matrix is then diag(0, k^2, k^2) - c_0, and -c_0, computed
-    as 0.0 - Re c_0, is the entry of the constant mode, its lowest: lambda_1."""
-    c = _potential_coefficients(q_samples, K)
-    return ~np.any(c[..., 1:], axis=-1), 0.0 - c[..., 0].real
+    return (np.fft.rfft(q_samples) / n)[:avail + 1]
 
 
 def _kinetic_diagonal(length: float, K: int) -> np.ndarray:
@@ -231,14 +223,14 @@ def _convergence_ladder(problem: SpectralProblem, lambda1: float) -> list[list]:
     eigenvalue of a slice of one truncation-K matrix, assembled only when
     such a rung exists; it is taken from ``eigh``, the routine a solve of
     that truncation runs, so each rung keeps that solve's bits (on a
-    diagonal slice ``eigh`` returns the closed form's bits).  When the
-    matrix is diagonal (the gate of :func:`solve`), every rung reads the
-    same c_0 and zeros, so every rung is ``lambda1``.  No rung builds a
+    diagonal slice ``eigh`` returns the closed form's bits).  A constant
+    potential (the closed form of :func:`solve`) gives every rung the same
+    lambda_1 = 0.0 - q, so every rung is ``lambda1``.  No rung builds a
     ground state.
     """
-    K, q = problem.truncation, problem.potential.samples
-    dense = K > 8 and not _diagonal_gate(q, K)[0]
-    H = assemble_fourier(problem.circle_length, q, K) if dense else None
+    K, q = problem.truncation, problem.potential
+    dense = K > 8 and not q.is_constant(0.0)
+    H = assemble_fourier(problem.circle_length, q.samples, K) if dense else None
     return [[t, float(np.linalg.eigh(_galerkin_slice(H, t))[0][0]) if dense and t < K
              else lambda1] for t in (8 << i for i in range((K // 8).bit_length()))]
 
@@ -386,11 +378,10 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
     The reported convergence_estimate is |lambda1(T) - lambda1(T/2)| over the
     problem truncation T (the fourier backend reads lambda1(max(4, T // 2))
     from a slice of its own matrix); a value above the problem's conv_tol raises
-    :class:`ConvergenceError`.  If every Fourier coefficient c_n, n >= 1, of
-    q that the Galerkin matrix reads is exactly zero (a test with no
-    tolerance), the matrix is diag(0, k^2, k^2) - c_0 and the fourier backend
-    returns its sorted diagonal, the constant ground state and an estimate of
-    0 without calling LAPACK: the values ``eigh`` returns for that matrix.
+    :class:`ConvergenceError`.  If every sample of q is equal (a test with no
+    tolerance), the matrix is diag(0, k^2, k^2) - q and the fourier backend
+    returns its sorted diagonal, lambda_1 = 0.0 - q, the constant ground state
+    and an estimate of 0 without calling LAPACK.
     ``richardson`` applies h^2 extrapolation to the fd eigenvalues (the
     fourier backend ignores it).  The fd backend returns at most N eigenvalues
     on its N-point grid, N/2 with ``richardson``.
@@ -402,15 +393,14 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
 
     if backend == "fourier":
         K = problem.truncation
-        diagonal, lambda1 = _diagonal_gate(q_field.samples, K)
-        if not diagonal:
+        if not q_field.is_constant(0.0):
             w, vecs = np.linalg.eigh(H := assemble_fourier(L, q_field.samples, K))
             ground = vecs[:, 0]
             estimate = abs(w[0] - np.linalg.eigvalsh(_galerkin_slice(H, max(4, K // 2)))[0])
         else:
             # kinetic terms are positive, so the stable sort keeps the
-            # constant mode first; the K/2 matrix reads a subset of c
-            w = np.sort(_kinetic_diagonal(L, K) + lambda1, kind="stable")
+            # constant mode first; the K/2 matrix is diagonal too
+            w = np.sort(_kinetic_diagonal(L, K) + (0.0 - q_field.samples[0]), kind="stable")
             ground = np.zeros(2 * K + 1)
             ground[0] = 1.0
             estimate = 0.0

@@ -22,22 +22,25 @@ Two classes of surfaces carry the whole verification programme:
 The stability potential q = |A|^2 + Ric(N, N) reduces to 4 H^2 + kappa(s) on
 a Hopf torus (the tau^2 contributions cancel) and to 0 on a slice.
 
-Range rule (:func:`out_of_range`): a surface of area A sampled at n nodes
-(a torus's curve samples, a slice's kappa nodes) is refused, with a
-:class:`SurfaceError` when it is built, unless its curvature c = H^2 +
-2 pi |chi| / A + max(|kappa| + tau^2 + |grad tau|), in units of 1/length^2,
-is at most the largest float over 4 max(n, A); chi = 2 - 2 g vanishes on a
-torus, and H, tau and |grad tau| vanish on a slice.  Per sample, every
-quantity the package forms from a surface -- the potential 4 H^2 + kappa,
-the regime's kappa - 4 tau^2, a bound's integrand c_k kappa + c_t tau^2 -
-|grad tau| with |c| <= 4, its genus term 8 pi (g - 1) / A = -2 (2 pi chi) / A
--- is at most 4 c, and a gap lambda1 - bound at most 8 c; a grid sum (an
-area mean, a Fourier coefficient, a slice's quadrature with weights that sum
-to A) adds n samples, and an integral multiplies a mean by A.  ``eigh``
-scales the Galerkin matrix, whose entries add two Fourier coefficients, into
-its own range.  Before the rule, a Hopf torus whose area is not a positive
-float is refused by its lengths; :class:`~jacobilab.spectral.SpectralProblem`
-refuses a curve too short for its kinetic term.
+Range rule (:func:`out_of_range`): a surface of area A sampled at n nodes (a
+torus's curve samples, a slice's kappa nodes) is refused, with a
+:class:`SurfaceError` when it is built, unless its curvature c = H^2 + 2 pi
+|chi| / A + max(|kappa| + tau^2 + |grad tau|), in units of 1/length^2, is at
+most the largest float over 4 max(n, W), where W is A on a torus and the
+larger of A and the sum of |w| over the quadrature weights w on a slice; chi
+= 2 - 2 g vanishes on a torus, and H, tau and |grad tau| vanish on a slice.
+A genus whose chi lies beyond the float range breaks the rule.  Per sample,
+every quantity the package forms from a surface -- the potential 4 H^2 +
+kappa, the regime's kappa - 4 tau^2, a bound's integrand c_k kappa + c_t
+tau^2 - |grad tau| with |c| <= 4, its genus term 8 pi (g - 1) / A = -2 (2 pi
+chi) / A -- is at most 4 c, and a gap lambda1 - bound at most 8 c; a grid
+sum (an area mean, a Fourier coefficient) adds n samples, a slice's
+quadrature adds each sample times |w| and so at most W of them, and an
+integral multiplies a mean by A.  ``eigh`` scales the Galerkin matrix, whose
+entries add two Fourier coefficients, into its own range.  Before the rule,
+a Hopf torus whose area is not a positive float is refused by its lengths;
+:class:`~jacobilab.spectral.SpectralProblem` refuses a curve too short for
+its kinetic term.
 
 Both implement the :class:`SurfaceModel` protocol, the only view of a surface
 that the other modules take.  Only the constructors here pick a class;
@@ -50,6 +53,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from typing import Protocol
 
@@ -222,10 +226,12 @@ def out_of_range(s: SurfaceModel) -> tuple[int, SurfaceError] | None:
     rule (a non-finite value breaks it), else the index of the first that
     breaks it and the SurfaceError that refuses it."""
     kappa, tau, grad_intrinsic = s.samples(GradientMode.INTRINSIC_ON_SURFACE)
-    limit = np.finfo(float).max / (4 * np.maximum(kappa.shape[-1], s.area))
-    with np.errstate(over="ignore"):  # a square out of range is inf
+    with np.errstate(over="ignore"):  # a square or a weight sum out of range is inf
+        # a slice's quadrature adds |w| kappa at each node, and its weights may cancel
+        mass = max(s.area, np.sum(np.abs(s.kappa.weights))) if s.horizontal else s.area
+        limit = np.finfo(float).max / (4 * np.maximum(kappa.shape[-1], mass))
         curvature = (np.square(np.asarray(s.mean_curvature, dtype=float))
-                     + 2.0 * math.pi * abs(2 - 2 * s.genus) / s.area
+                     + abs(_two_pi_chi(s.genus)) / s.area
                      + (np.abs(kappa) + np.square(tau) + grad_intrinsic
                         + s.samples(GradientMode.AMBIENT)[2]).max(axis=-1))
     outside = ~(curvature <= limit)
@@ -236,6 +242,13 @@ def out_of_range(s: SurfaceModel) -> tuple[int, SurfaceError] | None:
             f"curvature out of range: a {'horizontal slice' if s.horizontal else 'Hopf torus'} "
             f"of area {a:g} on {kappa.shape[-1]} samples needs a finite H^2 + 2 pi |chi| / area "
             f"+ max(|kappa| + tau^2 + |grad tau|) <= {lim:g}, got {c:g}")
+
+
+def _two_pi_chi(genus: int) -> float:
+    """2 pi chi = 2 pi (2 - 2 genus) as a float, -inf for a genus whose chi
+    lies beyond the float range."""
+    chi = 2 - 2 * genus
+    return 2.0 * math.pi * chi if chi >= -sys.float_info.max else -math.inf
 
 
 # --- constructors ----------------------------------------------------------
@@ -315,7 +328,8 @@ def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
             raise SurfaceError(
                 f"quadrature weights integrate to {wsum:g}, expected area {base_area:g}")
     else:
-        chi_term = 2.0 * math.pi * (2 - 2 * genus)
+        # an infinite 2 pi chi passes this check and is refused by the range rule
+        chi_term = _two_pi_chi(genus)
         total = kappa * base_area
         if abs(total - chi_term) > GAUSS_BONNET_RTOL * max(1.0, abs(total), abs(chi_term)):
             raise SurfaceError(
@@ -345,7 +359,7 @@ def gauss_bonnet_check(s: SurfaceModel) -> float:
     """Residual |integral of K dA - 2 pi chi| of the total-curvature identity."""
     if not s.horizontal:
         return 0.0  # a Hopf torus: flat, chi = 0, exactly
-    return abs(s.kappa.integral() - 2.0 * math.pi * s.euler_characteristic)
+    return abs(s.kappa.integral() - _two_pi_chi(s.genus))
 
 
 def surface_regime(s: SurfaceModel) -> Regime:

@@ -59,10 +59,7 @@ class ThetaProfile:
 
     def kappa(self, u):
         """Base Gaussian curvature 4 theta'^2 - 2 cot(2 theta) theta''."""
-        u = np.asarray(u, dtype=float)
-        th, dth, ddth = self.theta(u), self.theta_prime(u), self.theta_second(u)
-        _check_range(th)
-        return 4.0 * np.square(dth) - 2.0 * (np.cos(2 * th) / np.sin(2 * th)) * ddth
+        return _base_curvature(*_read_profile(self, u))
 
     def tau(self, u):
         return -np.asarray(self.theta_prime(u))
@@ -72,6 +69,21 @@ def _check_range(theta_values) -> None:
     th = np.asarray(theta_values)
     if np.any(th <= 0.0) or np.any(th >= math.pi / 2):
         raise ModelError("theta must stay strictly inside (0, pi/2)")
+
+
+def _read_profile(profile: ThetaProfile, u) -> tuple:
+    """theta, theta' and theta'' at ``u``, a float or an array, as the
+    profile's functions return them; theta is checked to lie in (0, pi/2)
+    before its derivatives are read."""
+    u = np.asarray(u, dtype=float)
+    theta = profile.theta(u)
+    _check_range(theta)
+    return theta, profile.theta_prime(u), profile.theta_second(u)
+
+
+def _base_curvature(theta, dth, ddth):
+    """:meth:`ThetaProfile.kappa` from the values of :func:`_read_profile`."""
+    return 4.0 * np.square(dth) - 2.0 * (np.cos(2 * theta) / np.sin(2 * theta)) * ddth
 
 
 @contextlib.contextmanager
@@ -148,14 +160,13 @@ def submersion_from_theta(profile: ThetaProfile, window: tuple[float, float],
     lo, hi = profile.interval
     if not (lo <= a < b <= hi):
         raise ModelError(f"window {window} must lie inside the profile interval {profile.interval}")
-    grid = np.linspace(a, b, n)
     with _overflow_is_an_error(f"the window {window}"):
-        theta_values = np.asarray(profile.theta(grid), dtype=float)
-        _check_range(theta_values)
-        if np.any(np.sin(2.0 * theta_values) < MIN_PARALLEL_SIN):
+        theta, dth, ddth = _read_profile(profile, np.linspace(a, b, n))
+        if np.any(np.sin(2.0 * np.asarray(theta, dtype=float)) < MIN_PARALLEL_SIN):
             raise ModelError("window touches a degenerate parallel (sin(2 theta) ~ 0)")
-        kappa = ScalarField1D(np.asarray(profile.kappa(grid), dtype=float), interval=window)
-        tau = ScalarField1D(np.asarray(profile.tau(grid), dtype=float), interval=window)
+        kappa = ScalarField1D(np.asarray(_base_curvature(theta, dth, ddth), dtype=float),
+                              interval=window)
+        tau = ScalarField1D(-np.asarray(dth, dtype=float), interval=window)
     return SubmersionModel(
         kind=ModelKind.WARPED,
         kappa_field=kappa,
@@ -196,11 +207,11 @@ def parallel_closed_forms(model: SubmersionModel,
     if not (lo < u < hi):
         raise ModelError(f"u = {u} is outside the profile interval")
     with _overflow_is_an_error(f"the parallel u = {u}"):
-        theta_u, dth, ddth = _profile_at(profile, u)
+        theta_u, dth, ddth = map(float, _read_profile(profile, u))
         sin2 = math.sin(2.0 * theta_u)
         if sin2 < MIN_PARALLEL_SIN:
             raise ModelError(f"degenerate parallel at u = {u}: sin(2 theta) = {sin2:g}")
-        kappa_u = float(np.asarray(profile.kappa(u)))
+        kappa_u = float(_base_curvature(theta_u, dth, ddth))
     if not all(map(math.isfinite, (kappa_u, dth, ddth))):  # the torus's constant fields
         raise FieldError("field samples must be finite")
     return math.pi * sin2, dth * (math.cos(2.0 * theta_u) / sin2), kappa_u, -dth, abs(ddth)
@@ -222,15 +233,6 @@ def parallel_hopf_torus(model: SubmersionModel, u: float, n: int = 512) -> HopfT
                      base_point=float(u), name=f"parallel_torus(u={u:g})")
 
 
-def _profile_at(profile: ThetaProfile, u: float) -> tuple[float, float, float]:
-    """theta, theta' and theta'' at the parallel ``u``; theta is checked to lie
-    in (0, pi/2) before its derivatives are read."""
-    theta_u = float(np.asarray(profile.theta(u)))
-    _check_range(theta_u)
-    return (theta_u, float(np.asarray(profile.theta_prime(u))),
-            float(np.asarray(profile.theta_second(u))))
-
-
 def _warped_profile(model: SubmersionModel) -> ThetaProfile:
     if model.kind is not ModelKind.WARPED or model.profile is None:
         raise ModelError("model does not carry a warping profile")
@@ -250,7 +252,7 @@ def bounds_in_theta_form(model: SubmersionModel, torus: HopfTorus) -> tuple[floa
     if torus.base_point is None:
         raise SurfaceError("torus does not record its base parallel")
     u = torus.base_point
-    theta_u, dth, ddth = _profile_at(profile, u)
+    theta_u, dth, ddth = map(float, _read_profile(profile, u))
     if theta_u >= math.pi / 4 or ddth >= 0.0:
         raise RegimeMismatchError(
             f"theta-form bounds need theta < pi/4 and theta'' < 0 at u = {u} "

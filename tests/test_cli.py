@@ -5,6 +5,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -264,6 +265,28 @@ def test_sweep_rows_repeat_the_one_torus_path_bit_for_bit(profile, samples):
     rows = run_scenario(doc).series["sweep"].split()[1:]
     assert rows == _one_torus_rows(doc)
     assert rows or profile == _PROFILES["constant"]
+
+
+@pytest.mark.parametrize("profile", _PROFILES.values(), ids=_PROFILES.keys())
+def test_sweep_rows_take_the_closed_form_without_a_torus_or_lapack(profile, monkeypatch):
+    # on 500 samples the rfft of a constant potential has rounding noise in
+    # its higher coefficients; each row's lambda1 is still 0.0 - q
+    import jacobilab.scenario as scenario_mod
+
+    doc = {"version": 1, "name": "sweep",
+           "model": {"kind": "warped", "profile": profile, "window": [0.5, 3.0]},
+           "surface": {"type": "hopf_torus", "parallel": 1.0, "samples": 500},
+           "outputs": {"sweep": {"start": 0.3, "stop": 3.9, "step": 0.15}}}
+    expected = _one_torus_rows(doc)
+    model = build_model(doc["model"])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep row built a torus or called LAPACK")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(scenario_mod, "parallel_hopf_torus", refuse)
+    columns = scenario_mod._sweep_series(doc, model)
+    assert [",".join(row) for row in zip(*map(format_column, columns))] == expected
 
 
 def test_sweep_in_blocks_repeats_the_one_torus_path_bit_for_bit():
@@ -757,11 +780,24 @@ _SLICE = {"type": "horizontal_slice", "base_area": _FOUR_PI, "genus": 0}
     ({"kind": "homogeneous", "kappa": 1.0, "tau": 0.0, "fiber_length": 1.0},
      {**_SLICE, "kappa": {"values": [1e308, 1e308], "weights": [TWO_PI, TWO_PI]}},
      "error: curvature out of range: a horizontal slice of area 12.5664 on 2 samples "),
+    # weights that cancel: they sum to the area, but their |w| sum to 2e7
+    ({"kind": "homogeneous", "kappa": 1.0, "tau": 0.0, "fiber_length": 1.0},
+     {**_SLICE, "kappa": {"values": [3e306, 1e306], "weights": [1e7, -1e7 + _FOUR_PI]}},
+     "error: curvature out of range: a horizontal slice of area 12.5664 on 2 samples "),
+    # a chi beyond the float range, with a constant and with a sampled kappa
+    ({"kind": "homogeneous", "kappa": 1.0, "tau": 0.0, "fiber_length": 1.0},
+     {**_SLICE, "genus": 10**400},
+     "error: curvature out of range: a horizontal slice of area 12.5664 on 1 samples "),
+    ({"kind": "homogeneous", "kappa": 1.0, "tau": 0.0, "fiber_length": 1.0},
+     {**_SLICE, "genus": 10**400, "kappa": {"values": [1.0, 1.0], "weights": [TWO_PI, TWO_PI]}},
+     "error: curvature out of range: a horizontal slice of area 12.5664 on 2 samples "),
     ({}, {"curve_length": 1e-200},
      "error: lengths out of range: a circle of length 1e-200 has no finite kinetic term "),
     ({"fiber_length": 1e300}, {"curve_length": 1e300},
      "error: lengths out of range: curve length 1e+300 and fiber length 1e+300 give area inf")],
-    ids=["slice_kappa_1e308", "slice_values_1e308", "curve_length_1e-200", "lengths_1e300"])
+    ids=["slice_kappa_1e308", "slice_values_1e308", "slice_cancelling_weights",
+         "slice_genus_1e400", "slice_values_genus_1e400", "curve_length_1e-200",
+         "lengths_1e300"])
 def test_out_of_range_slices_and_lengths_are_input_errors(tmp_path, capsys, model, surface,
                                                           err):
     # these once ended in a traceback (a ValueError from the JSON writer on an

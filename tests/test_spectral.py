@@ -571,7 +571,8 @@ def test_constant_potential_matches_lapack_bit_for_bit(K, c0):
     spectra = {}
     for n in (8, 512, 65536):
         p = problem(lambda s: np.full_like(s, c0), n=n, K=K, conv_tol=math.inf)
-        # on these grids the rfft of a constant has exact zeros, so the gate fires
+        # on these grids the rfft of a constant has exact zeros and c_0 == q,
+        # so LAPACK sees the diagonal matrix diag(0, k^2, k^2) - q itself
         assert not np.any(spectral._potential_coefficients(p.potential.samples, K)[1:])
         w, rho, estimate = _lapack_solve(p, 6, spectra)
         r = solve(p)
@@ -596,12 +597,16 @@ def test_tiny_harmonic_takes_the_lapack_path(c, monkeypatch):
     assert np.array_equal(r.ground_state.samples, rho)
 
 
-def test_constant_data_hopf_torus_solves_without_lapack(monkeypatch):
+def _refuse_lapack(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("LAPACK called on a diagonal Galerkin matrix")
+        raise AssertionError("LAPACK called on a constant potential")
 
     monkeypatch.setattr(np.linalg, "eigh", refuse)
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
+def test_constant_data_hopf_torus_solves_without_lapack(monkeypatch):
+    _refuse_lapack(monkeypatch)
     t = hopf_torus(homogeneous_model(4.0, 0.5, TWO_PI), TWO_PI, 1.0)
     r = solve_surface(t)
     # q = 4 H^2 + kappa = k_g^2 + kappa
@@ -660,22 +665,46 @@ def test_period_4_samples_have_a_diagonal_low_rung(kind):
     assert np.any(spectral._potential_coefficients(q, 64)[1:])
 
 
-@pytest.mark.parametrize("n", [512, 500, 129])
-def test_diagonal_gate_of_a_stack_is_that_of_each_row(rng, n):
-    # constant rows, whose rfft has exact zeros on a power-of-two grid and
-    # often not on the others, and two varying rows: each row keeps the gate
-    # and the bits of lambda_1 = 0.0 - Re c_0 that it has alone, which solve
-    # returns when the gate fires
-    rows = np.vstack([np.ones((6, n)) * 1e3 * rng.standard_normal((6, 1)),
-                      rng.standard_normal((2, n))])
-    diagonal, lam = spectral._diagonal_gate(rows, 64)
-    for row, gate, lam_row in zip(rows, diagonal, lam):
-        alone = spectral._diagonal_gate(row, 64)
-        assert gate == alone[0] and lam_row.tobytes() == alone[1].tobytes()
-        if gate:
-            p = SpectralProblem(TWO_PI, TWO_PI, ScalarField1D.periodic(row, TWO_PI))
-            assert lam_row.tobytes() == np.float64(solve(p).lambda1).tobytes()
-    assert diagonal[:6].all() == (n == 512) and not diagonal[6:].any()
+@pytest.mark.parametrize("n", [8, 129, 500, 512])
+def test_constant_samples_take_the_closed_form_on_every_grid(rng, monkeypatch, n):
+    # the rfft of a constant leaves rounding noise in c_n, n >= 1, on grids
+    # that are not a power of two; the test on the samples does not see it
+    _refuse_lapack(monkeypatch)
+    for q in [0.0, -0.0, 2.0, 3.7, 4.25, *1e3 * rng.standard_normal(4)]:
+        L = 1.0 + rng.random()
+        p = SpectralProblem(L, TWO_PI, ScalarField1D.constant(q, L, n), conv_tol=0.0)
+        r = solve(p, m=7)
+        assert np.float64(r.lambda1).tobytes() == (0.0 - np.float64(q)).tobytes()
+        assert np.array_equal(r.eigenvalues,
+                              np.sort(spectral._kinetic_diagonal(L, 64) + r.lambda1)[:7])
+        assert r.convergence_estimate == 0.0
+        assert np.all(r.ground_state.samples == r.ground_state.samples[0])
+        assert abs(r.ground_state.samples[0] - 1.0) <= ulp_tol(2, 1.0)
+        assert _bits(spectral._convergence_ladder(p, r.lambda1)) == \
+            _bits([[8, r.lambda1], [16, r.lambda1], [32, r.lambda1], [64, r.lambda1]])
+
+
+@pytest.mark.parametrize("kind", ["period_4_of_512", "period_4_of_256"])
+def test_period_4_samples_at_k_8_reach_lapack_with_the_closed_form_bits(kind, monkeypatch):
+    # every coefficient the K = 8 matrix reads is zero but c_0, so the
+    # matrix is diagonal while the samples are not constant: eigh solves it
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+    p = problem(LADDER_SAMPLES[kind], n=LADDER_GRIDS.get(kind, 512), K=8)
+    q = p.potential.samples
+    r = solve(p)
+    assert calls == [(17, 17)] and not p.potential.is_constant(0.0)
+    lambda1 = 0.0 - spectral._potential_coefficients(q, 8)[0].real
+    assert np.float64(r.lambda1).tobytes() == lambda1.tobytes()
+    assert np.array_equal(r.eigenvalues,
+                          np.sort(spectral._kinetic_diagonal(p.circle_length, 8) + lambda1)[:6])
+    assert r.convergence_estimate == 0.0
+    e0 = np.zeros(17)
+    e0[0] = 1.0
+    rho = spectral._fourier_ground_state(p.circle_length, e0, q.size)
+    assert np.array_equal(r.ground_state.samples,
+                          spectral._normalize_ground_state(rho, p.circle_length))
 
 
 def test_a_circle_too_short_for_its_kinetic_term_is_refused():

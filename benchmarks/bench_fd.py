@@ -7,10 +7,14 @@ Usage (from the repository root):
 
 Times ``spectral._fd_eigs`` at N = 2048 and 1024 with m = 6 on five
 ``oracle_crosscheck`` potentials q0 + a cos(s + phi) (perfbench seed 91), the
-two grids of one fd Richardson solve there, and at N = 512 and 2048 with
-m = 1 and 6 on the deep periodic well 400 cos 20s and the Gaussian well
-40 exp(-30 (1 - cos s)).  Each case also records its step count per
-potential: the number of ``np.linalg.qr`` calls, one per Rayleigh-Ritz step.
+two grids of one fd Richardson solve there; at N = 1024 and 512 with m = 1
+on the 20 potentials of ``check_backend_equivalence`` (its default seed),
+the two grids of its solves; and at N = 512 and 2048 with m = 1 and 6 on the
+deep periodic wells 400 cos 20s and 800 cos 40s and the Gaussian well
+40 exp(-30 (1 - cos s)).  Each case also records, per potential, its step
+count (the number of ``np.linalg.qr`` calls, one per Rayleigh-Ritz step) and
+its start size (the largest ``np.linalg.eigh`` before the first step: the
+Galerkin rung the start was taken from, 2 t + 1 for rung t).
 ``verification.check_backend_equivalence()`` is timed by its
 ``CheckResult.elapsed``.  The median and quartiles of the timed rounds go
 into BENCH_fd_start.json under ``runs[label]``, next to the numpy, BLAS and
@@ -42,27 +46,36 @@ def measure() -> dict:
 
     potentials = {
         "oracle": [oracle(oracle_input(ORACLE_SEED, i)) for i in range(ORACLE_OPS)],
+        "equiv": verification._equivalence_potentials(verification.DEFAULT_SEED),
         "cos20": [lambda s: 400.0 * np.cos(20.0 * s)],
+        "cos40": [lambda s: 800.0 * np.cos(40.0 * s)],
         "gauss": [lambda s: 40.0 * np.exp(-30.0 * (1.0 - np.cos(s)))],
     }
     cases = [("oracle", n, 6) for n in (2048, 1024)]
-    cases += [(kind, n, m) for kind in ("cos20", "gauss") for n in (512, 2048) for m in (1, 6)]
+    cases += [("equiv", n, 1) for n in (1024, 512)]
+    cases += [(kind, n, m) for kind in ("cos20", "cos40", "gauss")
+              for n in (512, 2048) for m in (1, 6)]
 
-    qr = np.linalg.qr
-    steps = [0]
+    qr, eigh = np.linalg.qr, np.linalg.eigh
+    steps, start = [0], [0]
 
-    def counting(a, *args, **kwargs):
+    def counting_qr(a, *args, **kwargs):
         steps[0] += 1
         return qr(a, *args, **kwargs)
 
-    def step_count(problem, n, m):
-        steps[0] = 0
-        np.linalg.qr = counting
+    def sizing_eigh(a, *args, **kwargs):
+        if not steps[0]:
+            start[0] = max(start[0], a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    def steps_and_start(problem, n, m):
+        steps[0] = start[0] = 0
+        np.linalg.qr, np.linalg.eigh = counting_qr, sizing_eigh
         try:
             spectral._fd_eigs(problem, n, m)
         finally:
-            np.linalg.qr = qr
-        return steps[0]
+            np.linalg.qr, np.linalg.eigh = qr, eigh
+        return steps[0], start[0]
 
     results = {}
     for kind, n, m in cases:
@@ -74,7 +87,9 @@ def measure() -> dict:
                 spectral._fd_eigs(p, n, m)
 
         entry = _harness.timed(solve_all, ROUNDS, 1, 1e3 / len(problems), "ms")
-        entry["steps"] = [step_count(p, n, m) for p in problems]
+        counts = [steps_and_start(p, n, m) for p in problems]
+        entry["steps"] = [count for count, _ in counts]
+        entry["start"] = [size for _, size in counts]
         results[f"fd_eigs_{kind}_N{n}_m{m}"] = entry
 
     elapsed = []
@@ -91,13 +106,14 @@ def measure() -> dict:
 def main(argv=None) -> int:
     label, results = _harness.main(
         __doc__, OUT, "spectral._fd_eigs time per potential (median and quartiles of "
-        f"{ROUNDS} rounds after one warm-up) and Rayleigh-Ritz steps per potential; "
+        f"{ROUNDS} rounds after one warm-up), Rayleigh-Ritz steps and start size "
+        "(largest start eigh) per potential; "
         f"check_backend_equivalence CheckResult.elapsed over {CHECK_ROUNDS} rounds",
         measure, argv)
     _harness.print_summaries(label, list(results.items()))
     for name, r in results.items():
         if "steps" in r:
-            print(f"{label:>8}  {name:26} steps {r['steps']}")
+            print(f"{label:>8}  {name:26} steps {r['steps']}  start {r['start']}")
     return 0
 
 

@@ -21,12 +21,15 @@ of the reduced problem are provided:
   Rayleigh-Ritz iteration applies the 3-point stencil in O(N) per vector,
   and an O(N) inertia count certifies that no low eigenvalue was missed.
   The iteration starts from the Ritz vectors of the fd matrix restricted to
-  the grid trig modes |j| <= min(K, (N - 1) // 4), K = DEFAULT_TRUNCATION:
-  the Galerkin matrix above, built from the same potential block, with the
-  fd symbol 4/h^2 sin^2(pi j / N) as kinetic diagonal.  Smooth potentials
-  then converge in one step.  The start only sets the speed; the residual
-  stop and the inertia count set the answer, so the oracle stays
-  independent of the Galerkin assembly.
+  the grid trig modes |j| <= t: the Galerkin matrix above, built once from
+  the same potential block at K0 = min(K, (N - 1) // 4), K =
+  DEFAULT_TRUNCATION, with the fd symbol 4/h^2 sin^2(pi j / N) as kinetic
+  diagonal, and sliced at the convergence ladder's rungs t = 8, 16, ...
+  The lowest rung whose Ritz vectors couple to the modes outside it by no
+  more than the residual stop is taken (the top rung K0 always is).
+  Smooth potentials then converge in one step.  The start only sets the
+  speed; the residual stop and the inertia count set the answer, so the
+  oracle stays independent of the Galerkin assembly.
 
 Scenarios and :func:`solve_surface` run the Fourier path; the fd path is
 reached only through ``solve(problem, backend="fd")``.
@@ -206,13 +209,22 @@ def _fourier_ground_state(length: float, vec: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(X, r * n, norm="forward")[..., ::r]
 
 
+def _galerkin_modes(K: int, t: int) -> np.ndarray:
+    """Rows 0..t and K+1..K+t of the truncation-K basis: the modes |j| <= t."""
+    return np.r_[0:t + 1, K + 1:K + t + 1]
+
+
 def _galerkin_slice(H: np.ndarray, t: int) -> np.ndarray:
     """The truncation-t matrix inside the truncation-K matrix ``H`` of
-    :func:`assemble_fourier`: its principal submatrix on rows 0..t and
-    K+1..K+t, which reads the same c_n with the same weights."""
-    K = H.shape[0] // 2
-    keep = np.r_[0:t + 1, K + 1:K + t + 1]
+    :func:`assemble_fourier`: its principal submatrix on the modes |j| <= t,
+    which reads the same c_n with the same weights."""
+    keep = _galerkin_modes(H.shape[0] // 2, t)
     return H[np.ix_(keep, keep)]
+
+
+def _ladder_rungs(K: int) -> list[int]:
+    """The convergence ladder's truncations t = 8, 16, ... up to K."""
+    return [8 << i for i in range((K // 8).bit_length())]
 
 
 def _convergence_ladder(problem: SpectralProblem, lambda1: float) -> list[list]:
@@ -232,7 +244,7 @@ def _convergence_ladder(problem: SpectralProblem, lambda1: float) -> list[list]:
     dense = K > 8 and not q.is_constant(0.0)
     H = assemble_fourier(problem.circle_length, q.samples, K) if dense else None
     return [[t, float(np.linalg.eigh(_galerkin_slice(H, t))[0][0]) if dense and t < K
-             else lambda1] for t in (8 << i for i in range((K // 8).bit_length()))]
+             else lambda1] for t in _ladder_rungs(K)]
 
 
 def _normalize_ground_state(values: np.ndarray, length: float) -> np.ndarray:
@@ -305,13 +317,17 @@ def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray,
 
     Block Rayleigh-Ritz on [X, P R, previous direction] (LOBPCG, Knyazev
     2001).  X starts from the k = m + 2 lowest Ritz vectors of A restricted
-    to the grid trig modes |j| <= K0 = min(DEFAULT_TRUNCATION, (N - 1) // 4),
-    the Galerkin matrix of the grid samples of q with the fd symbol
-    4/h^2 sin^2(pi j / N) as kinetic diagonal, synthesized on the grid by one
-    inverse FFT and padded with higher trig modes when 2 K0 + 1 < k.  R is
-    the residual block and P = (L + c)^-1 the exact inverse of the shifted
-    periodic difference Laplacian L, applied by FFT, with
-    c = (2 pi / length)^2 - mean(q) - theta_1 for the lowest Ritz value
+    to the grid trig modes |j| <= t, synthesized on the grid by one inverse
+    FFT.  The restriction to |j| <= K0 = min(DEFAULT_TRUNCATION, (N - 1) // 4)
+    is the Galerkin matrix of the grid samples of q with the fd symbol
+    4/h^2 sin^2(pi j / N) as kinetic diagonal, built once; t climbs the
+    convergence ladder's rungs 8, 16, ... below K0 that hold k modes, each a
+    slice of that matrix, and stops at the first whose Ritz vectors couple
+    to the modes outside it by at most the residual stop below.  The top
+    rung K0 is taken without that test, padded with higher trig modes when
+    2 K0 + 1 < k.  R is the residual block and P = (L + c)^-1 the exact
+    inverse of the shifted periodic difference Laplacian L, applied by FFT,
+    with c = (2 pi / length)^2 - mean(q) - theta_1 for the lowest Ritz value
     theta_1 (q replaced by its mean).  The solve stops once every returned
     residual is at most FD_RESIDUAL_ULPS eps ||A|| and an inertia count of
     A - sigma, with sigma in the first clear Ritz gap at index j >= m, finds
@@ -339,9 +355,17 @@ def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray,
     H0 = _potential_block(q, K0)
     H0[np.diag_indices(2 * K0 + 1)] += np.concatenate(([0.0], fd_symbol[1:K0 + 1],
                                                        fd_symbol[1:K0 + 1]))
-    ritz = np.linalg.eigh(H0)[1][:, :k]
+    for t in [t for t in _ladder_rungs(K0) if t < K0 and 2 * t + 1 >= k] + [K0]:
+        keep = _galerkin_modes(K0, t)
+        columns = H0[:, keep]
+        ritz = np.linalg.eigh(columns[keep])[1][:, :k]
+        # the Ritz block's coupling to the modes outside the rung (none at K0)
+        coupling = np.delete(columns, keep, axis=0) @ ritz
+        if np.all(np.linalg.norm(coupling, axis=0) <= res_tol):
+            break
     start = _fourier_ground_state(L, ritz.T, n_grid).T
-    # the first 2 K0 + 1 trig modes span the modes |j| <= K0
+    # a rung below K0 holds k modes; the top rung's 2 K0 + 1 are the first
+    # 2 K0 + 1 trig modes
     basis = np.hstack([start, _trig_modes(n_grid, start.shape[1], k)])
     stalled = 0
     while True:

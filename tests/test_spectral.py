@@ -17,8 +17,8 @@ from jacobilab import (ConvergenceError, FieldError, ScalarField1D,
                        product_model, rayleigh_quotient, solve, solve_surface,
                        solve_torus_2d, spectral, surface_spectral_problem,
                        verification)
-from jacobilab.spectral import (FD_RESIDUAL_ULPS, _fd_count_below, _fd_eigs,
-                                assemble_fd, assemble_fourier)
+from jacobilab.spectral import (FD_RESIDUAL_ULPS, _fd_count_below, assemble_fd,
+                                assemble_fourier)
 from jacobilab.fields import _spectral_derivative
 from conftest import ulp_tol
 
@@ -239,14 +239,45 @@ def fd_problem(q):
                            truncation=q.size)
 
 
-@pytest.mark.parametrize("m", [1, 6])
+@pytest.fixture
+def fd_solves(monkeypatch):
+    """One [steps, start sizes] record per ``spectral._fd_eigs`` call: its
+    Rayleigh-Ritz steps (``np.linalg.qr`` calls) and the sizes of the
+    ``eigh`` calls before its first step, those of its start."""
+    solves = []
+    fd_eigs, qr, eigh = spectral._fd_eigs, np.linalg.qr, np.linalg.eigh
+
+    def recording(*args):
+        solves.append([0, []])
+        return fd_eigs(*args)
+
+    def counting_qr(a, *args, **kwargs):
+        solves[-1][0] += 1
+        return qr(a, *args, **kwargs)
+
+    def sizing_eigh(a, *args, **kwargs):
+        if solves and not solves[-1][0]:
+            solves[-1][1].append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(spectral, "_fd_eigs", recording)
+    monkeypatch.setattr(np.linalg, "qr", counting_qr)
+    monkeypatch.setattr(np.linalg, "eigh", sizing_eigh)
+    return solves
+
+
+@pytest.mark.parametrize("m", [1, 6, 20])
 @pytest.mark.parametrize("n", [16, 17, 64, 1000, 2048])
 @pytest.mark.parametrize("kind", list(FD_POTENTIALS))
-def test_fd_eigensolve_matches_dense(kind, n, m):
+def test_fd_eigensolve_matches_dense(kind, n, m, fd_solves):
     q, w, v0, eps_norm = dense_fd(kind, n)
-    eigenvalues, x0 = _fd_eigs(fd_problem(q), n, m)
-    assert eigenvalues.shape == (m,)
+    eigenvalues, x0 = spectral._fd_eigs(fd_problem(q), n, m)
+    assert eigenvalues.shape == (min(m, n),)
     assert np.max(np.abs(eigenvalues - w[:m])) <= FD_EIG_ULPS * eps_norm
+    # no start rung holds fewer than the k = m + 2 Ritz vectors the block
+    # needs, unless it is the top rung K0 (m = 20 passes over rung 8)
+    top = 2 * min(spectral.DEFAULT_TRUNCATION, (n - 1) // 4) + 1
+    assert min(fd_solves[0][1]) >= min(m + 2, top)
     # Davis-Kahan: a residual below FD_RESIDUAL_ULPS eps ||A|| leaves the
     # ground vector within that over the spectral gap (measured: a third of it)
     x0 = x0 * np.sign(x0 @ v0)
@@ -259,14 +290,15 @@ def fd_and_dense_on_periodic_wells(amplitude, wells, m, n=512):
     q = amplitude * np.cos(wells * np.arange(n) * (TWO_PI / n))
     w = np.linalg.eigvalsh(assemble_fd(TWO_PI, q))
     eps_norm = np.finfo(float).eps * (4.0 * (n / TWO_PI) ** 2 + np.max(np.abs(q)))
-    return _fd_eigs(fd_problem(q), n, m)[0], w[:m], FD_RESIDUAL_ULPS * eps_norm
+    return spectral._fd_eigs(fd_problem(q), n, m)[0], w[:m], FD_RESIDUAL_ULPS * eps_norm
 
 
 @pytest.mark.parametrize("m", [1, 6])
-def test_fd_block_grows_on_a_deep_periodic_well(m, monkeypatch):
-    # the 64-mode start does not resolve the 40 wells of 800 cos 40s, whose
-    # cluster stalls FD_MAX_ITERATIONS steps before it separates, so the
-    # block gains trig modes beyond its first m + 2
+def test_fd_block_grows_on_a_deep_periodic_well(m, monkeypatch, fd_solves):
+    # no rung of the start resolves the 40 wells of 800 cos 40s, so it climbs
+    # to the top rung 2 K0 + 1 = 129, and the cluster stalls
+    # FD_MAX_ITERATIONS steps before it separates, so the block gains trig
+    # modes beyond its first m + 2
     grown = []
     trig_modes = spectral._trig_modes
 
@@ -278,6 +310,7 @@ def test_fd_block_grows_on_a_deep_periodic_well(m, monkeypatch):
     monkeypatch.setattr(spectral, "_trig_modes", recording)
     eigenvalues, dense, tol = fd_and_dense_on_periodic_wells(800.0, 40, m)
     assert grown and max(grown) > m + 2
+    assert max(fd_solves[0][1]) == 129
     assert np.max(np.abs(eigenvalues - dense)) <= tol
 
 
@@ -298,10 +331,11 @@ WRONG_POTENTIAL_BLOCKS = {
 @pytest.mark.parametrize("n", [64, 1000])
 @pytest.mark.parametrize("kind", ["band_limited", "deep_well"])
 @pytest.mark.parametrize("wrong", list(WRONG_POTENTIAL_BLOCKS))
-def test_fd_answer_does_not_depend_on_the_start(wrong, kind, n, m, monkeypatch):
+def test_fd_answer_does_not_depend_on_the_start(wrong, kind, n, m, monkeypatch, fd_solves):
     # the start shares its potential block with assemble_fourier; a wrong
     # block there may cost steps, but the residual stop and the inertia
-    # count keep the fd oracle independent of the Galerkin assembly
+    # count keep the fd oracle independent of the Galerkin assembly.  A zero
+    # block couples no modes, so its ladder stops at the lowest rung, 8
     calls = []
     block = spectral._potential_block
 
@@ -311,8 +345,10 @@ def test_fd_answer_does_not_depend_on_the_start(wrong, kind, n, m, monkeypatch):
 
     monkeypatch.setattr(spectral, "_potential_block", wrong_block)
     q, w, v0, eps_norm = dense_fd(kind, n)
-    eigenvalues, x0 = _fd_eigs(fd_problem(q), n, m)
+    eigenvalues, x0 = spectral._fd_eigs(fd_problem(q), n, m)
     assert calls
+    if wrong == "zero_q":
+        assert fd_solves[0][1] == [17]
     assert np.max(np.abs(eigenvalues - w[:m])) <= FD_EIG_ULPS * eps_norm
     x0 = x0 * np.sign(x0 @ v0)
     assert np.max(np.abs(x0 - v0)) <= FD_RESIDUAL_ULPS * eps_norm / (w[1] - w[0])
@@ -327,27 +363,26 @@ def _oracle_potentials():
             for q0, a, phi in draws + [(-2.0, 1.0, 0.0), (4.0, 1.0, 2.0)]]
 
 
-@pytest.mark.parametrize("cases, sizes, m", [
-    pytest.param(_oracle_potentials(), (1024, 2048), 6, id="oracle"),
+@pytest.mark.parametrize("cases, sizes, ms, start_sizes", [
+    pytest.param(_oracle_potentials(), (1024, 2048), (6,), (17, 65), id="oracle"),
     pytest.param(verification._equivalence_potentials(verification.DEFAULT_SEED),
-                 (512, 1024), 1, id="backend_equivalence"),
+                 (512, 1024), (1,), (17, 65), id="backend_equivalence"),
+    pytest.param([FD_POTENTIALS["deep_well"]], (512, 2048), (1, 6), (129, 129),
+                 id="deep_well"),
 ])
-def test_fd_smooth_potentials_take_one_rayleigh_ritz_step(cases, sizes, m, monkeypatch):
+def test_fd_smooth_potentials_take_one_rayleigh_ritz_step(cases, sizes, ms, start_sizes,
+                                                          fd_solves):
     # the start resolves smooth potentials on the grid, so the first
-    # Rayleigh-Ritz step already passes the residual stop and the count
-    steps = []
-    qr = np.linalg.qr
-
-    def counting(a, *args, **kwargs):
-        steps[-1] += 1
-        return qr(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "qr", counting)
+    # Rayleigh-Ritz step already passes the residual stop and the count.
+    # Gentle ones stop the start's ladder by rung 32 (65 modes); the Gaussian
+    # well couples every rung below the top one, 2 K0 + 1 = 129 modes
     for q_fn in cases:
         for n in sizes:
-            steps.append(0)
-            _fd_eigs(fd_problem(q_fn(np.arange(n) * (TWO_PI / n))), n, m)
-    assert steps == [1] * len(cases) * len(sizes)
+            for m in ms:
+                spectral._fd_eigs(fd_problem(q_fn(np.arange(n) * (TWO_PI / n))), n, m)
+    assert [steps for steps, _ in fd_solves] == [1] * len(cases) * len(sizes) * len(ms)
+    lowest, highest = start_sizes
+    assert all(lowest <= max(starts) <= highest for _, starts in fd_solves)
 
 
 @pytest.mark.parametrize("n", [16, 17, 64, 1000])

@@ -1,4 +1,5 @@
-"""Timings and Rayleigh-Ritz step counts of the O(N) fd eigensolve.
+"""Timings and exits of the fd eigensolve: one certified Rayleigh-Ritz step,
+or the dense matrix.
 
 Usage (from the repository root):
 
@@ -11,10 +12,16 @@ two grids of one fd Richardson solve there; at N = 1024 and 512 with m = 1
 on the 20 potentials of ``check_backend_equivalence`` (its default seed),
 the two grids of its solves; and at N = 512 and 2048 with m = 1 and 6 on the
 deep periodic wells 400 cos 20s and 800 cos 40s and the Gaussian well
-40 exp(-30 (1 - cos s)).  Each case also records, per potential, its step
-count (the number of ``np.linalg.qr`` calls, one per Rayleigh-Ritz step) and
-its start size (the largest ``np.linalg.eigh`` before the first step: the
-Galerkin rung the start was taken from, 2 t + 1 for rung t).
+40 exp(-30 (1 - cos s)).  Each case also records, per potential, the path
+of its solve and its start size (the largest ``np.linalg.eigh`` before the
+first step and the dense solve: the Galerkin rung the start was taken from,
+2 t + 1 for rung t).  The path is ``step`` when the solve returned after one
+Rayleigh-Ritz step (one ``np.linalg.qr`` call), ``dense`` when it solved the
+``assemble_fd`` matrix, and ``N steps`` for an iteration of N steps (a
+checkout that still has one).  ``traffic`` counts those paths over every
+``_fd_eigs`` call of ``perfbench/workloads.oracle_run`` on seeds 1-5 x 300
+ops (``DEFAULT_FD_TRUNCATION`` with Richardson: N = 2048 and 1024) and of
+``check_backend_equivalence`` on seeds 1-499 (N = 1024 and 512).
 ``verification.check_backend_equivalence()`` is timed by its
 ``CheckResult.elapsed``.  The median and quartiles of the timed rounds go
 into BENCH_fd_start.json under ``runs[label]``, next to the numpy, BLAS and
@@ -23,6 +30,8 @@ thread settings, as ``benchmarks/_harness.py`` files every layer harness.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import math
 
 import _harness
@@ -34,12 +43,16 @@ ORACLE_OPS = 5
 # rounds of each timed case; a round solves every potential of the case once
 ROUNDS = 9
 CHECK_ROUNDS = 15
+# the traffic count's inputs
+TRAFFIC_ORACLE_SEEDS = range(1, 6)
+TRAFFIC_ORACLE_OPS = 300
+TRAFFIC_EQUIVALENCE_SEEDS = range(1, 500)
 
 
 def measure() -> dict:
     import numpy as np
     from jacobilab import ScalarField1D, SpectralProblem, spectral, verification
-    from workloads import oracle_input
+    from workloads import oracle_input, oracle_run
 
     def oracle(inp):
         return lambda s: inp["q0"] + inp["a"] * np.cos(s + inp["phi"])
@@ -57,25 +70,43 @@ def measure() -> dict:
               for n in (512, 2048) for m in (1, 6)]
 
     qr, eigh = np.linalg.qr, np.linalg.eigh
-    steps, start = [0], [0]
+    fd_eigs, assemble_fd = spectral._fd_eigs, spectral.assemble_fd
+    solve = {"steps": 0, "start": 0, "dense": 0}
+    paths, starts = [], []
 
     def counting_qr(a, *args, **kwargs):
-        steps[0] += 1
+        solve["steps"] += 1
         return qr(a, *args, **kwargs)
 
     def sizing_eigh(a, *args, **kwargs):
-        if not steps[0]:
-            start[0] = max(start[0], a.shape[0])
+        if not solve["steps"] and not solve["dense"]:
+            solve["start"] = max(solve["start"], a.shape[0])
         return eigh(a, *args, **kwargs)
 
-    def steps_and_start(problem, n, m):
-        steps[0] = start[0] = 0
+    def counting_assemble_fd(*args):
+        solve["dense"] += 1
+        return assemble_fd(*args)
+
+    def recording_fd_eigs(*args):
+        solve.update(steps=0, start=0, dense=0)
+        result = fd_eigs(*args)
+        steps = solve["steps"]
+        paths.append("dense" if solve["dense"] else "step" if steps == 1 else f"{steps} steps")
+        starts.append(solve["start"])
+        return result
+
+    @contextlib.contextmanager
+    def recording():
+        """Record the path and start size of every ``_fd_eigs`` call within."""
+        paths.clear()
+        starts.clear()
         np.linalg.qr, np.linalg.eigh = counting_qr, sizing_eigh
+        spectral._fd_eigs, spectral.assemble_fd = recording_fd_eigs, counting_assemble_fd
         try:
-            spectral._fd_eigs(problem, n, m)
+            yield
         finally:
             np.linalg.qr, np.linalg.eigh = qr, eigh
-        return steps[0], start[0]
+            spectral._fd_eigs, spectral.assemble_fd = fd_eigs, assemble_fd
 
     results = {}
     for kind, n, m in cases:
@@ -87,10 +118,22 @@ def measure() -> dict:
                 spectral._fd_eigs(p, n, m)
 
         entry = _harness.timed(solve_all, ROUNDS, 1, 1e3 / len(problems), "ms")
-        counts = [steps_and_start(p, n, m) for p in problems]
-        entry["steps"] = [count for count, _ in counts]
-        entry["start"] = [size for _, size in counts]
+        with recording():
+            solve_all()
+        entry["path"], entry["start"] = list(paths), list(starts)
         results[f"fd_eigs_{kind}_N{n}_m{m}"] = entry
+
+    traffic = {}
+    with recording():
+        for seed in TRAFFIC_ORACLE_SEEDS:
+            for i in range(TRAFFIC_ORACLE_OPS):
+                oracle_run(oracle_input(seed, i), None)
+    traffic["oracle_crosscheck"] = {"solves": len(paths), **collections.Counter(paths)}
+    with recording():
+        for seed in TRAFFIC_EQUIVALENCE_SEEDS:
+            verification.check_backend_equivalence(seed)
+    traffic["backend_equivalence"] = {"solves": len(paths), **collections.Counter(paths)}
+    results["traffic"] = traffic
 
     elapsed = []
     verification.check_backend_equivalence()
@@ -106,14 +149,18 @@ def measure() -> dict:
 def main(argv=None) -> int:
     label, results = _harness.main(
         __doc__, OUT, "spectral._fd_eigs time per potential (median and quartiles of "
-        f"{ROUNDS} rounds after one warm-up), Rayleigh-Ritz steps and start size "
-        "(largest start eigh) per potential; "
-        f"check_backend_equivalence CheckResult.elapsed over {CHECK_ROUNDS} rounds",
+        f"{ROUNDS} rounds after one warm-up), path (step, dense or N steps) and start "
+        "size (largest start eigh) per potential; traffic: paths of every _fd_eigs call "
+        "of oracle_run on seeds 1-5 x 300 ops and of check_backend_equivalence on seeds "
+        f"1-499; check_backend_equivalence CheckResult.elapsed over {CHECK_ROUNDS} rounds",
         measure, argv)
+    traffic = results.pop("traffic")
     _harness.print_summaries(label, list(results.items()))
     for name, r in results.items():
-        if "steps" in r:
-            print(f"{label:>8}  {name:26} steps {r['steps']}  start {r['start']}")
+        if "path" in r:
+            print(f"{label:>8}  {name:26} path {r['path']}  start {r['start']}")
+    for name, counts in traffic.items():
+        print(f"{label:>8}  traffic {name:18} {counts}")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Code lines of the jacobilab package: lines that hold code, per module and in total.
+"""Code lines and branches of the jacobilab package, per module and in total.
 
 Usage (from the repository root):
 
@@ -8,8 +8,11 @@ Usage (from the repository root):
 Counts the lines of ``DIR/jacobilab/*.py`` that carry at least one token of
 code.  Docstrings (the string statements that ``ast.get_docstring`` reads:
 the first statement of a module, class or function), comments and blank
-lines do not count.  Prints one ``module lines`` row per file in name order,
-then ``total lines``.
+lines do not count.  A branch is each ``if``, ``elif``, conditional
+expression, ``while`` and ``for`` (also inside a comprehension), each
+comprehension ``if``, each ``except`` handler, and each operand of ``and`` or
+``or`` beyond the first.  Prints one ``module lines branches`` row per file in
+name order, then ``total lines branches``.
 """
 
 from __future__ import annotations
@@ -51,17 +54,32 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def branches(source: str) -> int:
+    """Number of branch points of ``source``, as the module docstring counts them."""
+    count = 0
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.If, ast.IfExp, ast.While, ast.For, ast.ExceptHandler)):
+            count += 1
+        elif isinstance(node, ast.comprehension):
+            count += 1 + len(node.ifs)
+        elif isinstance(node, ast.BoolOp):
+            count += len(node.values) - 1
+    return count
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the jacobilab package to count")
     args = parser.parse_args(argv)
-    total = 0
+    total_lines = total_branches = 0
     for path in sorted((args.src / "jacobilab").glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{path.name} {n}")
-    print(f"total {total}")
+        source = path.read_text()
+        lines, points = code_lines(source), branches(source)
+        total_lines += lines
+        total_branches += points
+        print(f"{path.name} {lines} {points}")
+    print(f"total {total_lines} {total_branches}")
     return 0
 
 

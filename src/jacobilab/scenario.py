@@ -35,6 +35,7 @@ import itertools
 import json
 import math
 import os
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -111,7 +112,10 @@ def format_csv(header: list[str], columns: Sequence[Sequence[str]]) -> str:
 # errors of each present value, all in declaration order.
 
 def _is_num(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    """A finite number that a float can hold; not a bool.  The comparison is
+    exact, so an int beyond the float range is refused, not converted."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) \
+        and abs(x) <= sys.float_info.max
 
 
 def _is_int(x) -> bool:
@@ -599,5 +603,5 @@ def load_scenario(path: str | Path) -> dict:
         raise ScenarioError([f"<file>: cannot read {path}: {exc}"]) from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer literal beyond int's digit limit
         raise ScenarioError([f"<file>: not valid JSON: {exc}"]) from exc

@@ -16,19 +16,21 @@ of the reduced problem are provided:
   size 2K + 1.  Spectrally accurate for smooth potentials.
 
 * ``fd`` (oracle): second-order central differences on a periodic grid of N
-  points, optionally Richardson-extrapolated from the N/2 and N solves.  The
-  periodic tridiagonal matrix is never formed: a preconditioned block
-  Rayleigh-Ritz iteration applies the 3-point stencil in O(N) per vector,
-  and an O(N) inertia count certifies that no low eigenvalue was missed.
-  The iteration starts from the Ritz vectors of the fd matrix restricted to
-  the grid trig modes |j| <= t: the Galerkin matrix above, built once from
-  the same potential block at K0 = min(K, (N - 1) // 4), K =
+  points, optionally Richardson-extrapolated from the N/2 and N solves.  One
+  Rayleigh-Ritz step applies the 3-point stencil in O(N) per vector to a
+  start block, and is returned when every residual meets the stop and an
+  O(N) inertia count certifies that no low eigenvalue was missed; otherwise
+  the answer is the dense periodic tridiagonal matrix's, in O(N^3) time and
+  O(N^2) memory.  The start is the Ritz vectors of the fd matrix restricted
+  to the grid trig modes |j| <= t: the Galerkin matrix above, built once
+  from the same potential block at K0 = min(K, (N - 1) // 4), K =
   DEFAULT_TRUNCATION, with the fd symbol 4/h^2 sin^2(pi j / N) as kinetic
   diagonal, and sliced at the convergence ladder's rungs t = 8, 16, ...
   The lowest rung whose Ritz vectors couple to the modes outside it by no
-  more than the residual stop is taken (the top rung K0 always is).
-  Smooth potentials then converge in one step.  The start only sets the
-  speed; the residual stop and the inertia count set the answer, so the
+  more than the residual stop is taken (the top rung K0 always is).  Smooth
+  potentials then certify at the one step; deep periodic wells, small grids
+  and a wrong start go dense.  The start only picks the exit; the residual
+  stop and the inertia count, or the dense solve, set the answer, so the
   oracle stays independent of the Galerkin assembly.
 
 Scenarios and :func:`solve_surface` run the Fourier path; the fd path is
@@ -68,10 +70,8 @@ DEFAULT_TRUNCATION = 64
 DEFAULT_FD_TRUNCATION = 2048
 DEFAULT_CONV_TOL = 1e-6
 MIN_FD_GRID = 16
-# fd eigensolve: residual stop in units of eps ||A||, and the iterations
-# allowed per block size before the block grows
+# fd eigensolve: residual stop in units of eps ||A||
 FD_RESIDUAL_ULPS = 64
-FD_MAX_ITERATIONS = 50
 
 
 @dataclass(frozen=True)
@@ -277,15 +277,6 @@ def _fd_apply(q: np.ndarray, inv_h2: float, X: np.ndarray) -> np.ndarray:
         - q[:, None] * X
 
 
-def _trig_modes(n: int, start: int, stop: int) -> np.ndarray:
-    """Columns start..stop-1 of the grid basis [1, cos s, sin s, cos 2s, ...];
-    the n columns of a full basis end at the grid Nyquist mode."""
-    phase = 2.0 * np.pi * np.arange(n) / n
-    cols = [np.sin(t // 2 * phase) if t % 2 == 0 and t > 0 else np.cos((t + 1) // 2 * phase)
-            for t in range(start, stop)]
-    return np.array(cols).T.reshape(n, stop - start)
-
-
 def _fd_count_below(q: np.ndarray, inv_h2: float, sigma: float) -> int:
     """Number of eigenvalues of the periodic fd matrix below ``sigma``.
 
@@ -315,82 +306,59 @@ def _fd_count_below(q: np.ndarray, inv_h2: float, sigma: float) -> int:
 def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``min(m, n_grid)`` eigenvalues and the ground vector of the fd matrix.
 
-    Block Rayleigh-Ritz on [X, P R, previous direction] (LOBPCG, Knyazev
-    2001).  X starts from the k = m + 2 lowest Ritz vectors of A restricted
-    to the grid trig modes |j| <= t, synthesized on the grid by one inverse
-    FFT.  The restriction to |j| <= K0 = min(DEFAULT_TRUNCATION, (N - 1) // 4)
-    is the Galerkin matrix of the grid samples of q with the fd symbol
-    4/h^2 sin^2(pi j / N) as kinetic diagonal, built once; t climbs the
+    One Rayleigh-Ritz step on the k = m + 2 lowest Ritz vectors of A
+    restricted to the grid trig modes |j| <= t, synthesized on the grid by one
+    inverse FFT.  The restriction to |j| <= K0 = min(DEFAULT_TRUNCATION,
+    (N - 1) // 4) is the Galerkin matrix of the grid samples of q with the fd
+    symbol 4/h^2 sin^2(pi j / N) as kinetic diagonal, built once; t climbs the
     convergence ladder's rungs 8, 16, ... below K0 that hold k modes, each a
-    slice of that matrix, and stops at the first whose Ritz vectors couple
-    to the modes outside it by at most the residual stop below.  The top
-    rung K0 is taken without that test, padded with higher trig modes when
-    2 K0 + 1 < k.  R is the residual block and P = (L + c)^-1 the exact
-    inverse of the shifted periodic difference Laplacian L, applied by FFT,
-    with c = (2 pi / length)^2 - mean(q) - theta_1 for the lowest Ritz value
-    theta_1 (q replaced by its mean).  The solve stops once every returned
-    residual is at most FD_RESIDUAL_ULPS eps ||A|| and an inertia count of
-    A - sigma, with sigma in the first clear Ritz gap at index j >= m, finds
-    exactly j eigenvalues below sigma; otherwise the block grows by two trig
-    modes.  A basis of n_grid or more columns spans the whole space, where
-    Rayleigh-Ritz is exact.  The start only sets how many steps the solve
-    takes (one on smooth potentials); the residual stop and the inertia count
-    decide the answer.
+    slice of that matrix, and stops at the first whose Ritz vectors couple to
+    the modes outside it by at most the residual stop below (the top rung K0
+    is taken without that test).  The step's pairs are returned when every
+    residual up to the first clear Ritz gap j >= m is at most
+    FD_RESIDUAL_ULPS eps ||A|| and an inertia count of A - sigma, with sigma
+    in that gap, finds exactly j eigenvalues below sigma.  Otherwise (no
+    start when 2 K0 + 1 < k, a deep periodic well, a wrong start) the answer
+    is the lowest pairs of the dense matrix ``assemble_fd``, in O(N^3) time
+    and O(N^2) memory.  The start only decides which of the two
+    exits is taken; the residual stop and the inertia count, or the dense
+    solve, decide the answer.
     """
     L = problem.circle_length
     q = problem.potential.resampled(n_grid).samples
     inv_h2 = 1.0 / (L / n_grid) ** 2
     eps_norm = np.finfo(float).eps * (4.0 * inv_h2 + float(np.max(np.abs(q))))
     res_tol = FD_RESIDUAL_ULPS * eps_norm
-    freq = np.arange(n_grid // 2 + 1)
-    fd_symbol = 4.0 * inv_h2 * np.sin(np.pi * freq / n_grid) ** 2
-    kinetic = fd_symbol + (2.0 * np.pi / L) ** 2
-    q_mean = float(np.mean(q))
 
-    k = min(m + 2, n_grid)
+    k = m + 2
     # the fd matrix restricted to the grid trig modes |j| <= K0 is the
     # Galerkin matrix of the samples with the fd symbol as kinetic diagonal;
     # 2 K0 < n_grid / 2 keeps its Toeplitz and Hankel tables unaliased
     K0 = min(DEFAULT_TRUNCATION, (n_grid - 1) // 4)
-    H0 = _potential_block(q, K0)
-    H0[np.diag_indices(2 * K0 + 1)] += np.concatenate(([0.0], fd_symbol[1:K0 + 1],
-                                                       fd_symbol[1:K0 + 1]))
-    for t in [t for t in _ladder_rungs(K0) if t < K0 and 2 * t + 1 >= k] + [K0]:
-        keep = _galerkin_modes(K0, t)
-        columns = H0[:, keep]
-        ritz = np.linalg.eigh(columns[keep])[1][:, :k]
-        # the Ritz block's coupling to the modes outside the rung (none at K0)
-        coupling = np.delete(columns, keep, axis=0) @ ritz
-        if np.all(np.linalg.norm(coupling, axis=0) <= res_tol):
-            break
-    start = _fourier_ground_state(L, ritz.T, n_grid).T
-    # a rung below K0 holds k modes; the top rung's 2 K0 + 1 are the first
-    # 2 K0 + 1 trig modes
-    basis = np.hstack([start, _trig_modes(n_grid, start.shape[1], k)])
-    stalled = 0
-    while True:
-        Q = np.linalg.qr(basis)[0]
+    if 2 * K0 + 1 >= k:
+        fd_symbol = 4.0 * inv_h2 * np.sin(np.pi * np.arange(1, K0 + 1) / n_grid) ** 2
+        H0 = _potential_block(q, K0)
+        H0[np.diag_indices(2 * K0 + 1)] += np.concatenate(([0.0], fd_symbol, fd_symbol))
+        for t in [t for t in _ladder_rungs(K0) if t < K0 and 2 * t + 1 >= k] + [K0]:
+            keep = _galerkin_modes(K0, t)
+            columns = H0[:, keep]
+            ritz = np.linalg.eigh(columns[keep])[1][:, :k]
+            # the Ritz block's coupling to the modes outside the rung (none at K0)
+            coupling = np.delete(columns, keep, axis=0) @ ritz
+            if np.all(np.linalg.norm(coupling, axis=0) <= res_tol):
+                break
+        Q = np.linalg.qr(_fourier_ground_state(L, ritz.T, n_grid).T)[0]
         AQ = _fd_apply(q, inv_h2, Q)
         H = Q.T @ AQ
         theta, V = np.linalg.eigh((H + H.T) / 2.0)
-        if Q.shape[1] == n_grid:
-            return theta[:m], Q @ V[:, 0]
-        X, AX = Q @ V[:, :k], AQ @ V[:, :k]
-        R = AX - X * theta[:k]
-        converged = np.linalg.norm(R, axis=0) <= res_tol
+        X = Q @ V
+        converged = np.linalg.norm(AQ @ V - X * theta, axis=0) <= res_tol
         j = next((j for j in range(m, k) if theta[j] - theta[j - 1] > 4.0 * res_tol), k)
-        stalled += 1
-        if converged[:j].all():
-            if j < k and _fd_count_below(q, inv_h2, 0.5 * (theta[j - 1] + theta[j])) == j:
-                return theta[:m], X[:, 0]
-            stalled = FD_MAX_ITERATIONS  # a missed eigenvalue or no clear gap
-        # theta_1 <= -mean(q) by min-max; the guard only absorbs rounding
-        symbol = kinetic + max(0.0, -q_mean - theta[0])
-        W = np.fft.irfft(np.fft.rfft(R, axis=0) / symbol[:, None], n_grid, axis=0)
-        k_next = min(k + 2, n_grid) if stalled >= FD_MAX_ITERATIONS else k
-        basis = np.hstack([X, _trig_modes(n_grid, k, k_next), W, Q[:, k:] @ V[k:, :k]])
-        if k_next > k:
-            k, stalled = k_next, 0
+        if (j < k and converged[:j].all()
+                and _fd_count_below(q, inv_h2, 0.5 * (theta[j - 1] + theta[j])) == j):
+            return theta[:m], X[:, 0]
+    w, v = np.linalg.eigh(assemble_fd(L, q))
+    return w[:m], v[:, 0]
 
 
 # --- public solves -------------------------------------------------------------

@@ -698,6 +698,28 @@ def test_surface_kappa_that_contradicts_the_model_is_an_input_error(tmp_path, ca
     assert not (tmp_path / "out").exists()
 
 
+def test_integers_beyond_the_float_range_are_input_errors(tmp_path, capsys):
+    # each once raised OverflowError inside validation, a traceback on stderr
+    doc = warped_doc(outputs={"sweep": {"start": 0.5, "stop": 10**400, "step": 0.1}})
+    doc["surface"]["parallel"] = -10**400
+    assert _run_file(tmp_path, doc) == 1
+    assert capsys.readouterr().err == ("error: surface.parallel: expected a finite number\n"
+                                       "error: outputs.sweep.stop: expected a finite number\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_beyond_the_digit_limit_is_an_input_error(tmp_path, capsys):
+    # json.loads refuses an integer literal of more than 4300 digits with a
+    # ValueError that is not a JSONDecodeError (unless the limit is lifted,
+    # and then the value is beyond the float range)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(berger_doc()).replace('"kappa": 4.0', '"kappa": 1' + "0" * 5000))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 def _outputs_without_echo(tmp_path, doc, name):
     """Every file a run writes, with the report's echo of its document left out."""
     out = tmp_path / name

@@ -185,7 +185,8 @@ UNCHANGED = {
 }
 
 # rows whose errors changed on purpose: values that used to pass validation and
-# then crash, bools taken for integers, a missing key reported twice, and the
+# then crash, integers beyond the float range that crashed validation itself,
+# bools taken for integers, a missing key reported twice, and the
 # fd backend with its Richardson switch, which scenarios no longer select
 # (valid_berger selects the one backend left)
 FIXED = {
@@ -206,6 +207,18 @@ FIXED = {
                       ["model.profile.theta: missing"]),
     "interval_missing": (edit(SAMPLED, model__profile__interval=DELETE),
                          ["model.profile.interval: missing"]),
+    **{f"int_beyond_float_{name}": (edit(base, **{key: value}), [message])
+       for name, base, key, value, message in (
+           ("curve_length", BERGER, "surface__curve_length", 10**400,
+            "surface.curve_length: expected a positive number"),
+           ("geodesic_curvature", BERGER, "surface__geodesic_curvature", -10**400,
+            "surface.geodesic_curvature: expected a finite number"),
+           ("kappa_mean", PRODUCT, "model__kappa__mean", 10**400,
+            "model.kappa.mean: expected a finite number"),
+           ("slice_weight", SLICE, "surface__kappa__weights", [2 * math.pi, 10**400],
+            "surface.kappa.weights: expected a list of finite numbers"),
+           ("sweep_stop", WARPED, "outputs__sweep__stop", 10**400,
+            "outputs.sweep.stop: expected a finite number"))},
     "missing_in_declaration_order": (
         {"version": 1, "model": {"kind": "homogeneous"}, "surface": {"type": "hopf_torus"}},
         ["model.kappa: missing", "model.tau: missing", "model.fiber_length: missing",

@@ -241,14 +241,16 @@ def fd_problem(q):
 
 @pytest.fixture
 def fd_solves(monkeypatch):
-    """One [steps, start sizes] record per ``spectral._fd_eigs`` call: its
-    Rayleigh-Ritz steps (``np.linalg.qr`` calls) and the sizes of the
-    ``eigh`` calls before its first step, those of its start."""
+    """One [steps, start sizes, dense solves] record per ``spectral._fd_eigs``
+    call: its Rayleigh-Ritz steps (``np.linalg.qr`` calls), the sizes of the
+    ``eigh`` calls before its first step and its dense solve, those of its
+    start, and its ``assemble_fd`` calls."""
     solves = []
-    fd_eigs, qr, eigh = spectral._fd_eigs, np.linalg.qr, np.linalg.eigh
+    fd_eigs, assemble_fd = spectral._fd_eigs, spectral.assemble_fd
+    qr, eigh = np.linalg.qr, np.linalg.eigh
 
     def recording(*args):
-        solves.append([0, []])
+        solves.append([0, [], 0])
         return fd_eigs(*args)
 
     def counting_qr(a, *args, **kwargs):
@@ -256,11 +258,16 @@ def fd_solves(monkeypatch):
         return qr(a, *args, **kwargs)
 
     def sizing_eigh(a, *args, **kwargs):
-        if solves and not solves[-1][0]:
+        if solves and not solves[-1][0] and not solves[-1][2]:
             solves[-1][1].append(a.shape[0])
         return eigh(a, *args, **kwargs)
 
+    def counting_assemble_fd(*args):
+        solves[-1][2] += 1
+        return assemble_fd(*args)
+
     monkeypatch.setattr(spectral, "_fd_eigs", recording)
+    monkeypatch.setattr(spectral, "assemble_fd", counting_assemble_fd)
     monkeypatch.setattr(np.linalg, "qr", counting_qr)
     monkeypatch.setattr(np.linalg, "eigh", sizing_eigh)
     return solves
@@ -274,10 +281,13 @@ def test_fd_eigensolve_matches_dense(kind, n, m, fd_solves):
     eigenvalues, x0 = spectral._fd_eigs(fd_problem(q), n, m)
     assert eigenvalues.shape == (min(m, n),)
     assert np.max(np.abs(eigenvalues - w[:m])) <= FD_EIG_ULPS * eps_norm
-    # no start rung holds fewer than the k = m + 2 Ritz vectors the block
-    # needs, unless it is the top rung K0 (m = 20 passes over rung 8)
+    # no start rung holds fewer than the k = m + 2 Ritz vectors the step
+    # needs (m = 20 passes over rung 8); a top rung K0 below that makes no
+    # start and no step, and the dense matrix answers
     top = 2 * min(spectral.DEFAULT_TRUNCATION, (n - 1) // 4) + 1
-    assert min(fd_solves[0][1]) >= min(m + 2, top)
+    assert all(size >= m + 2 for size in fd_solves[0][1])
+    if top < m + 2:
+        assert fd_solves == [[0, [], 1]]
     # Davis-Kahan: a residual below FD_RESIDUAL_ULPS eps ||A|| leaves the
     # ground vector within that over the spectral gap (measured: a third of it)
     x0 = x0 * np.sign(x0 @ v0)
@@ -294,30 +304,22 @@ def fd_and_dense_on_periodic_wells(amplitude, wells, m, n=512):
 
 
 @pytest.mark.parametrize("m", [1, 6])
-def test_fd_block_grows_on_a_deep_periodic_well(m, monkeypatch, fd_solves):
-    # no rung of the start resolves the 40 wells of 800 cos 40s, so it climbs
-    # to the top rung 2 K0 + 1 = 129, and the cluster stalls
-    # FD_MAX_ITERATIONS steps before it separates, so the block gains trig
-    # modes beyond its first m + 2
-    grown = []
-    trig_modes = spectral._trig_modes
-
-    def recording(n, start, stop):
-        if start > 0 and stop > start:
-            grown.append(stop)
-        return trig_modes(n, start, stop)
-
-    monkeypatch.setattr(spectral, "_trig_modes", recording)
+def test_fd_deep_periodic_well_goes_dense_after_one_step(m, fd_solves):
+    # no rung of the start resolves the 40 wells of 800 cos 40s: the start
+    # climbs to the top rung 2 K0 + 1 = 129, its one Rayleigh-Ritz step does
+    # not certify, and the answer is the dense matrix's
     eigenvalues, dense, tol = fd_and_dense_on_periodic_wells(800.0, 40, m)
-    assert grown and max(grown) > m + 2
+    assert [(steps, dense_solves) for steps, _, dense_solves in fd_solves] == [(1, 1)]
     assert max(fd_solves[0][1]) == 129
     assert np.max(np.abs(eigenvalues - dense)) <= tol
 
 
 @pytest.mark.parametrize("m", [1, 6])
-def test_fd_twenty_deep_wells_match_dense(m):
-    # 400 cos 20s: a cluster of 20 nearly equal eigenvalues at the bottom
+def test_fd_twenty_deep_wells_match_dense(m, fd_solves):
+    # 400 cos 20s: a cluster of 20 nearly equal eigenvalues at the bottom,
+    # which the one step does not separate
     eigenvalues, dense, tol = fd_and_dense_on_periodic_wells(400.0, 20, m)
+    assert [(steps, dense_solves) for steps, _, dense_solves in fd_solves] == [(1, 1)]
     assert np.max(np.abs(eigenvalues - dense)) <= tol
 
 
@@ -333,9 +335,9 @@ WRONG_POTENTIAL_BLOCKS = {
 @pytest.mark.parametrize("wrong", list(WRONG_POTENTIAL_BLOCKS))
 def test_fd_answer_does_not_depend_on_the_start(wrong, kind, n, m, monkeypatch, fd_solves):
     # the start shares its potential block with assemble_fourier; a wrong
-    # block there may cost steps, but the residual stop and the inertia
-    # count keep the fd oracle independent of the Galerkin assembly.  A zero
-    # block couples no modes, so its ladder stops at the lowest rung, 8
+    # block there fails the step's residual stop, and the dense matrix
+    # answers, so the fd oracle stays independent of the Galerkin assembly.
+    # A zero block couples no modes, so its ladder stops at the lowest rung, 8
     calls = []
     block = spectral._potential_block
 
@@ -349,6 +351,7 @@ def test_fd_answer_does_not_depend_on_the_start(wrong, kind, n, m, monkeypatch, 
     assert calls
     if wrong == "zero_q":
         assert fd_solves[0][1] == [17]
+    assert fd_solves[0][2] == 1
     assert np.max(np.abs(eigenvalues - w[:m])) <= FD_EIG_ULPS * eps_norm
     x0 = x0 * np.sign(x0 @ v0)
     assert np.max(np.abs(x0 - v0)) <= FD_RESIDUAL_ULPS * eps_norm / (w[1] - w[0])
@@ -380,9 +383,10 @@ def test_fd_smooth_potentials_take_one_rayleigh_ritz_step(cases, sizes, ms, star
         for n in sizes:
             for m in ms:
                 spectral._fd_eigs(fd_problem(q_fn(np.arange(n) * (TWO_PI / n))), n, m)
-    assert [steps for steps, _ in fd_solves] == [1] * len(cases) * len(sizes) * len(ms)
+    assert [(steps, dense_solves) for steps, _, dense_solves in fd_solves] \
+        == [(1, 0)] * len(cases) * len(sizes) * len(ms)
     lowest, highest = start_sizes
-    assert all(lowest <= max(starts) <= highest for _, starts in fd_solves)
+    assert all(lowest <= max(starts) <= highest for _, starts, _ in fd_solves)
 
 
 @pytest.mark.parametrize("n", [16, 17, 64, 1000])

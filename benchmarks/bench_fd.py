@@ -1,5 +1,5 @@
-"""Timings and exits of the fd eigensolve: one certified Rayleigh-Ritz step,
-or the dense matrix.
+"""Timings and exits of the fd eigensolve: one certified Rayleigh-Ritz step per
+ladder rung, or the dense matrix.
 
 Usage (from the repository root):
 
@@ -12,13 +12,13 @@ two grids of one fd Richardson solve there; at N = 1024 and 512 with m = 1
 on the 20 potentials of ``check_backend_equivalence`` (its default seed),
 the two grids of its solves; and at N = 512 and 2048 with m = 1 and 6 on the
 deep periodic wells 400 cos 20s and 800 cos 40s and the Gaussian well
-40 exp(-30 (1 - cos s)).  Each case also records, per potential, the path
-of its solve and its start size (the largest ``np.linalg.eigh`` before the
-first step and the dense solve: the Galerkin rung the start was taken from,
-2 t + 1 for rung t).  The path is ``step`` when the solve returned after one
-Rayleigh-Ritz step (one ``np.linalg.qr`` call), ``dense`` when it solved the
-``assemble_fd`` matrix, and ``N steps`` for an iteration of N steps (a
-checkout that still has one).  ``traffic`` counts those paths over every
+40 exp(-30 (1 - cos s)).  Each case also records, per potential, the exit of
+its solve, ``rung t`` when the Rayleigh-Ritz step at the ladder's rung t
+certified it and ``dense`` when the ``assemble_fd`` matrix answered, and the
+number of Rayleigh-Ritz steps it took (``spectral._fd_rayleigh_ritz`` calls;
+on a 0.4.12 checkout, which has no such function, its one ``np.linalg.qr``
+call, and the rung of its start is read from the largest ``np.linalg.eigh``
+before that step).  ``traffic`` counts those exits and steps over every
 ``_fd_eigs`` call of ``perfbench/workloads.oracle_run`` on seeds 1-5 x 300
 ops (``DEFAULT_FD_TRUNCATION`` with Richardson: N = 2048 and 1024) and of
 ``check_backend_equivalence`` on seeds 1-499 (N = 1024 and 512).
@@ -71,15 +71,20 @@ def measure() -> dict:
 
     qr, eigh = np.linalg.qr, np.linalg.eigh
     fd_eigs, assemble_fd = spectral._fd_eigs, spectral.assemble_fd
-    solve = {"steps": 0, "start": 0, "dense": 0}
-    paths, starts = [], []
+    rayleigh_ritz = getattr(spectral, "_fd_rayleigh_ritz", None)
+    solve = {"rungs": [], "start": 0, "dense": 0}
+    exits, steps = [], []
+
+    def recording_step(length, q, inv_h2, coefficients):
+        solve["rungs"].append(coefficients.shape[0] // 2)
+        return rayleigh_ritz(length, q, inv_h2, coefficients)
 
     def counting_qr(a, *args, **kwargs):
-        solve["steps"] += 1
+        solve["rungs"].append(solve["start"] // 2)
         return qr(a, *args, **kwargs)
 
     def sizing_eigh(a, *args, **kwargs):
-        if not solve["steps"] and not solve["dense"]:
+        if not solve["rungs"] and not solve["dense"]:
             solve["start"] = max(solve["start"], a.shape[0])
         return eigh(a, *args, **kwargs)
 
@@ -88,25 +93,34 @@ def measure() -> dict:
         return assemble_fd(*args)
 
     def recording_fd_eigs(*args):
-        solve.update(steps=0, start=0, dense=0)
+        solve.update(rungs=[], start=0, dense=0)
         result = fd_eigs(*args)
-        steps = solve["steps"]
-        paths.append("dense" if solve["dense"] else "step" if steps == 1 else f"{steps} steps")
-        starts.append(solve["start"])
+        exits.append("dense" if solve["dense"] else f"rung {solve['rungs'][-1]}")
+        steps.append(len(solve["rungs"]))
         return result
 
     @contextlib.contextmanager
     def recording():
-        """Record the path and start size of every ``_fd_eigs`` call within."""
-        paths.clear()
-        starts.clear()
-        np.linalg.qr, np.linalg.eigh = counting_qr, sizing_eigh
+        """Record the exit and step count of every ``_fd_eigs`` call within."""
+        exits.clear()
+        steps.clear()
         spectral._fd_eigs, spectral.assemble_fd = recording_fd_eigs, counting_assemble_fd
+        if rayleigh_ritz is None:
+            np.linalg.qr, np.linalg.eigh = counting_qr, sizing_eigh
+        else:
+            spectral._fd_rayleigh_ritz = recording_step
         try:
             yield
         finally:
             np.linalg.qr, np.linalg.eigh = qr, eigh
             spectral._fd_eigs, spectral.assemble_fd = fd_eigs, assemble_fd
+            if rayleigh_ritz is not None:
+                spectral._fd_rayleigh_ritz = rayleigh_ritz
+
+    def tally():
+        return {"solves": len(exits),
+                **collections.Counter(f"{e}, {s} step{'s' * (s != 1)}"
+                                      for e, s in zip(exits, steps))}
 
     results = {}
     for kind, n, m in cases:
@@ -120,7 +134,7 @@ def measure() -> dict:
         entry = _harness.timed(solve_all, ROUNDS, 1, 1e3 / len(problems), "ms")
         with recording():
             solve_all()
-        entry["path"], entry["start"] = list(paths), list(starts)
+        entry["exit"], entry["steps"] = list(exits), list(steps)
         results[f"fd_eigs_{kind}_N{n}_m{m}"] = entry
 
     traffic = {}
@@ -128,11 +142,11 @@ def measure() -> dict:
         for seed in TRAFFIC_ORACLE_SEEDS:
             for i in range(TRAFFIC_ORACLE_OPS):
                 oracle_run(oracle_input(seed, i), None)
-    traffic["oracle_crosscheck"] = {"solves": len(paths), **collections.Counter(paths)}
+    traffic["oracle_crosscheck"] = tally()
     with recording():
         for seed in TRAFFIC_EQUIVALENCE_SEEDS:
             verification.check_backend_equivalence(seed)
-    traffic["backend_equivalence"] = {"solves": len(paths), **collections.Counter(paths)}
+    traffic["backend_equivalence"] = tally()
     results["traffic"] = traffic
 
     elapsed = []
@@ -149,16 +163,16 @@ def measure() -> dict:
 def main(argv=None) -> int:
     label, results = _harness.main(
         __doc__, OUT, "spectral._fd_eigs time per potential (median and quartiles of "
-        f"{ROUNDS} rounds after one warm-up), path (step, dense or N steps) and start "
-        "size (largest start eigh) per potential; traffic: paths of every _fd_eigs call "
+        f"{ROUNDS} rounds after one warm-up), exit (the certifying rung t, or dense) and "
+        "Rayleigh-Ritz steps per potential; traffic: exits and steps of every _fd_eigs call "
         "of oracle_run on seeds 1-5 x 300 ops and of check_backend_equivalence on seeds "
         f"1-499; check_backend_equivalence CheckResult.elapsed over {CHECK_ROUNDS} rounds",
         measure, argv)
     traffic = results.pop("traffic")
     _harness.print_summaries(label, list(results.items()))
     for name, r in results.items():
-        if "path" in r:
-            print(f"{label:>8}  {name:26} path {r['path']}  start {r['start']}")
+        if "exit" in r:
+            print(f"{label:>8}  {name:26} exit {r['exit']}  steps {r['steps']}")
     for name, counts in traffic.items():
         print(f"{label:>8}  traffic {name:18} {counts}")
     return 0

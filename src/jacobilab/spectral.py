@@ -16,19 +16,19 @@ of the reduced problem are provided:
   size 2K + 1.  Spectrally accurate for smooth potentials.
 
 * ``fd`` (oracle): second-order central differences on a periodic grid of N
-  points, optionally Richardson-extrapolated from the N/2 and N solves.  One
-  Rayleigh-Ritz step applies the 3-point stencil in O(N) per vector to a
-  start block, and is returned when every residual meets the stop and an
-  O(N) inertia count certifies that no low eigenvalue was missed; otherwise
-  the answer is the dense periodic tridiagonal matrix's, in O(N^3) time and
-  O(N^2) memory.  The start is the Ritz vectors of the fd matrix restricted
-  to the grid trig modes |j| <= t: the Galerkin matrix above, built once
-  from the same potential block at K0 = min(K, (N - 1) // 4), K =
-  DEFAULT_TRUNCATION, with the fd symbol 4/h^2 sin^2(pi j / N) as kinetic
-  diagonal, and sliced at the convergence ladder's rungs t = 8, 16, ...
-  The lowest rung whose Ritz vectors couple to the modes outside it by no
-  more than the residual stop is taken (the top rung K0 always is).  Smooth
-  potentials then certify at the one step; deep periodic wells, small grids
+  points, optionally Richardson-extrapolated from the N // 2 and N solves
+  over their step ratio N / (N // 2).  The start climbs the convergence
+  ladder's rungs t = 8, 16, ... up to K0 = min(K, (N - 1) // 4), K =
+  DEFAULT_TRUNCATION.  At each rung the (2t + 1)-square Galerkin matrix
+  above, built from the grid samples with the fd symbol 4/h^2
+  sin^2(pi j / N) as kinetic diagonal, is the fd matrix restricted to the
+  grid trig modes |j| <= t; one Rayleigh-Ritz step applies the 3-point
+  stencil to its lowest Ritz vectors in O(N) per vector.  The first rung
+  whose step meets the residual stop, with an O(N) inertia count (odd-even
+  cyclic reduction, then Bunch's pivoting) certifying that no low
+  eigenvalue was missed, gives the answer; when none does, the dense
+  periodic tridiagonal matrix's, in O(N^3) time and O(N^2) memory.  Smooth
+  potentials certify at the lowest rungs; deep periodic wells, small grids
   and a wrong start go dense.  The start only picks the exit; the residual
   stop and the inertia count, or the dense solve, set the answer, so the
   oracle stays independent of the Galerkin assembly.
@@ -72,6 +72,8 @@ DEFAULT_CONV_TOL = 1e-6
 MIN_FD_GRID = 16
 # fd eigensolve: residual stop in units of eps ||A||
 FD_RESIDUAL_ULPS = 64
+# Bunch's pivot threshold for symmetric tridiagonal matrices
+_BUNCH_ALPHA = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -209,16 +211,12 @@ def _fourier_ground_state(length: float, vec: np.ndarray, n: int) -> np.ndarray:
     return np.fft.irfft(X, r * n, norm="forward")[..., ::r]
 
 
-def _galerkin_modes(K: int, t: int) -> np.ndarray:
-    """Rows 0..t and K+1..K+t of the truncation-K basis: the modes |j| <= t."""
-    return np.r_[0:t + 1, K + 1:K + t + 1]
-
-
 def _galerkin_slice(H: np.ndarray, t: int) -> np.ndarray:
     """The truncation-t matrix inside the truncation-K matrix ``H`` of
     :func:`assemble_fourier`: its principal submatrix on the modes |j| <= t,
     which reads the same c_n with the same weights."""
-    keep = _galerkin_modes(H.shape[0] // 2, t)
+    K = H.shape[0] // 2
+    keep = np.r_[0:t + 1, K + 1:K + t + 1]
     return H[np.ix_(keep, keep)]
 
 
@@ -272,57 +270,131 @@ def assemble_fd(length: float, q_samples: np.ndarray) -> np.ndarray:
 
 
 def _fd_apply(q: np.ndarray, inv_h2: float, X: np.ndarray) -> np.ndarray:
-    """A X for the periodic 3-point stencil, without forming A."""
-    return (2.0 * X - np.roll(X, 1, axis=0) - np.roll(X, -1, axis=0)) * inv_h2 \
-        - q[:, None] * X
+    """A x for each row x of ``X`` (the periodic 3-point stencil), without forming A."""
+    AX = 2.0 * X
+    AX[:, 1:] -= X[:, :-1]
+    AX[:, 0] -= X[:, -1]
+    AX[:, :-1] -= X[:, 1:]
+    AX[:, -1] -= X[:, 0]
+    AX *= inv_h2
+    AX -= q * X
+    return AX
 
 
 def _fd_count_below(q: np.ndarray, inv_h2: float, sigma: float) -> int:
     """Number of eigenvalues of the periodic fd matrix below ``sigma``.
 
-    Inertia of A - sigma (Sylvester) from the LDL^T pivots of its leading
-    tridiagonal (n-1) x (n-1) block, plus the sign of the Schur complement of
-    that block, which carries the two periodic corner entries (Haynsworth).
-    A zero pivot is replaced by -eps |e|, a perturbation of A below its
-    rounding.
+    Inertia of the periodic tridiagonal chain (A - sigma) / inv_h2, node i
+    linked to node i + 1 mod n, by Sylvester's law and Haynsworth's
+    additivity: the negative pivots of each elimination plus the inertia of
+    what is left.  Odd-even cyclic reduction first: a level eliminates the
+    odd nodes, which link only to even ones, at once, and leaves a periodic
+    chain on the even nodes.  A level is taken only while every odd pivot a
+    passes Bunch's 1x1 test |a| D >= alpha b^2, D the largest magnitude on
+    the chain's diagonal, b the larger of the pivot's two links and alpha =
+    (sqrt 5 - 1) / 2, which bounds each update b^2 / a by D / alpha.  The
+    chain left, at most 64 nodes unless a level failed, is eliminated node by
+    node with Bunch's pivoting for symmetric tridiagonal matrices (J. R.
+    Bunch, SIAM J. Numer. Anal. 11 (1974); N. J. Higham, Linear Algebra Appl.
+    287 (1999)): a 1x1 pivot d when |d| D >= alpha b^2 for its link b to the
+    next node, otherwise the 2x2 pivot of the node and the next, whose
+    determinant is then below -(1 - alpha) b^2, so it holds exactly one
+    negative eigenvalue.  The periodic link is carried along as the border
+    to the last node.  The last two nodes form a 2x2 block [[d, g], [g, s]]
+    whose inertia is read from d s < g^2 and the sign of d, with no division
+    by a pivot whose sign rounding can flip: next to a (nearly) double
+    eigenvalue the leading chain has an eigenvalue there too, and an
+    unpivoted elimination then miscounts.
     """
-    e = -inv_h2
-    a = (2.0 * inv_h2 - q - sigma).tolist()
+    a = (2.0 * inv_h2 - q - sigma) / inv_h2
+    b = np.full(a.size, -1.0)
+    count = 0
+    # below about 64 nodes the sequential loop is cheaper than a level
+    while a.size > 64:
+        half = a.size // 2
+        odd, left, right = a[1::2], b[0:2 * half:2], b[1::2]
+        left2, right2 = left * left, right * right
+        if not np.all(np.abs(odd) * np.max(np.abs(a))
+                      >= _BUNCH_ALPHA * np.maximum(left2, right2)):
+            break
+        count += int(np.count_nonzero(odd < 0.0))
+        even = a[0::2].copy()
+        even[:half] -= left2 / odd
+        up = right2 / odd
+        even[1:] -= up[:even.size - 1]
+        if a.size % 2 == 0:
+            # the last odd node links back to node 0
+            even[0] -= up[-1]
+        b = np.concatenate((-left * right / odd, b[2 * half:]))
+        a = even
+    scale = float(np.max(np.abs(a)))
+    a, b = a.tolist(), b.tolist()
     n = len(a)
-    tiny = -np.finfo(float).eps * inv_h2
-    d, g, schur, count = a[0], e, a[-1], 0
-    for i in range(1, n - 1):
-        d = d or tiny
-        count += d < 0.0
-        ratio = e / d
-        schur -= g * g / d
-        g = (e if i == n - 2 else 0.0) - ratio * g
-        d = a[i] - e * ratio
-    d = d or tiny
-    schur -= g * g / d
-    return count + (d < 0.0) + (schur < 0.0)
+    # as updated so far: d the diagonal of node i, g its link to the last
+    # node, s the last node's diagonal
+    d, g, s, i = a[0], b[-1], a[-1], 0
+    while i < n - 2:
+        beta = b[i]
+        c = b[n - 2] if i + 1 == n - 2 else 0.0
+        if abs(d) * scale >= _BUNCH_ALPHA * beta * beta:
+            count += d < 0.0
+            s -= g * g / d
+            d, g = a[i + 1] - beta * beta / d, c - beta * g / d
+            i += 1
+            continue
+        det = d * a[i + 1] - beta * beta
+        count += 1
+        s -= (a[i + 1] * g * g - 2.0 * beta * g * c + d * c * c) / det
+        i += 2
+        if i < n - 1:
+            link = b[i - 1]
+            d, g = (a[i] - link * link * d / det,
+                    (b[n - 2] if i == n - 2 else 0.0) - link * (d * c - beta * g) / det)
+    if i == n - 1:
+        return count + (s < 0.0)
+    return count + (1 if d * s < g * g else 2 * (d < 0.0))
+
+
+def _fd_rayleigh_ritz(length: float, q: np.ndarray, inv_h2: float,
+                      coefficients: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One Rayleigh-Ritz step of the fd matrix on the trig expansions whose
+    basis coefficients are the columns of ``coefficients``.
+
+    Returns the Ritz values, the Ritz vectors on the grid and their residual
+    norms |A x - theta x|.  The expansions are synthesized on the grid by one
+    inverse FFT; trig vectors |j| < N / 2 are orthogonal on the N-point grid
+    with squared norm N / L, so orthonormal columns scaled by sqrt(L / N) are
+    orthonormal to rounding, and one k x k Cholesky factor of their Gram
+    matrix makes them orthonormal in floating point.
+    """
+    n = q.size
+    Y = _fourier_ground_state(length, coefficients.T, n) * math.sqrt(length / n)
+    Q = np.linalg.inv(np.linalg.cholesky(Y @ Y.T)) @ Y
+    AQ = _fd_apply(q, inv_h2, Q)
+    H = Q @ AQ.T
+    theta, V = np.linalg.eigh((H + H.T) / 2.0)
+    X = V.T @ Q
+    return theta, X, np.linalg.norm(V.T @ AQ - theta[:, None] * X, axis=1)
 
 
 def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Lowest ``min(m, n_grid)`` eigenvalues and the ground vector of the fd matrix.
 
-    One Rayleigh-Ritz step on the k = m + 2 lowest Ritz vectors of A
-    restricted to the grid trig modes |j| <= t, synthesized on the grid by one
-    inverse FFT.  The restriction to |j| <= K0 = min(DEFAULT_TRUNCATION,
-    (N - 1) // 4) is the Galerkin matrix of the grid samples of q with the fd
-    symbol 4/h^2 sin^2(pi j / N) as kinetic diagonal, built once; t climbs the
-    convergence ladder's rungs 8, 16, ... below K0 that hold k modes, each a
-    slice of that matrix, and stops at the first whose Ritz vectors couple to
-    the modes outside it by at most the residual stop below (the top rung K0
-    is taken without that test).  The step's pairs are returned when every
-    residual up to the first clear Ritz gap j >= m is at most
-    FD_RESIDUAL_ULPS eps ||A|| and an inertia count of A - sigma, with sigma
-    in that gap, finds exactly j eigenvalues below sigma.  Otherwise (no
-    start when 2 K0 + 1 < k, a deep periodic well, a wrong start) the answer
-    is the lowest pairs of the dense matrix ``assemble_fd``, in O(N^3) time
-    and O(N^2) memory.  The start only decides which of the two
-    exits is taken; the residual stop and the inertia count, or the dense
-    solve, decide the answer.
+    Climbs the convergence ladder's rungs t = 8, 16, ... that hold k = m + 2
+    modes, up to K0 = min(DEFAULT_TRUNCATION, (N - 1) // 4), and makes one
+    Rayleigh-Ritz step per rung.  The fd matrix restricted to the grid trig
+    modes |j| <= t is the (2t + 1)-square Galerkin matrix of the grid samples
+    of q with the fd symbol 4/h^2 sin^2(pi j / N) as kinetic diagonal (4t < N
+    keeps its Toeplitz and Hankel tables unaliased); the step takes its k
+    lowest Ritz vectors, synthesized on the grid, and costs O(N k^2).  The
+    first rung whose step has every residual up to the first clear Ritz gap
+    j >= m at most FD_RESIDUAL_ULPS eps ||A||, and an inertia count of
+    A - sigma, sigma in that gap, of exactly j eigenvalues below sigma,
+    returns its pairs.  When no rung does (no rung when 2 K0 + 1 < k, a deep
+    periodic well, a wrong start) the answer is the lowest pairs of the dense
+    matrix ``assemble_fd``, in O(N^3) time and O(N^2) memory.  The start only
+    decides which exit is taken; the residual stop and the inertia count, or
+    the dense solve, decide the answer.
     """
     L = problem.circle_length
     q = problem.potential.resampled(n_grid).samples
@@ -331,32 +403,16 @@ def _fd_eigs(problem: SpectralProblem, n_grid: int, m: int) -> tuple[np.ndarray,
     res_tol = FD_RESIDUAL_ULPS * eps_norm
 
     k = m + 2
-    # the fd matrix restricted to the grid trig modes |j| <= K0 is the
-    # Galerkin matrix of the samples with the fd symbol as kinetic diagonal;
-    # 2 K0 < n_grid / 2 keeps its Toeplitz and Hankel tables unaliased
     K0 = min(DEFAULT_TRUNCATION, (n_grid - 1) // 4)
-    if 2 * K0 + 1 >= k:
-        fd_symbol = 4.0 * inv_h2 * np.sin(np.pi * np.arange(1, K0 + 1) / n_grid) ** 2
-        H0 = _potential_block(q, K0)
-        H0[np.diag_indices(2 * K0 + 1)] += np.concatenate(([0.0], fd_symbol, fd_symbol))
-        for t in [t for t in _ladder_rungs(K0) if t < K0 and 2 * t + 1 >= k] + [K0]:
-            keep = _galerkin_modes(K0, t)
-            columns = H0[:, keep]
-            ritz = np.linalg.eigh(columns[keep])[1][:, :k]
-            # the Ritz block's coupling to the modes outside the rung (none at K0)
-            coupling = np.delete(columns, keep, axis=0) @ ritz
-            if np.all(np.linalg.norm(coupling, axis=0) <= res_tol):
-                break
-        Q = np.linalg.qr(_fourier_ground_state(L, ritz.T, n_grid).T)[0]
-        AQ = _fd_apply(q, inv_h2, Q)
-        H = Q.T @ AQ
-        theta, V = np.linalg.eigh((H + H.T) / 2.0)
-        X = Q @ V
-        converged = np.linalg.norm(AQ @ V - X * theta, axis=0) <= res_tol
+    fd_symbol = 4.0 * inv_h2 * np.sin(np.pi * np.arange(1, K0 + 1) / n_grid) ** 2
+    for t in [t for t in sorted({K0, *_ladder_rungs(K0)}) if 2 * t + 1 >= k]:
+        H = _potential_block(q, t)
+        H[np.diag_indices(2 * t + 1)] += np.concatenate(([0.0], fd_symbol[:t], fd_symbol[:t]))
+        theta, X, residual = _fd_rayleigh_ritz(L, q, inv_h2, np.linalg.eigh(H)[1][:, :k])
         j = next((j for j in range(m, k) if theta[j] - theta[j - 1] > 4.0 * res_tol), k)
-        if (j < k and converged[:j].all()
+        if (j < k and np.all(residual[:j] <= res_tol)
                 and _fd_count_below(q, inv_h2, 0.5 * (theta[j - 1] + theta[j])) == j):
-            return theta[:m], X[:, 0]
+            return theta[:m], X[0]
     w, v = np.linalg.eigh(assemble_fd(L, q))
     return w[:m], v[:, 0]
 
@@ -406,8 +462,11 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
         w_half, _ = _fd_eigs(problem, n_grid // 2, m)
         estimate = abs(w_full[0] - w_half[0])
         if richardson:
-            # the half grid has n_grid // 2 eigenvalues when m exceeds that
-            eigenvalues = (4.0 * w_full[:w_half.size] - w_half) / 3.0
+            # h^2 extrapolation over the step ratio r = N / (N // 2), which is
+            # 2 only on even grids; the half grid has n_grid // 2 eigenvalues
+            # when m exceeds that
+            r2 = (n_grid / (n_grid // 2)) ** 2
+            eigenvalues = (r2 * w_full[:w_half.size] - w_half) / (r2 - 1.0)
         else:
             eigenvalues = w_full.copy()
         rho = v0

@@ -220,6 +220,11 @@ FD_POTENTIALS = {
     "band_limited": lambda s: 1.0 + 2.0 * np.cos(s) - 1.5 * np.sin(2 * s) + 0.8 * np.cos(3 * s),
     "deep_well": lambda s: 40.0 * np.exp(-30.0 * (1.0 - np.cos(s))),
 }
+# deep periodic wells: their low eigenvalues come in nearly equal pairs
+WELL_POTENTIALS = {
+    "cos20": lambda s: 400.0 * np.cos(20.0 * s),
+    "cos40": lambda s: 800.0 * np.cos(40.0 * s),
+}
 # eigenvalue difference from eigh(assemble_fd) in units of eps ||A||, with
 # ||A|| <= 4/h^2 + max|q|; both solves round.  Measured worst: 2.2 over the
 # 30 cases below, 9.1 on 8 cos s - 8 sin 3s at N = 512
@@ -228,7 +233,7 @@ FD_EIG_ULPS = 16
 
 @functools.lru_cache(maxsize=None)
 def dense_fd(kind, n):
-    q = FD_POTENTIALS[kind](np.arange(n) * (TWO_PI / n))
+    q = {**FD_POTENTIALS, **WELL_POTENTIALS}[kind](np.arange(n) * (TWO_PI / n))
     w, v = np.linalg.eigh(assemble_fd(TWO_PI, q))
     eps_norm = np.finfo(float).eps * (4.0 * (n / TWO_PI) ** 2 + np.max(np.abs(q)))
     return q, w, v[:, 0], eps_norm
@@ -241,35 +246,28 @@ def fd_problem(q):
 
 @pytest.fixture
 def fd_solves(monkeypatch):
-    """One [steps, start sizes, dense solves] record per ``spectral._fd_eigs``
-    call: its Rayleigh-Ritz steps (``np.linalg.qr`` calls), the sizes of the
-    ``eigh`` calls before its first step and its dense solve, those of its
-    start, and its ``assemble_fd`` calls."""
+    """One [rungs, dense solves] record per ``spectral._fd_eigs`` call: the
+    rung t of each of its Rayleigh-Ritz steps (``_fd_rayleigh_ritz`` calls),
+    in order, and its ``assemble_fd`` calls."""
     solves = []
     fd_eigs, assemble_fd = spectral._fd_eigs, spectral.assemble_fd
-    qr, eigh = np.linalg.qr, np.linalg.eigh
+    rayleigh_ritz = spectral._fd_rayleigh_ritz
 
     def recording(*args):
-        solves.append([0, [], 0])
+        solves.append([[], 0])
         return fd_eigs(*args)
 
-    def counting_qr(a, *args, **kwargs):
-        solves[-1][0] += 1
-        return qr(a, *args, **kwargs)
-
-    def sizing_eigh(a, *args, **kwargs):
-        if solves and not solves[-1][0] and not solves[-1][2]:
-            solves[-1][1].append(a.shape[0])
-        return eigh(a, *args, **kwargs)
+    def recording_step(length, q, inv_h2, coefficients):
+        solves[-1][0].append(coefficients.shape[0] // 2)
+        return rayleigh_ritz(length, q, inv_h2, coefficients)
 
     def counting_assemble_fd(*args):
-        solves[-1][2] += 1
+        solves[-1][1] += 1
         return assemble_fd(*args)
 
     monkeypatch.setattr(spectral, "_fd_eigs", recording)
+    monkeypatch.setattr(spectral, "_fd_rayleigh_ritz", recording_step)
     monkeypatch.setattr(spectral, "assemble_fd", counting_assemble_fd)
-    monkeypatch.setattr(np.linalg, "qr", counting_qr)
-    monkeypatch.setattr(np.linalg, "eigh", sizing_eigh)
     return solves
 
 
@@ -281,13 +279,13 @@ def test_fd_eigensolve_matches_dense(kind, n, m, fd_solves):
     eigenvalues, x0 = spectral._fd_eigs(fd_problem(q), n, m)
     assert eigenvalues.shape == (min(m, n),)
     assert np.max(np.abs(eigenvalues - w[:m])) <= FD_EIG_ULPS * eps_norm
-    # no start rung holds fewer than the k = m + 2 Ritz vectors the step
+    # no rung steps with fewer than the k = m + 2 Ritz vectors the step
     # needs (m = 20 passes over rung 8); a top rung K0 below that makes no
-    # start and no step, and the dense matrix answers
+    # step, and the dense matrix answers
     top = 2 * min(spectral.DEFAULT_TRUNCATION, (n - 1) // 4) + 1
-    assert all(size >= m + 2 for size in fd_solves[0][1])
+    assert all(2 * t + 1 >= m + 2 for t in fd_solves[0][0])
     if top < m + 2:
-        assert fd_solves == [[0, [], 1]]
+        assert fd_solves == [[[], 1]]
     # Davis-Kahan: a residual below FD_RESIDUAL_ULPS eps ||A|| leaves the
     # ground vector within that over the spectral gap (measured: a third of it)
     x0 = x0 * np.sign(x0 @ v0)
@@ -305,12 +303,11 @@ def fd_and_dense_on_periodic_wells(amplitude, wells, m, n=512):
 
 @pytest.mark.parametrize("m", [1, 6])
 def test_fd_deep_periodic_well_goes_dense_after_one_step(m, fd_solves):
-    # no rung of the start resolves the 40 wells of 800 cos 40s: the start
-    # climbs to the top rung 2 K0 + 1 = 129, its one Rayleigh-Ritz step does
-    # not certify, and the answer is the dense matrix's
+    # no rung resolves the 40 wells of 800 cos 40s: the one Rayleigh-Ritz
+    # step of every rung up to the top one, K0 = 64, fails to certify, and
+    # the answer is the dense matrix's
     eigenvalues, dense, tol = fd_and_dense_on_periodic_wells(800.0, 40, m)
-    assert [(steps, dense_solves) for steps, _, dense_solves in fd_solves] == [(1, 1)]
-    assert max(fd_solves[0][1]) == 129
+    assert fd_solves == [[[8, 16, 32, 64], 1]]
     assert np.max(np.abs(eigenvalues - dense)) <= tol
 
 
@@ -319,7 +316,7 @@ def test_fd_twenty_deep_wells_match_dense(m, fd_solves):
     # 400 cos 20s: a cluster of 20 nearly equal eigenvalues at the bottom,
     # which the one step does not separate
     eigenvalues, dense, tol = fd_and_dense_on_periodic_wells(400.0, 20, m)
-    assert [(steps, dense_solves) for steps, _, dense_solves in fd_solves] == [(1, 1)]
+    assert fd_solves == [[[8, 16, 32, 64], 1]]
     assert np.max(np.abs(eigenvalues - dense)) <= tol
 
 
@@ -335,9 +332,9 @@ WRONG_POTENTIAL_BLOCKS = {
 @pytest.mark.parametrize("wrong", list(WRONG_POTENTIAL_BLOCKS))
 def test_fd_answer_does_not_depend_on_the_start(wrong, kind, n, m, monkeypatch, fd_solves):
     # the start shares its potential block with assemble_fourier; a wrong
-    # block there fails the step's residual stop, and the dense matrix
-    # answers, so the fd oracle stays independent of the Galerkin assembly.
-    # A zero block couples no modes, so its ladder stops at the lowest rung, 8
+    # block there fails the residual stop of every rung's step, and the
+    # dense matrix answers, so the fd oracle stays independent of the
+    # Galerkin assembly
     calls = []
     block = spectral._potential_block
 
@@ -349,9 +346,7 @@ def test_fd_answer_does_not_depend_on_the_start(wrong, kind, n, m, monkeypatch, 
     q, w, v0, eps_norm = dense_fd(kind, n)
     eigenvalues, x0 = spectral._fd_eigs(fd_problem(q), n, m)
     assert calls
-    if wrong == "zero_q":
-        assert fd_solves[0][1] == [17]
-    assert fd_solves[0][2] == 1
+    assert fd_solves == [[{64: [8, 15], 1000: [8, 16, 32, 64]}[n], 1]]
     assert np.max(np.abs(eigenvalues - w[:m])) <= FD_EIG_ULPS * eps_norm
     x0 = x0 * np.sign(x0 @ v0)
     assert np.max(np.abs(x0 - v0)) <= FD_RESIDUAL_ULPS * eps_norm / (w[1] - w[0])
@@ -366,43 +361,69 @@ def _oracle_potentials():
             for q0, a, phi in draws + [(-2.0, 1.0, 0.0), (4.0, 1.0, 2.0)]]
 
 
-@pytest.mark.parametrize("cases, sizes, ms, start_sizes", [
-    pytest.param(_oracle_potentials(), (1024, 2048), (6,), (17, 65), id="oracle"),
+@pytest.mark.parametrize("cases, sizes, ms, certified", [
+    pytest.param(_oracle_potentials(), (1024, 2048), (6,), (8, 16), id="oracle"),
     pytest.param(verification._equivalence_potentials(verification.DEFAULT_SEED),
-                 (512, 1024), (1,), (17, 65), id="backend_equivalence"),
-    pytest.param([FD_POTENTIALS["deep_well"]], (512, 2048), (1, 6), (129, 129),
+                 (512, 1024), (1,), (8, 32), id="backend_equivalence"),
+    pytest.param([FD_POTENTIALS["deep_well"]], (512, 2048), (1, 6), (64, 64),
                  id="deep_well"),
 ])
-def test_fd_smooth_potentials_take_one_rayleigh_ritz_step(cases, sizes, ms, start_sizes,
+def test_fd_smooth_potentials_take_one_rayleigh_ritz_step(cases, sizes, ms, certified,
                                                           fd_solves):
-    # the start resolves smooth potentials on the grid, so the first
-    # Rayleigh-Ritz step already passes the residual stop and the count.
-    # Gentle ones stop the start's ladder by rung 32 (65 modes); the Gaussian
-    # well couples every rung below the top one, 2 K0 + 1 = 129 modes
+    # the start resolves smooth potentials on the grid: each solve takes one
+    # Rayleigh-Ritz step per rung it climbs and certifies without the dense
+    # matrix.  The oracle's
+    # gentle potentials certify at rung 8 or 16 (measured: 16 solves, 18
+    # steps), the backend_equivalence ones by rung 32; the Gaussian well
+    # only at the top rung, K0 = 64
     for q_fn in cases:
         for n in sizes:
             for m in ms:
                 spectral._fd_eigs(fd_problem(q_fn(np.arange(n) * (TWO_PI / n))), n, m)
-    assert [(steps, dense_solves) for steps, _, dense_solves in fd_solves] \
-        == [(1, 0)] * len(cases) * len(sizes) * len(ms)
-    lowest, highest = start_sizes
-    assert all(lowest <= max(starts) <= highest for _, starts, _ in fd_solves)
+    assert len(fd_solves) == len(cases) * len(sizes) * len(ms)
+    lowest, highest = certified
+    for rungs, dense_solves in fd_solves:
+        assert dense_solves == 0 and lowest <= rungs[-1] <= highest
+        assert rungs == [8 << i for i in range(len(rungs))]
 
 
-@pytest.mark.parametrize("n", [16, 17, 64, 1000])
-@pytest.mark.parametrize("kind", list(FD_POTENTIALS))
+@pytest.mark.parametrize("n", [16, 17, 64, 1000, 1024, 2048])
+@pytest.mark.parametrize("kind", list(FD_POTENTIALS) + list(WELL_POTENTIALS))
 def test_fd_inertia_count_matches_eigvalsh(kind, n, rng):
     q, w, _, eps_norm = dense_fd(kind, n)
     inv_h2 = 1.0 / (TWO_PI / n) ** 2
+    res_tol = FD_RESIDUAL_ULPS * eps_norm
     # random shifts over the low spectrum, and the midpoints of its gaps,
     # where the solve places its shift; a shift within rounding of an
     # eigenvalue (the middle of a double one) has no defined count
     shifts = np.concatenate((rng.uniform(w[0] - 1.0, w[min(n, 40) - 1], 20),
                              0.5 * (w[:12] + w[1:13])))
-    shifts = shifts[np.min(np.abs(shifts[:, None] - w), axis=1) > FD_RESIDUAL_ULPS * eps_norm]
+    shifts = shifts[np.min(np.abs(shifts[:, None] - w), axis=1) > res_tol]
     assert shifts.size >= 20
-    for sigma in shifts:
+    # shifts 1 to 1024 residual stops from each of the 20 lowest eigenvalues,
+    # kept at least half their offset from every eigenvalue, and the
+    # midpoints of the gaps the solve would take (wider than 4 stops): next
+    # to a (nearly) double eigenvalue an unpivoted elimination miscounts
+    offsets = np.outer([-1.0, 1.0], [1.0, 4.0, 64.0, 1024.0]).ravel() * res_tol
+    near = w[:20, None] + offsets
+    near = near[np.min(np.abs(near[..., None] - w), axis=-1) >= np.abs(offsets) / 2.0]
+    low = w[:20]
+    gaps = (0.5 * (low[:-1] + low[1:]))[np.diff(low) > 4.0 * res_tol]
+    for sigma in np.concatenate((shifts, near, gaps)):
         assert _fd_count_below(q, inv_h2, sigma) == np.sum(w < sigma)
+
+
+@pytest.mark.parametrize("n", [101, 201])
+def test_fd_richardson_on_an_odd_grid_uses_its_step_ratio(n):
+    # the half grid of an odd N has the step ratio r = N / (N // 2), not 2;
+    # extrapolated with r the odd grid is as accurate as the even grid N - 1
+    # (with the ratio 2, 75 times less accurate at N = 201)
+    lam_ref = scipy.special.mathieu_a(0, 1.0) / 4.0 - 1.0
+    q_fn = lambda s: 1.0 + 0.5 * np.cos(s)
+    even, odd = (abs(solve(problem(q_fn, n=size, K=size, conv_tol=math.inf), m=1,
+                           backend="fd", richardson=True).lambda1 - lam_ref)
+                 for size in (n - 1, n))
+    assert odd <= 2.0 * even
 
 
 def test_fd_edge_sizes_keep_their_arrays():

@@ -1,4 +1,4 @@
-"""Code lines and branches of the jacobilab package, per module and in total.
+"""Code lines, branches and inline tolerances of jacobilab, per module and in total.
 
 Usage (from the repository root):
 
@@ -11,8 +11,11 @@ the first statement of a module, class or function), comments and blank
 lines do not count.  A branch is each ``if``, ``elif``, conditional
 expression, ``while`` and ``for`` (also inside a comprehension), each
 comprehension ``if``, each ``except`` handler, and each operand of ``and`` or
-``or`` beyond the first.  Prints one ``module lines branches`` row per file in
-name order, then ``total lines branches``.
+``or`` beyond the first.  An inline tolerance is each float literal of the
+code (not of a docstring or a comment) with 0 < |x| <= 1e-6, such as the
+``1e-12`` of ``abs(x) <= 1e-12``; a named module constant counts once, where
+it is defined.  Prints one ``module lines branches tolerances`` row per file
+in name order, then ``total lines branches tolerances``.
 """
 
 from __future__ import annotations
@@ -67,19 +70,24 @@ def branches(source: str) -> int:
     return count
 
 
+def tolerance_literals(source: str) -> int:
+    """Number of float literals of ``source`` with 0 < |x| <= 1e-6."""
+    return sum(isinstance(node, ast.Constant) and type(node.value) is float
+               and 0.0 < abs(node.value) <= 1e-6 for node in ast.walk(ast.parse(source)))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory holding the jacobilab package to count")
     args = parser.parse_args(argv)
-    total_lines = total_branches = 0
+    totals = [0, 0, 0]
     for path in sorted((args.src / "jacobilab").glob("*.py")):
         source = path.read_text()
-        lines, points = code_lines(source), branches(source)
-        total_lines += lines
-        total_branches += points
-        print(f"{path.name} {lines} {points}")
-    print(f"total {total_lines} {total_branches}")
+        counts = (code_lines(source), branches(source), tolerance_literals(source))
+        totals = [t + c for t, c in zip(totals, counts)]
+        print(path.name, *counts)
+    print("total", *totals)
     return 0
 
 

@@ -23,7 +23,7 @@ from .warped import (ThetaProfile, base_curvature_oracle, bounds_in_theta_form,
                      constant_profile, half_arctan_profile, parallel_hopf_torus,
                      sampled_profile, submersion_from_theta)
 
-__version__ = "0.4.13"
+__version__ = "0.4.14"
 
 __all__ = [
     "BoundReport", "ConvergenceError", "CorollaryRecord", "CurvatureData",

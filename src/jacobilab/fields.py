@@ -4,6 +4,13 @@ All heavier machinery (differentiation, resampling) lives here so
 the geometric modules can stay close to their formulas.  Periodic fields are
 sampled at ``s_j = j * period / n`` (endpoint excluded); interval fields
 include both endpoints.
+
+A field is constant when every sample is equal
+(:meth:`ScalarField1D.is_constant`).  This one test, with no tolerance and
+so independent of the unit of length, decides constancy wherever a model
+or a surface is built and wherever the solve takes its closed form.  The
+derivative of such a field is exactly 0 on every grid.  Only the bounds'
+equality predicates compare samples up to a tolerance (:func:`is_constant`).
 """
 
 from __future__ import annotations
@@ -125,8 +132,9 @@ class ScalarField1D:
         return ScalarField1D(np.asarray(fn(self.samples), dtype=float),
                              period=self.period, interval=self.interval)
 
-    def is_constant(self, tol: float = 1e-9) -> bool:
-        return is_constant(self.samples, tol)
+    def is_constant(self) -> bool:
+        """Every sample equal; see the module docs."""
+        return bool(_equal_samples(self.samples))
 
     def resampled(self, n: int) -> "ScalarField1D":
         """Trigonometric resampling of a periodic field onto ``n`` points."""
@@ -146,21 +154,30 @@ class ScalarField1D:
         return ScalarField1D(np.fft.irfft(out * n, n), period=self.period)
 
 
-def is_constant(samples: np.ndarray, tol: float = 1e-9) -> bool:
-    """Spread of the samples within ``tol`` relative to max(1, |extremes|)."""
+def is_constant(samples: np.ndarray, tol: float) -> bool:
+    """Spread of the samples within ``tol`` relative to max(1, |extremes|):
+    the bounds' equality predicates, not the constancy of a field."""
     lo, hi = float(np.min(samples)), float(np.max(samples))
     return hi - lo <= tol * max(1.0, abs(lo), abs(hi))
 
 
+def _equal_samples(samples: np.ndarray) -> np.ndarray:
+    """Per row along the last axis: are all its samples equal?"""
+    return np.all(samples == samples[..., :1], axis=-1)
+
+
 def _spectral_derivative(samples: np.ndarray, period: float) -> np.ndarray:
-    """Derivative along the last axis, so a stack of rows differentiates at once."""
+    """Derivative along the last axis, so a stack of rows differentiates at
+    once; a row whose samples are all equal gets exact zeros on any grid."""
     n = samples.shape[-1]
     c = np.fft.rfft(samples, axis=-1)
     k = 2.0 * np.pi * np.fft.rfftfreq(n, d=period / n)
     d = 1j * k * c
     if n % 2 == 0:
         d[..., -1] = 0.0  # derivative of the unresolved Nyquist mode
-    return np.fft.irfft(d, n, axis=-1)
+    out = np.fft.irfft(d, n, axis=-1)
+    out[_equal_samples(samples)] = 0.0
+    return out
 
 
 def _central_richardson_derivative(samples: np.ndarray, h: float) -> np.ndarray:

@@ -598,10 +598,10 @@ def write_outputs(outcome: ScenarioOutcome, out_dir: Path | None = None) -> list
 def load_scenario(path: str | Path) -> dict:
     path = Path(path)
     try:
-        text = path.read_text()
+        data = path.read_bytes()
     except OSError as exc:
         raise ScenarioError([f"<file>: cannot read {path}: {exc}"]) from exc
-    try:
-        return json.loads(text)
+    try:  # json.loads decodes the bytes, so a UnicodeDecodeError is a ValueError here
+        return json.loads(data)
     except ValueError as exc:  # also an integer literal beyond int's digit limit
         raise ScenarioError([f"<file>: not valid JSON: {exc}"]) from exc

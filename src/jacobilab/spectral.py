@@ -37,13 +37,15 @@ Scenarios and :func:`solve_surface` run the Fourier path; the fd path is
 reached only through ``solve(problem, backend="fd")``.
 
 The Fourier backend diagonalizes its (2K + 1)-square matrix with dense
-LAPACK, unless every sample of the potential is equal (a constant potential,
-such as that of a Hopf torus with constant data, on any grid): the matrix
+LAPACK, unless the potential is constant, which as in every module means
+every sample equal (:meth:`~jacobilab.fields.ScalarField1D.is_constant`;
+the potential of a Hopf torus with constant data, on any grid): the matrix
 is then diag(0, k^2, k^2) - q, its spectrum the sorted diagonal with
-lambda_1 = 0.0 - q, the ground vector the constant mode and the K/2
-estimate 0.  Any other potential goes to ``eigh``, which returns the closed
-form's bits on a matrix that is diagonal only because its read coefficients
-vanish (samples that repeat every 4 points, at K = 8).  The
+lambda_1 = 0.0 - q, the ground vector the constant mode, whose alpha is
+exactly 0, and the K/2 estimate 0.  Any other potential goes to ``eigh``,
+which returns the closed form's bits on a matrix that is diagonal only
+because its read coefficients vanish (samples that repeat every 4 points,
+at K = 8).  The
 matrix of a lower truncation t is the principal submatrix of the
 truncation-K matrix on rows 0..t and K+1..K+t, entry for entry, so the K/2
 estimate and the convergence ladder slice one assembled matrix, and the
@@ -239,7 +241,7 @@ def _convergence_ladder(problem: SpectralProblem, lambda1: float) -> list[list]:
     ground state.
     """
     K, q = problem.truncation, problem.potential
-    dense = K > 8 and not q.is_constant(0.0)
+    dense = K > 8 and not q.is_constant()
     H = assemble_fourier(problem.circle_length, q.samples, K) if dense else None
     return [[t, float(np.linalg.eigh(_galerkin_slice(H, t))[0][0]) if dense and t < K
              else lambda1] for t in _ladder_rungs(K)]
@@ -441,7 +443,7 @@ def solve(problem: SpectralProblem, m: int = 6, backend: str = "fourier",
 
     if backend == "fourier":
         K = problem.truncation
-        if not q_field.is_constant(0.0):
+        if not q_field.is_constant():
             w, vecs = np.linalg.eigh(H := assemble_fourier(L, q_field.samples, K))
             ground = vecs[:, 0]
             estimate = abs(w[0] - np.linalg.eigvalsh(_galerkin_slice(H, max(4, K // 2)))[0])
@@ -578,7 +580,8 @@ def _rayleigh_quotients(problem: SpectralProblem, rows: np.ndarray) -> np.ndarra
 def alpha_invariant(rho: ScalarField1D, area: float) -> float:
     """Surface integral of |grad log rho|^2 for a positive fiber-constant rho.
 
-    Independent of the normalization of rho; zero exactly for constants.
+    Independent of the normalization of rho; exactly zero for a rho whose
+    samples are all equal, on any grid.
     """
     if np.min(rho.samples) <= 0.0:
         raise ValueError("rho must be strictly positive")

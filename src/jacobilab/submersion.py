@@ -3,7 +3,9 @@
 A model stores kappa and tau as sampled fields over a 1D base parameter.
 Three kinds are supported: homogeneous (both constant), product (tau
 identically zero over an arbitrary base), and the doubly warped family built
-in :mod:`jacobilab.warped`.
+in :mod:`jacobilab.warped`.  Constant means every sample equal and zero
+means every sample 0.0, with no tolerance
+(:meth:`~jacobilab.fields.ScalarField1D.is_constant`).
 """
 
 from __future__ import annotations
@@ -28,9 +30,9 @@ class ModelKind(Enum):
 class GradientMode(Enum):
     """Interpretation of |grad tau| used in the eigenvalue bounds.
 
-    INTRINSIC_ON_SURFACE differentiates tau along the surface itself (zero
-    whenever tau is constant there); AMBIENT is the magnitude of the full
-    base-parameter derivative.  The two coincide except on the warped family,
+    INTRINSIC_ON_SURFACE differentiates tau along the surface itself (exactly
+    zero on any grid whenever tau is constant there); AMBIENT is the
+    magnitude of the full base-parameter derivative.  The two coincide except on the warped family,
     where tau varies transversally to the fiber tori.
     """
 
@@ -58,10 +60,10 @@ class SubmersionModel:
         if self.fiber_length is not None:
             if not (math.isfinite(self.fiber_length) and self.fiber_length > 0):
                 raise ModelError(f"fiber_length must be positive, got {self.fiber_length}")
-        if self.kind is ModelKind.PRODUCT and np.max(np.abs(self.tau_field.samples)) != 0.0:
+        if self.kind is ModelKind.PRODUCT and np.any(self.tau_field.samples):
             raise ModelError("product models require tau == 0")
         if self.kind is ModelKind.HOMOGENEOUS:
-            if not (self.kappa_field.is_constant(1e-15) and self.tau_field.is_constant(1e-15)):
+            if not (self.kappa_field.is_constant() and self.tau_field.is_constant()):
                 raise ModelError("homogeneous models require constant kappa and tau")
 
     @property

@@ -42,6 +42,12 @@ a Hopf torus whose area is not a positive float is refused by its lengths;
 :class:`~jacobilab.spectral.SpectralProblem` refuses a curve too short for
 its kinetic term.
 
+A model field is constant when every sample is equal
+(:meth:`~jacobilab.fields.ScalarField1D.is_constant`), with no tolerance: a
+torus reads a constant kappa or tau at any curve length, a slice needs tau
+== 0 at every sample and, without its own kappa, a constant model kappa.
+A field that varies by one ulp is varying, at every unit of length.
+
 Both implement the :class:`SurfaceModel` protocol, the only view of a surface
 that the other modules take.  Only the constructors here pick a class;
 everything else, the derived quantities below included, tells the two apart
@@ -201,10 +207,6 @@ class HorizontalSlice:
     def mean_curvature(self) -> float:
         return 0.0
 
-    @property
-    def euler_characteristic(self) -> int:
-        return 2 - 2 * self.genus
-
     def samples(self, mode: GradientMode):
         """kappa at the quadrature nodes (one node when constant); tau and
         |grad tau| vanish on a slice under either reading."""
@@ -256,11 +258,12 @@ def _two_pi_chi(genus: int) -> float:
 def _on_curve(model_field: ScalarField1D, key: str, curve_length: float,
               n: int) -> ScalarField1D:
     """The model's ``key`` field along a closed curve of length ``curve_length``
-    on ``n`` samples: a constant field at any length, a varying one only
-    along the base circle it is periodic on, and only on ``n`` samples that
-    carry every harmonic of it.  Either lies on the curve's own grid, period
-    ``curve_length``, which a varying field's period matches to 1e-12."""
-    if model_field.is_constant(1e-12):
+    on ``n`` samples: a constant field (every sample equal) at any length, a
+    varying one only along the base circle it is periodic on, and only on
+    ``n`` samples that carry every harmonic of it, to 1e-12 of its largest
+    sample.  Either lies on the curve's own grid, period ``curve_length``,
+    which a varying field's period matches to 1e-12."""
+    if model_field.is_constant():
         return ScalarField1D.constant(float(model_field.samples[0]), curve_length, n)
     if model_field.is_periodic and math.isclose(curve_length, model_field.period,
                                                 rel_tol=1e-12):
@@ -268,7 +271,7 @@ def _on_curve(model_field: ScalarField1D, key: str, curve_length: float,
         # resampling down drops every harmonic at or above n/2: refuse that
         # unless resampling back returns the model's samples
         lost = on_curve.resampled(model_field.n).samples - model_field.samples
-        if np.max(np.abs(lost)) > 1e-12 * max(1.0, np.max(np.abs(model_field.samples))):
+        if np.max(np.abs(lost)) > 1e-12 * np.max(np.abs(model_field.samples)):
             raise SurfaceError(f"{n} samples cannot carry every harmonic of the model "
                                f"{key}, which has {model_field.n} samples: raise n")
         # the samples stay; only a period off by rounding is relabelled
@@ -307,7 +310,8 @@ def hopf_torus(model: SubmersionModel, curve_length: float, k_g: float,
 
 def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
                      kappa: float | SampledKappa | None = None) -> HorizontalSlice:
-    """Build a horizontal slice of a model whose tau vanishes on the surface.
+    """Build a horizontal slice of a model whose tau is 0 at every sample; a
+    ``kappa`` of None reads the model's kappa, which must then be constant.
 
     Constant-curvature slices must satisfy the total-curvature constraint
     kappa * area = 2 pi chi (validated to 1e-9 relative) and are stored as
@@ -315,10 +319,10 @@ def horizontal_slice(model: SubmersionModel, base_area: float, genus: int,
     own quadrature weights, whose sum must reproduce the area, and their
     residual is reported by :func:`gauss_bonnet_check`.
     """
-    if np.max(np.abs(model.tau_field.samples)) > 1e-12:
+    if np.any(model.tau_field.samples):
         raise SurfaceError("horizontal slices require tau == 0 along the surface")
     if kappa is None:
-        if not model.kappa_field.is_constant(1e-12):
+        if not model.kappa_field.is_constant():
             raise SurfaceError("kappa descriptor is required when the model kappa varies")
         kappa = float(model.kappa_field.samples[0])
 

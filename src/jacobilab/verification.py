@@ -173,8 +173,7 @@ def _expected_equality(part: TheoremPart, s) -> bool:
         return not s.horizontal  # constant-data Hopf tori always attain it
     if part is TheoremPart.MINUS_I:
         tau = s.samples(GradientMode.INTRINSIC_ON_SURFACE)[1]
-        return (not s.horizontal and abs(s.mean_curvature) <= 1e-12
-                and float(np.max(np.abs(tau))) <= 1e-12)
+        return not s.horizontal and s.mean_curvature == 0.0 and not np.any(tau)
     return s.horizontal
 
 

@@ -653,13 +653,57 @@ def test_harmonic_the_solve_cannot_see_is_an_input_error(tmp_path, capsys, k, sa
 
 def test_surface_samples_that_drop_a_model_harmonic_are_an_input_error(tmp_path, capsys):
     # kappa = 1 + 0.5 cos 300s is valid on the model's 2048 samples; carried
-    # onto 512 it once lost the harmonic and ran as kappa = 1 with exit 0
-    doc = harmonic_doc(300, 512, samples=2048)
-    doc["surface"]["samples"] = 512
+    # onto 512 it once lost the harmonic and ran as kappa = 1 with exit 0.
+    # Scaled by 1e-13 on 1024 samples, an absolute floor once took it for a
+    # constant and ran it with exit 0 too
+    for scale, model_samples in ((1.0, 2048), (1e-13, 1024)):
+        doc = harmonic_doc(300, 512, samples=model_samples)
+        doc["model"]["kappa"] = {"mean": scale, "cos": [0.0] * 299 + [0.5 * scale]}
+        doc["surface"]["samples"] = 512
+        assert _run_file(tmp_path, doc) == 1
+        assert ("error: 512 samples cannot carry every harmonic of the model kappa, "
+                f"which has {model_samples} samples" in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+
+def scaled_product_doc(c):
+    """Product torus with kappa = m (1 + 0.004 cos s), m = c^-2, on a curve,
+    base period and fiber of length 2 pi c: the c = 1 torus scaled by c."""
+    m = c**-2
+    return {"version": 1, "name": "scaled_product",
+            "model": {"kind": "product", "fiber_length": TWO_PI * c, "period": TWO_PI * c,
+                      "kappa": {"mean": m, "cos": [0.004 * m]}},
+            "surface": {"type": "hopf_torus", "curve_length": TWO_PI * c,
+                        "geodesic_curvature": 0.0}}
+
+
+@pytest.mark.parametrize("c", [2.0, 10.0, 1e5, 1e-3])
+def test_scaled_torus_keeps_lambda1_times_c_squared(c):
+    # at c = 1e5 the varying kappa was once snapped to its first sample,
+    # and lambda1 c^2 read -1.004 instead of -1.000008
+    unit = run_scenario(scaled_product_doc(1.0)).report["spectrum"]["lambda1"]
+    scaled = run_scenario(scaled_product_doc(c)).report["spectrum"]["lambda1"]
+    assert abs(scaled * c**2 - unit) <= 4 * np.spacing(abs(unit))
+
+
+def test_slice_in_a_model_with_tiny_nonzero_tau_is_an_input_error(tmp_path, capsys):
+    # a slice needs tau == 0; tau = 5e-13 once passed an absolute 1e-12 floor
+    doc = {"version": 1, "name": "tiny_tau_slice",
+           "model": {"kind": "homogeneous", "kappa": 1.0, "tau": 5e-13, "fiber_length": TWO_PI},
+           "surface": {"type": "horizontal_slice", "base_area": 4 * math.pi, "genus": 0}}
     assert _run_file(tmp_path, doc) == 1
-    assert ("error: 512 samples cannot carry every harmonic of the model kappa, "
-            "which has 2048 samples" in capsys.readouterr().err)
+    assert ("error: horizontal slices require tau == 0 along the surface"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_undecodable_scenario_file_is_an_input_error(tmp_path, capsys):
+    # invalid UTF-8 once escaped as a UnicodeDecodeError traceback
+    path = tmp_path / "scenario.json"
+    path.write_bytes(b'{"name": "' + bytes([0xFF]) + b'"}')
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: <file>: not valid JSON: ")
 
 
 def test_harmonic_below_the_truncation_matches_mathieu(tmp_path):

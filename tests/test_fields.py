@@ -74,9 +74,11 @@ def test_resample_down_to_an_even_grid_keeps_the_nyquist_cosine(n, m, fn):
 def test_is_constant():
     assert ScalarField1D.constant(3.0, 1.0).is_constant()
     assert not ScalarField1D.from_function(np.cos, 2 * np.pi).is_constant()
+    # every sample equal, with no tolerance: one ulp apart is varying
+    assert not ScalarField1D.periodic([1.0] * 7 + [np.nextafter(1.0, 2.0)], 1.0).is_constant()
     # the array form also takes the 1-element samples of constant slices
-    assert is_constant(np.array([-2.5]))
-    assert not is_constant(np.array([1.0, 1.0 + 1e-6]))
+    assert is_constant(np.array([-2.5]), 1e-9)
+    assert not is_constant(np.array([1.0, 1.0 + 1e-6]), 1e-9)
 
 
 def test_same_grid():
